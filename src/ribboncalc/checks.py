@@ -3,9 +3,10 @@
 Each entry recomputes a headline number from scratch and compares it with
 an independent oracle: solver output against printed closed forms, the
 cluster censuses against brute-force search, Euler characteristics against
-Bernoulli numbers, Pfaffians against seeded random-metric sweeps.  A check
-returns ``(ok, detail)`` and touches no global state, so the registry can
-run in any order, any number of times, with byte-identical output.
+Bernoulli numbers and the Harer-Zagier step, Pfaffians against seeded
+random-metric sweeps.  A check returns ``(ok, detail)`` and touches no
+global state, so the registry can run in any order, any number of times,
+with byte-identical output.
 """
 
 from __future__ import annotations
@@ -212,21 +213,35 @@ def _bernoulli(m: int) -> Fraction:
     return row[m]
 
 
+def _harer_zagier(g: int, n: int) -> Fraction:
+    """chi(M_{g,1}) = -B_2g/2g (chi(M_{0,3}) = 1), then chi(M_{g,n+1}) = (2-2g-n) chi(M_{g,n})."""
+    if g == 0:
+        value, start = Fraction(1), 3
+    else:
+        value, start = -_bernoulli(2 * g) / (2 * g), 1
+    for m in range(start, n):
+        value *= 2 - 2 * g - m
+    return value
+
+
 def check_euler_characteristics():
-    want = {(1, 1): Fraction(-1, 12), (0, 3): Fraction(1), (2, 1): Fraction(1, 120)}
-    reports = []
-    for (g, n), value in want.items():
-        got = enumeration.orbifold_euler(g, n)
-        if got != value:
-            return False, f"orbifold Euler ({g},{n}) = {got}, expected {value}"
-        if n == 1:
-            oracle = -_bernoulli(2 * g) / (2 * g)
-            if got != oracle:
-                return False, (
-                    f"({g},{n}): {got} disagrees with the Bernoulli value {oracle}"
-                )
-        reports.append(f"({g},{n}) = {got}")
-    return True, "; ".join(reports) + "; genus-1 and genus-2 match -B_2g/2g"
+    limit = enumeration.DEFAULT_MAX_SIDES
+    got = {
+        (g, n): enumeration.orbifold_euler(g, n, max_sides=limit)
+        for g in range(limit)
+        for n in range(1, limit)
+        if 2 * g - 2 + n > 0 and 3 * (4 * g - 4 + 2 * n) <= limit
+    }
+    for (g, n), value in got.items():
+        want = _harer_zagier(g, n)
+        if value != want:
+            return False, (
+                f"orbifold Euler ({g},{n}) = {value}, Bernoulli and Harer-Zagier give {want}"
+            )
+    return True, (
+        f"all {len(got)} (g,n) with at most {limit} sides match -B_2g/2g and the "
+        f"Harer-Zagier step; (2,1) = {got[2, 1]}, (3,1) = {got[3, 1]}"
+    )
 
 
 # --- 7. structural sweeps ---------------------------------------------------------

@@ -359,7 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("euler", parents=[common], help="orbifold Euler characteristic")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility and ignored; the count runs in one process",
+    )
     p.add_argument("--max-sides", type=int)
     p.set_defaults(func=_cmd_euler)
 

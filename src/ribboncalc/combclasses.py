@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import factorial
-from threading import Lock
 from typing import NamedTuple, Optional
 
 from .enumeration import Profile
@@ -463,7 +462,6 @@ def merge_relation(g, P, rho, kept=()) -> Relation:
 # --- the solver -------------------------------------------------------------------
 
 _SOLVED: dict = {}
-_SOLVED_LOCK = Lock()
 
 
 def _solve(tail) -> TautPoly:
@@ -499,8 +497,7 @@ def _solve(tail) -> TautPoly:
     for mi in tail:
         denom *= factorial(mi)
     result = acc * Fraction(1, denom)
-    with _SOLVED_LOCK:
-        return _SOLVED.setdefault(tail, result)
+    return _SOLVED.setdefault(tail, result)
 
 
 def kappa_polynomial(m_star, g, n) -> TautPoly:

@@ -13,16 +13,36 @@ centralizer of sigma0 acting on valid pairings, so by orbit-stabilizer
     sum over unlabeled classes of 1/|Aut| = (#valid pairings) / |Z(sigma0)|
 
 and labeling the n holes multiplies the sum by n!.
+
+Nor does it need the pairings.  Fixing sigma0 with labelled sides labels
+the vertices and roots each one at its first side, so the valid pairings
+of a valency list mu with F faces are exactly the rooted maps of genus g,
+2 - 2g = V - E + F, with labelled vertices of degrees mu.  Their number
+C_g(mu), a generalized Catalan number, obeys the root-edge recursion of
+Walsh and Lehman (Counting rooted maps by genus I, J. Combin. Theory B 13,
+1972) in the form of Dumitrescu, Mulase, Safnuk and Sorkin (The spectral
+curve of the Eynard-Orantin recursion via the Laplace transform, 2013).
+Removing the root edge at the vertex of degree mu_1 either contracts it
+into another vertex j, or splits mu_1 into the two sides alpha + beta =
+mu_1 - 2 of a loop, which lowers the genus or disconnects the map:
+
+    C_g(mu) = sum_j mu_j C_g(mu_1 + mu_j - 2, mu minus {1, j})
+            + sum_{alpha+beta = mu_1-2} [ C_{g-1}(alpha, beta, mu minus 1)
+                + sum_{g1+g2=g, I+J = mu minus 1} C_g1(alpha, I) C_g2(beta, J) ]
+
+with C_0(0) = 1.  ``orbifold_euler`` evaluates this memoized recursion in
+integers, so its cost no longer grows with the number of pairings.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import cache
 from itertools import permutations as _perm_iter
-from math import factorial
+from itertools import product
+from math import comb, factorial
 from typing import NamedTuple
 
 from .errors import DomainMismatch, InconsistentProfile, TooLarge
@@ -106,7 +126,7 @@ class Profile:
 
 # --- the pairing search ---------------------------------------------------------
 
-def _search(valencies, n_holes, *, collect=False, first_candidates=None, order=None):
+def _search(valencies, n_holes, *, collect=False, order=None):
     """Count (or collect) pairings giving a connected graph with n_holes faces.
 
     Sides are 0-based here, blocked consecutively by vertex; sigma0 rotates
@@ -116,9 +136,10 @@ def _search(valencies, n_holes, *, collect=False, first_candidates=None, order=N
     k pairings left, at least one and at most 2k more faces will close, and
     connectivity needs at most k more merges; violations prune the branch.
 
-    ``first_candidates`` restricts the partner tried for side 0 (used to
-    partition the search across workers).  ``order`` is a ranking list used
-    only by tests to scramble the candidate order.
+    Count mode visits every valid pairing, so ``orbifold_euler`` counts by
+    ``_connected_pairings`` instead; tests keep this count as its oracle.
+    ``order`` is a ranking list used only by tests to scramble the candidate
+    order.
     """
     n = sum(valencies)
     s0 = [0] * n
@@ -149,17 +170,14 @@ def _search(valencies, n_holes, *, collect=False, first_candidates=None, order=N
     found = []
     total_pairs = n // 2
 
-    def go(lo, remaining, restricted):
+    def go(lo, remaining):
         nonlocal closed, comps, count
         while partner[lo] >= 0:
             lo += 1
         x = lo
-        if restricted is not None:
-            cands = restricted
-        else:
-            cands = range(lo + 1, n)
-            if order is not None:
-                cands = sorted(cands, key=lambda y: order[y])
+        cands = range(lo + 1, n)
+        if order is not None:
+            cands = sorted(cands, key=lambda y: order[y])
         for y in cands:
             if partner[y] >= 0:
                 continue
@@ -206,7 +224,7 @@ def _search(valencies, n_holes, *, collect=False, first_candidates=None, order=N
                     else:
                         count += 1
             elif closed < n_holes and closed + 2 * k >= n_holes and comps - k <= 1:
-                go(lo + 1, k, None)
+                go(lo + 1, k)
 
             if cundo is not None:
                 rb, ra = cundo
@@ -220,13 +238,61 @@ def _search(valencies, n_holes, *, collect=False, first_candidates=None, order=N
             partner[x] = -1
             partner[y] = -1
 
-    go(0, total_pairs, first_candidates)
+    go(0, total_pairs)
     return found if collect else count
 
 
-def _count_worker(args):
-    valencies, n_holes, first = args
-    return _search(list(valencies), n_holes, first_candidates=first)
+# --- counting pairings by the root-edge recursion ---------------------------------
+
+def _rooted_maps(g, degrees) -> int:
+    """C_g(degrees): rooted maps of genus g on labelled vertices of these degrees."""
+    return _rooted_sorted(g, tuple(sorted(degrees, reverse=True)))
+
+
+def _sub_multisets(mu):
+    """Each sub-multiset I of ``mu`` (descending) with its complement J and
+    the number of labelled subsets of ``mu`` that realize it."""
+    groups = sorted(Counter(mu).items(), reverse=True)
+    for picks in product(*(range(c + 1) for _, c in groups)):
+        inside, outside, ways = [], [], 1
+        for (d, c), k in zip(groups, picks):
+            inside += [d] * k
+            outside += [d] * (c - k)
+            ways *= comb(c, k)
+        yield tuple(inside), tuple(outside), ways
+
+
+@cache
+def _rooted_sorted(g, mu) -> int:
+    if 0 in mu:
+        return 1 if g == 0 and mu == (0,) else 0
+    total = sum(mu)
+    # a connected map has at least one face: 2g = 2 - V + E - F <= 1 - V + E
+    if g < 0 or total % 2 or 2 * g > 1 - len(mu) + total // 2:
+        return 0
+    first, rest = mu[0], mu[1:]
+    out = 0
+    for j in range(len(rest)):  # this module's enumerate shadows the builtin
+        out += rest[j] * _rooted_maps(g, (first + rest[j] - 2,) + rest[:j] + rest[j + 1:])
+    splits = list(_sub_multisets(rest))
+    for alpha in range(first - 1):
+        beta = first - 2 - alpha
+        out += _rooted_maps(g - 1, (alpha, beta) + rest)
+        for inside, outside, ways in splits:
+            for g1 in range(g + 1):
+                left = _rooted_maps(g1, (alpha,) + inside)
+                if left:
+                    out += ways * left * _rooted_maps(g - g1, (beta,) + outside)
+    return out
+
+
+def _connected_pairings(valencies, n_holes) -> int:
+    """Number of pairings ``_search(valencies, n_holes)`` would count."""
+    sides = sum(valencies)
+    twice_genus = 2 - len(valencies) + sides // 2 - n_holes
+    if sides % 2 or twice_genus < 0 or twice_genus % 2:
+        return 0
+    return _rooted_maps(twice_genus // 2, valencies)
 
 
 def _graph_from_partner(valencies, partner) -> RibbonGraph:
@@ -405,8 +471,11 @@ def _centralizer_size(valencies) -> int:
 def orbifold_euler(g, n, jobs=1, max_sides=None) -> Fraction:
     """Sum of (-1)^(edges - n) / |Aut| over labeled classes, all profiles.
 
-    Computed per valency list from raw pairing counts via the centralizer
-    identity in the module docstring; no isomorphism classes are built.
+    Computed per valency list from pairing counts via the centralizer
+    identity in the module docstring; the counts come from the root-edge
+    recursion, so neither pairings nor isomorphism classes are built.
+    ``jobs`` is accepted for compatibility and ignored: the count runs in
+    one process.
     """
     if n < 1 or 2 * g - 2 + n <= 0:
         raise InconsistentProfile(f"(g, n) = ({g}, {n}) has no cells")
@@ -416,27 +485,11 @@ def orbifold_euler(g, n, jobs=1, max_sides=None) -> Fraction:
     if worst > limit:
         raise TooLarge(f"largest cells need {worst} sides, over the limit {limit}")
 
-    counts = {}
-    if jobs and jobs > 1:
-        tasks = []
-        for vals in shapes:
-            sides = sum(vals)
-            if sides >= 14:
-                tasks.extend((vals, n, (y,)) for y in range(1, sides))
-            else:
-                tasks.append((vals, n, None))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for (vals, _, _), part in zip(tasks, pool.map(_count_worker, tasks)):
-                counts[vals] = counts.get(vals, 0) + part
-    else:
-        for vals in shapes:
-            counts[vals] = _search(list(vals), n)
-
     total = Fraction(0)
     for vals in shapes:
         edges = sum(vals) // 2
         sign = -1 if (edges - n) % 2 else 1
         total += Fraction(
-            sign * factorial(n) * counts[vals], _centralizer_size(vals)
+            sign * factorial(n) * _connected_pairings(vals, n), _centralizer_size(vals)
         )
     return total

@@ -18,6 +18,25 @@ def bernoulli(m):
     return row[0]
 
 
+def harer_zagier(g, n):
+    """chi(M_{g,1}) = -B_2g/2g (chi(M_{0,3}) = 1), then the step to n+1 holes."""
+    value, start = (Fraction(1), 3) if g == 0 else (-bernoulli(2 * g) / (2 * g), 1)
+    for m in range(start, n):
+        value *= 2 - 2 * g - m
+    return value
+
+
+def valency_lists_by_sides(sides, smallest):
+    """Descending multisets of valencies >= smallest that sum to ``sides``."""
+    return [p for p in en._partitions(sides) if p[-1] >= smallest]
+
+
+def face_counts(valencies):
+    """Face counts F >= 1 with 2 - V + E - F even and nonnegative."""
+    v, e = len(valencies), sum(valencies) // 2
+    return range(2 - v + e, 0, -2)
+
+
 class TestProfile:
     def test_basic(self):
         p = en.Profile([2, 0, 1])
@@ -219,3 +238,53 @@ class TestEuler:
 
     def test_parallel_matches_serial(self):
         assert en.orbifold_euler(1, 2, jobs=2) == Fraction(1, 12)
+
+    # every (g, n) whose trivalent cells fit in the default 30 sides
+    @pytest.mark.parametrize(
+        "g,n",
+        [(0, n) for n in range(3, 8)] + [(1, n) for n in range(1, 6)]
+        + [(2, 1), (2, 2), (2, 3), (3, 1)],
+    )
+    def test_harer_zagier(self, g, n):
+        assert 3 * (4 * g - 4 + 2 * n) <= en.DEFAULT_MAX_SIDES
+        assert en.orbifold_euler(g, n) == harer_zagier(g, n)
+
+    def test_harer_zagier_oracle(self):
+        assert harer_zagier(3, 1) == Fraction(-1, 252)
+        assert harer_zagier(0, 5) == 2
+        assert harer_zagier(2, 2) == Fraction(-1, 40)
+
+
+class TestRootedMaps:
+    @pytest.mark.parametrize("sides", [4, 6, 8, 10, 12, 14])
+    def test_matches_search_on_cell_valencies(self, sides):
+        for vals in valency_lists_by_sides(sides, 3):
+            for faces in face_counts(vals):
+                want = en._search(list(vals), faces)
+                assert en._connected_pairings(vals, faces) == want, (vals, faces)
+
+    def test_matches_search_with_low_valencies(self):
+        # valencies 1 and 2 exercise the recursion's small-degree branches
+        for sides in range(2, 11, 2):
+            for vals in valency_lists_by_sides(sides, 1):
+                for faces in face_counts(vals):
+                    want = en._search(list(vals), faces)
+                    assert en._connected_pairings(vals, faces) == want, (vals, faces)
+
+    def test_infeasible_face_counts_are_zero(self):
+        assert en._connected_pairings((3, 3), 2) == 0  # 2g odd
+        assert en._connected_pairings((3, 3), 5) == 0  # 2g negative
+        assert en._connected_pairings((3, 2), 1) == 0  # odd side count
+        assert en._search([3, 3], 2) == 0
+
+    def test_trivalent_genus_two_shape(self):
+        # the 18-side shape; _search was checked to give these counts but
+        # takes minutes, so the values are frozen here
+        got = [en._connected_pairings([3] * 6, f) for f in (1, 3, 5)]
+        assert got == [3061800, 19362240, 9797760]
+
+    def test_base_cases_and_symmetry(self):
+        assert en._rooted_maps(1, (5, 3, 4)) == en._rooted_maps(1, (3, 4, 5))
+        assert en._rooted_maps(0, (0,)) == 1
+        assert en._rooted_maps(0, (0, 2)) == 0
+        assert en._rooted_maps(-1, (4,)) == 0
