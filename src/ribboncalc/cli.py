@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from . import __version__, checks, clusters, combclasses, degeneration, enumeration, plforms, stable
 from .enumeration import Profile
-from .errors import DomainMismatch, RibbonError
+from .errors import DomainMismatch, InconsistentProfile, RibbonError
 from .ribbon import (
     MarkedMetricGraph,
     edge_id,
@@ -117,13 +117,20 @@ def _metric_graph(path):
 
 
 def _cmd_enumerate(args):
+    labels = _labels(args.labels)
+    profile = Profile(_ints(args.profile))
+    marks = _vertex_marks(args.vertex_mark)
     cells = enumeration.enumerate(
-        args.genus,
-        _labels(args.labels),
-        Profile(_ints(args.profile)),
-        vertex_marks=_vertex_marks(args.vertex_mark) or None,
-        max_sides=args.max_sides,
+        args.genus, labels, profile, vertex_marks=marks or None, max_sides=args.max_sides
     )
+    n_holes = sum(1 for label in labels if label not in marks)
+    if not cells and not profile.consistent_with(args.genus, n_holes):
+        # the library answers an empty list; on the command line that is a domain error
+        total = 4 * args.genus - 4 + 2 * n_holes
+        raise InconsistentProfile(
+            f"profile weight {profile.weight()} is not 4g-4+2n = {total} "
+            f"for (g, n) = ({args.genus}, {n_holes})"
+        )
     lines = []
     for cell in cells:
         data = graph_to_json(cell.graph, cell.marking)

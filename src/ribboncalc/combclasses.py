@@ -28,6 +28,7 @@ from .errors import (
     InconsistentProfile,
     NegativeCount,
 )
+from .permutations import _partition_sums
 from .tautring import ONE, TautPoly, kappa, kappa_cycle_sum, psi, symbol
 
 __all__ = [
@@ -465,38 +466,41 @@ _SOLVED: dict = {}
 
 
 def _solve(tail) -> TautPoly:
-    """Kappa polynomial for the profile with m_i = tail[i-1] big vertices."""
+    """Kappa polynomial for the profile with m_i = tail[i-1] big vertices.
+
+    The all-forgotten merge relation of the profile's marked vertices reads
+    scale * K(values) = sum over set partitions M of the vertices of
+    mult(M) * coefficient(M) * [locus of the merged profile], and only the
+    discrete partition leaves the profile itself.  Partitions with equal
+    block sums name the same merged profile, so the others are summed by
+    their block sums (``permutations._partition_sums``) and each merged
+    profile is solved once, recursively.
+    """
     hit = _SOLVED.get(tail)
     if hit is not None:
         return hit
 
-    rho = {}
-    for i, mi in enumerate(tail, start=1):
-        for k in range(mi):
-            rho[f"v{len(rho) + 1}"] = i
-    rho = RhoAssignment(rho)
-    labels = rho.labels()
-
+    values = [i for i, mi in enumerate(tail, start=1) for _ in range(mi)]
     scale = 1
-    for q in labels:
-        scale *= 2 ** (rho.value(q) + 1) * double_factorial(2 * rho.value(q) + 1)
-    acc = scale * kappa_cycle_sum([rho.value(q) for q in labels])
+    for v in values:
+        scale *= 2 ** (v + 1) * double_factorial(2 * v + 1)
+    acc = {mono: scale * c for mono, c in kappa_cycle_sum(values).terms().items()}
 
-    for M in all_partitions(labels):
-        if M.is_discrete():
-            continue
-        merged = _merged_counts(rho, M)
+    for sums, weight in _partition_sums(values, merge_coefficient).items():
+        if len(sums) == len(values):
+            continue  # the discrete partition: the unknown itself
+        merged = Counter(sums)
         sub_tail = tuple(merged.get(i, 0) for i in range(1, max(merged) + 1))
         mult = 1
-        for i, cnt in merged.items():
-            if i >= 1:
-                mult *= factorial(cnt)
-        acc = acc - mult * partition_coefficient(rho, M) * _solve(sub_tail)
+        for cnt in merged.values():
+            mult *= factorial(cnt)
+        for mono, c in _solve(sub_tail).terms().items():
+            acc[mono] = acc.get(mono, 0) - mult * weight * c
 
     denom = 1
     for mi in tail:
         denom *= factorial(mi)
-    result = acc * Fraction(1, denom)
+    result = TautPoly({mono: c / denom for mono, c in acc.items()})
     return _SOLVED.setdefault(tail, result)
 
 

@@ -36,6 +36,7 @@ from .ribbon import (
     RibbonGraph,
     genus,
     graph_to_json,
+    side_numbering,
 )
 from . import permutations as perms
 from .stable import exceptional_correspondence, quotient, subgraph
@@ -607,13 +608,20 @@ def dual_to_json(gamma: DualGraph) -> dict:
 
 
 def shrink_to_json(res: ShrinkResult) -> dict:
-    """Everything a shrink produced, components in full graph form."""
+    """Everything a shrink produced, components in full graph form.
+
+    Node vertices are written in their component's serialized side numbering.
+    """
+    numbering = [side_numbering(c.graph) for c in res.components]
     return {
         "kind": res.kind,
         "topology": topology_to_json(res.topology),
         "components": [
             graph_to_json(c.graph, c.marking, c.lengths) for c in res.components
         ],
-        "nodes": [{"component": i, "vertex": sorted(v)} for i, v in res.nodes],
+        "nodes": [
+            {"component": i, "vertex": sorted(numbering[i][x] for x in v)}
+            for i, v in res.nodes
+        ],
         "dual": dual_to_json(res.dual),
     }

@@ -41,11 +41,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import permutations as _perm_iter
-from itertools import product
-from math import comb, factorial
+from math import factorial
 from typing import NamedTuple
 
 from .errors import DomainMismatch, InconsistentProfile, TooLarge
+from .permutations import _sub_multisets
 from .ribbon import (
     HOLE,
     VERTEX,
@@ -247,19 +247,6 @@ def _search(valencies, n_holes, *, collect=False, order=None):
 def _rooted_maps(g, degrees) -> int:
     """C_g(degrees): rooted maps of genus g on labelled vertices of these degrees."""
     return _rooted_sorted(g, tuple(sorted(degrees, reverse=True)))
-
-
-def _sub_multisets(mu):
-    """Each sub-multiset I of ``mu`` (descending) with its complement J and
-    the number of labelled subsets of ``mu`` that realize it."""
-    groups = sorted(Counter(mu).items(), reverse=True)
-    for picks in product(*(range(c + 1) for _, c in groups)):
-        inside, outside, ways = [], [], 1
-        for (d, c), k in zip(groups, picks):
-            inside += [d] * k
-            outside += [d] * (c - k)
-            ways *= comb(c, k)
-        yield tuple(inside), tuple(outside), ways
 
 
 @cache

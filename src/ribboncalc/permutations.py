@@ -14,9 +14,20 @@ Cycle notation round-trip::
 
 ``cycles`` lists every orbit (fixed points included as 1-cycles), each
 rotated so its minimum comes first, sorted by that minimum.
+
+``_sub_multisets`` serves the recursions that treat equal values as
+interchangeable: it groups the subsets of a labelled multiset by the
+sub-multiset they pick.  The rooted-map count of ``enumeration`` uses it,
+and so does ``_partition_sums``, which sums over the set partitions of a
+labelled multiset by their block sums for the kappa cycle sums and the
+kappa solver.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from itertools import product
+from math import comb
 
 from .errors import DomainMismatch
 
@@ -104,3 +115,45 @@ def orbit_of(perm, start):
 def conjugate(perm, relabel):
     """relabel o perm o relabel^{-1}, i.e. the same permutation on renamed points."""
     return {relabel[x]: relabel[y] for x, y in perm.items()}
+
+
+def _sub_multisets(mu):
+    """Each sub-multiset I of ``mu`` (descending) with its complement J and
+    the number of labelled subsets of ``mu`` that realize it."""
+    groups = sorted(Counter(mu).items(), reverse=True)
+    for picks in product(*(range(c + 1) for _, c in groups)):
+        inside, outside, ways = [], [], 1
+        for (d, c), k in zip(groups, picks):
+            inside += [d] * k
+            outside += [d] * (c - k)
+            ways *= comb(c, k)
+        yield tuple(inside), tuple(outside), ways
+
+
+def _partition_sums(values, block_weight):
+    """Set partitions of labelled ``values``, grouped by their block sums.
+
+    Maps each ascending tuple of block sums to the sum, over the partitions
+    with those block sums, of the product over blocks B of
+    ``block_weight(sum of B, |B|)``.  Recurses on the block holding the
+    largest value, its other members grouped by sub-multiset, memoized
+    within the call on the multiset of values left over.
+    """
+    memo = {(): {(): 1}}
+
+    def rec(key):
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        first, rest = key[0], key[1:]
+        out = {}
+        for inside, outside, ways in _sub_multisets(rest):
+            block = first + sum(inside)
+            weight = ways * block_weight(block, 1 + len(inside))
+            for sums, coeff in rec(outside).items():
+                merged = tuple(sorted(sums + (block,)))
+                out[merged] = out.get(merged, 0) + weight * coeff
+        memo[key] = out
+        return out
+
+    return rec(tuple(sorted(values, reverse=True)))

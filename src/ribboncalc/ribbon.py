@@ -423,11 +423,20 @@ def parse_edge_id(s):
     return tuple(sorted((int(a), int(b))))
 
 
+def side_numbering(g: RibbonGraph) -> dict:
+    """The renumbering ``graph_to_json`` applies: the k-th smallest side -> k.
+
+    Anything written next to a serialized graph that names its sides (an
+    orbit, an edge) goes through this map to match the written graph.
+    """
+    return {x: i + 1 for i, x in enumerate(g.sides)}
+
+
 def graph_to_json(g: RibbonGraph, marking: Marking | None = None, lengths=None) -> dict:
-    """Serialize; sides are renumbered to 1..n if not already contiguous."""
+    """Serialize; sides are renumbered by ``side_numbering`` if not already 1..n."""
     n = len(g.sides)
     if g.sides != tuple(range(1, n + 1)):
-        side_map = {x: i + 1 for i, x in enumerate(g.sides)}
+        side_map = side_numbering(g)
         g2 = RibbonGraph(
             perms.conjugate(g.sigma0, side_map),
             perms.conjugate(g.sigma1, side_map),

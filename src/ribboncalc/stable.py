@@ -32,7 +32,15 @@ from .errors import (
     NoSuchEdge,
     NotPermissible,
 )
-from .ribbon import HOLE, VERTEX, Marking, RibbonGraph, graph_to_json
+from .ribbon import (
+    HOLE,
+    VERTEX,
+    Marking,
+    RibbonGraph,
+    edge_id,
+    graph_to_json,
+    side_numbering,
+)
 
 CONTRACTIBLE = "contractible"
 SEMISTABLE = "semistable"
@@ -700,20 +708,29 @@ def order_is_admissible(data: StableGraphData, order=None) -> bool:
 
 
 def stable_to_json(data: StableGraphData) -> dict:
-    """JSON-ready description: components, markings, orders, iota pairs."""
+    """JSON-ready description: components, markings, orders, iota pairs.
+
+    Each component is written with its sides renumbered to 1..n, and every
+    orbit and edge naming its sides is written in the same numbering.
+    """
+    numbering = [side_numbering(graph) for graph in data.components]
+
+    def orbit(i, sides):
+        return sorted(numbering[i][x] for x in sides)
 
     def point(p):
-        return {"component": p[0], "kind": p[1], "orbit": sorted(p[2])}
+        return {"component": p[0], "kind": p[1], "orbit": orbit(p[0], p[2])}
 
     comps = []
     for i, graph in enumerate(data.components):
         blob = graph_to_json(graph)
         blob["marking"] = {
-            label: {"kind": kind, "orbit": sorted(orb)}
+            label: {"kind": kind, "orbit": orbit(i, orb)}
             for label, (kind, orb) in data.markings[i].items()
         }
         blob["lengths"] = {
-            f"{a}-{b}": str(data.lengths[i][(a, b)]) for a, b in data.components[i].edges()
+            edge_id((numbering[i][a], numbering[i][b])): str(data.lengths[i][(a, b)])
+            for a, b in graph.edges()
         }
         blob["order"] = data.order[i]
         comps.append(blob)

@@ -17,14 +17,25 @@ with psi exponents b_q + 1 at the forgotten points to the permutation sum
                        product over cycles c of sigma of kappa(sum of b in c)
 
 times the untouched psi factors; exponent-0 forgotten points are first
-removed by the string equation.
+removed by the string equation.  This is Faber's formula (A conjectural
+description of the tautological ring, 1999).  ``kappa_cycle_sum`` does not
+walk the m! permutations: choosing the other members S of the cycle through
+b_1, in one of |S|! cyclic orders, leaves the same sum on the rest,
+
+    K(b_1, ..., b_m) = sum over subsets S of {2, ..., m} of
+                       |S|! * kappa(b_1 + sum of b_j, j in S)
+                            * K(b_j, j not in S and j != 1)
+
+with K() = 1.  Subsets S that pick the same sub-multiset of values give the
+same term, so ``kappa_cycle_sum`` groups them and weights them by products
+of binomials (``permutations._partition_sums``).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import permutations as _perm_iter
+from math import factorial
 
 from .errors import (
     DomainMismatch,
@@ -32,6 +43,7 @@ from .errors import (
     UnforgettableMonomial,
     WrongExponent,
 )
+from .permutations import _partition_sums
 
 _KAPPA = "k"
 _PSI = "psi"
@@ -382,27 +394,14 @@ def kappa_cycle_sum(values) -> TautPoly:
     """Sum over permutations of kappa products, one factor per cycle.
 
     For values (b_1, ..., b_m) each sigma in S_m contributes the product
-    over its cycles c of kappa(sum of b_j for j in c).
+    over its cycles c of kappa(sum of b_j for j in c).  The cycles of sigma
+    partition the values, and (|B|-1)! permutations cycle a block B, so the
+    sum runs over set partitions by the recursion in the module docstring.
     """
-    m = len(values)
-    if m == 0:
-        return ONE
-    total = TautPoly()
-    for sigma in _perm_iter(range(m)):
-        seen = [False] * m
-        prod = ONE
-        for start in range(m):
-            if seen[start]:
-                continue
-            acc = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                acc += values[j]
-                j = sigma[j]
-            prod = prod * kappa(acc)
-        total = total + prod
-    return total
+    counts = _partition_sums(values, lambda total, size: factorial(size - 1))
+    return TautPoly(
+        {_normalize(((_KAPPA, i), 1) for i in sums): c for sums, c in counts.items()}
+    )
 
 
 def _push_monomial(exps: dict, forget: frozenset) -> TautPoly:

@@ -62,3 +62,62 @@ class TestEuler:
         manifest = json.loads(path.read_text())
         assert manifest["command"] == "euler"
         assert manifest["digest"] == cli.build_manifest("euler", {}, "-1/12").digest
+
+
+class TestEnumerate:
+    def test_profile_that_does_not_fit_is_a_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, "enumerate", "--genus", "0", "--labels", "p,q,r", "--profile", "0,3"
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "InconsistentProfile",
+            "message": "profile weight 9 is not 4g-4+2n = 2 for (g, n) = (0, 3)",
+        }
+
+    def test_fitting_profile_lists_its_cells(self, capsys):
+        code, out, err = run(
+            capsys, "enumerate", "--genus", "0", "--labels", "p,q,r", "--profile", "2"
+        )
+        assert (code, err) == (0, "")
+        cells = [json.loads(line) for line in out.splitlines()]
+        assert len(cells) == 4
+        assert all(cell["sides"] == 6 for cell in cells)
+
+
+class TestKappa:
+    def test_fpoly_text(self, capsys):
+        assert run(capsys, "fpoly", "--profile", "0,3") == (
+            0,
+            "288*k1^3 - 4176*k1*k2 + 20736*k3\n",
+            "",
+        )
+
+    def test_fpoly_json(self, capsys):
+        code, out, err = run(capsys, "fpoly", "--profile", "0,3", "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert set(payload) == {"profile", "g", "n", "polynomial"}
+        assert (payload["profile"], payload["g"], payload["n"]) == ([0, 3], 3, 1)
+        assert payload["polynomial"][0] == {
+            "coeff": "288/1",
+            "monomial": [{"exp": 3, "index": 1, "kind": "kappa"}],
+        }
+
+    def test_fpoly_ten_vertices_finishes(self, capsys):
+        code, out, err = run(capsys, "fpoly", "--profile", "0,10")
+        assert (code, err) == (0, "")
+        # the leading coefficient is 12^10/10!, by the product rule
+        assert out.startswith("2985984/175*k1^10 - ")
+
+    def test_two_vertex_check(self, capsys):
+        code, out, err = run(capsys, "check", "two-vertex", "--a", "5", "--b", "6")
+        assert (code, err) == (0, "")
+        assert out.endswith("agree: yes\n")
+
+    def test_relation_keep(self, capsys):
+        assert run(capsys, "relation", "--rho", "1,1", "--keep", "q1") == (
+            0,
+            "lhs = 144*k1*psi(q1)^2\nrhs = [locus_5,5;q1=1|3] + 7*[locus_7;q1=2|3]\n",
+            "",
+        )

@@ -724,7 +724,34 @@ class TestCylinderConfigurations:
             cylinder_configurations(0, 2)
 
 
+def assert_json_consistent(res, data):
+    """Every emitted component parses back, and every node names one of its vertices."""
+    assert len(data["components"]) == len(res.components)
+    vertex_sets = []
+    for blob, comp in zip(data["components"], res.components):
+        graph, marking, lengths = graph_from_json(blob)
+        assert canonical_form(graph, marking) == canonical_form(comp.graph, comp.marking)
+        assert sorted(lengths.values()) == sorted(comp.lengths.values())
+        vertex_sets.append({frozenset(v) for v in graph.vertices()})
+    for node in data["nodes"]:
+        assert frozenset(node["vertex"]) in vertex_sets[node["component"]]
+
+
 class TestJsonForms:
+    def test_every_shrink_round_trips(self):
+        # the genus-1 two-hole complex has components whose sides are not 1..n
+        labels = ["p1", "p2"]
+        shrinks = 0
+        for classes in enumeration.enumerate_all_cells(1, labels).values():
+            for cell in classes:
+                for q in labels:
+                    if not cone_reachable(cell.graph, cell.marking, q):
+                        continue
+                    res = shrink(zone_metric(cell.graph, cell.marking, q), q)
+                    assert_json_consistent(res, shrink_to_json(res))
+                    shrinks += 1
+        assert shrinks
+
     def test_disk_shrink_payload(self):
         res = shrink(theta_metric(), "a")
         data = shrink_to_json(res)
@@ -748,10 +775,12 @@ class TestJsonForms:
         res = shrink(MarkedMetricGraph(CYL, m, lengths), "q")
         data = shrink_to_json(res)
         assert data["kind"] == CYLINDER
+        # the component keeps edge (6, 12), written with its sides renumbered 1..2
         assert data["nodes"] == [
-            {"component": 0, "vertex": [6]},
-            {"component": 0, "vertex": [12]},
+            {"component": 0, "vertex": [1]},
+            {"component": 0, "vertex": [2]},
         ]
+        assert_json_consistent(res, data)
         assert data["dual"] == {
             "vertices": [
                 {"genus": 0, "labels": ["p"], "positive": True},

@@ -21,6 +21,7 @@ from ribboncalc.ribbon import (
     canonical_form,
     contract_edge,
     genus,
+    graph_from_json,
     mark_all_holes,
     validate,
 )
@@ -470,7 +471,72 @@ class TestOrderAdmissibility:
         assert not order_is_admissible(data, (1,))
 
 
+def assert_json_consistent(data):
+    """Every emitted component parses back, and every orbit is one of its cycles."""
+    blob = stable_to_json(data)
+    parsed = []
+    for comp, graph, lengths in zip(blob["components"], data.components, data.lengths):
+        # holes paired by iota stay unmarked, so parse the graph without the marking
+        g, _, got_lengths = graph_from_json({k: v for k, v in comp.items() if k != "marking"})
+        assert canonical_form(g) == canonical_form(graph)
+        assert set(got_lengths) == set(g.edges())
+        assert sorted(got_lengths.values()) == sorted(lengths.values())
+        parsed.append(g)
+    points = [
+        (i, entry["kind"], entry["orbit"])
+        for i, comp in enumerate(blob["components"])
+        for entry in comp["marking"].values()
+    ]
+    points += [(p["component"], p["kind"], p["orbit"]) for pair in blob["iota"] for p in pair]
+    holes_named = [set() for _ in parsed]
+    for i, kind, orbit in points:
+        cycles = parsed[i].vertices() if kind == VERTEX else parsed[i].holes()
+        assert frozenset(orbit) in {frozenset(c) for c in cycles}
+        if kind == HOLE:
+            holes_named[i].add(frozenset(orbit))
+    for g, named in zip(parsed, holes_named):
+        assert named == {frozenset(c) for c in g.holes()}
+
+
+TAILED_HANDLE = validate(
+    [(1, 2, 3, 7), (4, 5, 6, 8), (9, 10)],
+    [(1, 4), (2, 5), (3, 9), (10, 6), (7, 8)],
+)
+THREE_HOLES = validate([(1, 9, 2, 7), (3, 4, 8), (10,)], [(1, 4), (2, 3), (7, 8), (9, 10)])
+# (graph, hole labels, stages after the first, id)
+COLLAPSES = [
+    (HANDLE, ["p", "q"], [TORUS_BLOCK], "handle-torus"),
+    (HANDLE, ["p", "q"], [TORUS_BLOCK, [(1, 4), (2, 5)]], "handle-torus-pinch"),
+    (HANDLE, ["p", "q"], [[(7, 8)]], "handle-bridge"),
+    (TORUS_CELL, ["p"], [[(1, 4), (2, 5)]], "torus-pinch"),
+    (DUMBBELL, ["a", "b", "c"], [[(1, 2), (3, 4)]], "dumbbell-circle"),
+    (TAILED_HANDLE, ["p", "q"], [[(1, 4), (2, 5), (3, 9), (10, 6)]], "tailed-handle"),
+    (THREE_HOLES, ["a", "b", "c"], [[(1, 4), (2, 3), (7, 8)], [(1, 4), (2, 3)]], "two-stages"),
+]
+
+
 class TestStableJson:
+    @pytest.mark.parametrize(
+        "graph,labels,stages", [c[:3] for c in COLLAPSES], ids=[c[3] for c in COLLAPSES]
+    )
+    def test_every_component_round_trips(self, graph, labels, stages):
+        m = mark_all_holes(graph, labels)
+        assert_json_consistent(build_stable(graph, m, [graph.edges()] + stages))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_collapses_round_trip(self, data):
+        g = random_graph(data)
+        edges = g.edges()
+        assume(len(edges) >= 2)
+        m = mark_all_holes(g, [f"p{i}" for i in range(g.n_holes())])
+        k = data.draw(st.integers(1, len(edges) - 1), label="size")
+        z = data.draw(
+            st.lists(st.sampled_from(edges), min_size=k, max_size=k, unique=True),
+            label="subset",
+        )
+        assert_json_consistent(build_stable(g, m, [edges, z]))
+
     def test_round_trippable_shape(self):
         m = mark_all_holes(HANDLE, ["p", "q"])
         data = build_stable(HANDLE, m, [HANDLE.edges(), TORUS_BLOCK])

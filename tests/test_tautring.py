@@ -1,4 +1,7 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +182,92 @@ class TestFaber:
         assert kappa_cycle_sum([]) == 1
         assert kappa_cycle_sum([2]) == kappa(2)
         assert kappa_cycle_sum([1, 1]) == kappa(1) ** 2 + kappa(2)
+
+
+def cycle_sum_by_permutations(values):
+    """Oracle: walk all m! permutations, one kappa factor per cycle."""
+    m = len(values)
+    tally = Counter()
+    for sigma in permutations(range(m)):
+        seen = [False] * m
+        sums = []
+        for start in range(m):
+            if seen[start]:
+                continue
+            acc = 0
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                acc += values[j]
+                j = sigma[j]
+            sums.append(acc)
+        tally[tuple(sorted(sums))] += 1
+    total = ZERO
+    for sums, count in tally.items():
+        term = TautPoly.constant(count)
+        for s in sums:
+            term = term * kappa(s)
+        total = total + term
+    return total
+
+
+def integer_partitions(m, top=None):
+    """Partitions of m as descending tuples."""
+    top = m if top is None else top
+    if m == 0:
+        yield ()
+        return
+    for part in range(min(m, top), 0, -1):
+        for rest in integer_partitions(m - part, part):
+            yield (part,) + rest
+
+
+class TestCycleSum:
+    def test_matches_the_permutation_walk(self):
+        for m in range(7):
+            for values in combinations_with_replacement(range(4), m):
+                want = cycle_sum_by_permutations(list(values))
+                assert kappa_cycle_sum(list(values)) == want, values
+                assert kappa_cycle_sum(list(reversed(values))) == want, values
+        values = [1, 2, 3, 4, 5, 6, 7]
+        assert kappa_cycle_sum(values) == cycle_sum_by_permutations(values)
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_equal_values_give_class_sizes(self, b):
+        # sigma in S_m of cycle type lambda contributes prod kappa(b*lambda_i),
+        # and the class of cycle type lambda has m!/z_lambda elements
+        for m in range(1, 13):
+            got = kappa_cycle_sum([b] * m)
+            want = {}
+            for lam in integer_partitions(m):
+                z = 1
+                for part, mult in Counter(lam).items():
+                    z *= part**mult * factorial(mult)
+                term = ONE
+                for part in lam:
+                    term = term * kappa(b * part)
+                ((mono, _),) = term.terms().items()
+                want[mono] = Fraction(factorial(m), z)
+            assert got.terms() == want, m
+
+    def test_ten_distinct_values(self):
+        values = list(range(1, 11))
+        terms = kappa_cycle_sum(values).terms()
+        ((top, _),) = kappa(sum(values)).terms().items()
+        assert sum(terms.values()) == factorial(10)
+        assert terms[top] == factorial(9)
+
+    def test_recursion_stays_off_the_public_name(self, monkeypatch):
+        calls = []
+        public = tt.kappa_cycle_sum
+
+        def counted(values):
+            calls.append(values)
+            return public(values)
+
+        monkeypatch.setattr(tt, "kappa_cycle_sum", counted)
+        tt.kappa_cycle_sum([1, 2, 3, 4])
+        assert len(calls) == 1
 
 
 class TestString:
