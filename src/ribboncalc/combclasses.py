@@ -23,6 +23,7 @@ from typing import NamedTuple, Optional
 
 from .enumeration import Profile
 from .errors import (
+    BrokenInvariant,
     DomainMismatch,
     EvenInput,
     InconsistentProfile,
@@ -366,7 +367,8 @@ def one_vertex_relation(r, label="q") -> OneVertexRelation:
     if r < -1:
         raise DomainMismatch("marking order r >= -1 required")
     coeff = factorial(2 * r + 2) // factorial(r + 1)
-    assert coeff == 2 ** (r + 1) * double_factorial(2 * r + 1)
+    if coeff != 2 ** (r + 1) * double_factorial(2 * r + 1):
+        raise BrokenInvariant("(2r+2)!/(r+1)! differs from 2^(r+1)*(2r+1)!!")
     if r == -1:
         # a univalent marked vertex imposes nothing at all
         return OneVertexRelation(Relation(ONE, ONE), None)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import (
+    BrokenInvariant,
     ConeViolation,
     DomainMismatch,
     HoleMark,
@@ -160,8 +161,10 @@ def reduce_dual_graph(gamma: DualGraph) -> DualGraph:
                 break
         if not fired:
             out = DualGraph(vertices, edges)
-            assert out.is_reduced()
-            assert out.total_genus() == gamma.total_genus()
+            if not out.is_reduced():
+                raise BrokenInvariant("a reduction move still fires after reduction")
+            if out.total_genus() != gamma.total_genus():
+                raise BrokenInvariant("reduction changed the total genus")
             return out
 
 
@@ -306,7 +309,8 @@ def _check_surface_count(graph, zone, topo):
     if n_edges % 2 == 0:
         return
     lhs = 6 * topo.genus - 6 + sum(v + 3 for v in topo.boundary)
-    assert lhs == n_edges - 3, "zone boundary bookkeeping is inconsistent"
+    if lhs != n_edges - 3:
+        raise BrokenInvariant("zone boundary bookkeeping is inconsistent")
 
 
 # --- shrinking --------------------------------------------------------------------
@@ -439,7 +443,8 @@ def shrink(g: MarkedMetricGraph, q) -> ShrinkResult:
         )
         if topo.kind == SURFACE:
             # the cylinder boundary is measured along the hole walk instead
-            assert tuple(d[0] for d in decorated) == topo.boundary
+            if tuple(d[0] for d in decorated) != topo.boundary:
+                raise BrokenInvariant("node valencies differ from the zone boundary")
         nodes = tuple((i, v) for _, _, i, v in decorated)
 
     dual_vertices = [
@@ -497,7 +502,8 @@ def forget_vertex_marking(g: MarkedMetricGraph, q) -> MarkedMetricGraph:
     targets = {}
     for label, (k, o) in rest.items():
         cut = o - {a, b}
-        assert cut, "an orbit vanished while smoothing a bivalent vertex"
+        if not cut:
+            raise BrokenInvariant("an orbit vanished while smoothing a bivalent vertex")
         targets[label] = (k, cut if k == HOLE else o)
     return MarkedMetricGraph(merged, Marking(merged, targets), lengths)
 

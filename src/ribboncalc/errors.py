@@ -13,6 +13,13 @@ class RibbonError(Exception):
         return type(self).__name__
 
 
+class BrokenInvariant(RibbonError):
+    """An internal identity that guards a result failed (a bug, not bad input).
+
+    Raised explicitly instead of ``assert`` so that ``python -O`` keeps the check.
+    """
+
+
 # --- permutation / graph construction ---------------------------------------
 
 class FixedPointInvolution(RibbonError):

@@ -1,9 +1,9 @@
 """Small exact linear algebra over Fraction: kernels, restriction, Pfaffians.
 
-Nothing here is clever.  The matrices that show up are antisymmetric forms
-on cell coordinates, a dozen rows at most, so recursive expansion with a
-subset memo beats bringing in a numerical stack and keeps every value an
-exact rational.
+The matrices that show up are antisymmetric forms on cell coordinates.
+Pfaffians come from skew-symmetric Gaussian elimination, O(n^3) exact
+operations on an n x n matrix, so every value stays an exact rational
+without a numerical stack.
 """
 
 from __future__ import annotations
@@ -53,18 +53,35 @@ def kernel_basis(rows, dim) -> list:
 
 
 def restrict_form(matrix, basis) -> list:
-    """Pull an antisymmetric form back to a subspace: B^T A B."""
+    """Pull an antisymmetric form back to a subspace: B^T A B.
+
+    Slice bases are sparse (two nonzero entries per simplex chart vector),
+    so the products run over the nonzero entries of u and A u only.
+    """
     a = [[Fraction(x) for x in row] for row in matrix]
+    zero = Fraction(0)
     out = []
     for u in basis:
-        au = [sum(a[i][j] * u[j] for j in range(len(u))) for i in range(len(a))]
-        out.append([sum(v[i] * au[i] for i in range(len(v))) for v in basis])
+        support = [(j, x) for j, x in enumerate(u) if x]
+        au = [sum((row[j] * x for j, x in support), zero) for row in a]
+        image = [(i, y) for i, y in enumerate(au) if y]
+        out.append([sum((v[i] * y for i, y in image), zero) for v in basis])
     # out[i][j] currently holds v_j^T A u_i; transpose into row-major B^T A B
     return [[out[j][i] for j in range(len(basis))] for i in range(len(basis))]
 
 
 def pfaffian(matrix) -> Fraction:
-    """Pfaffian of an antisymmetric rational matrix (0 for odd size, 1 for empty)."""
+    """Pfaffian of an antisymmetric rational matrix (0 for odd size, 1 for empty).
+
+    Skew-symmetric Gaussian elimination (Parlett-Reid), O(n^3) exact
+    operations: for k = 0, 2, 4, ... bring a nonzero a[k][j] to position
+    (k, k+1) by swapping index k+1 with j in rows and columns (each swap
+    flips the sign), take the pivot p = a[k][k+1] as a factor, and replace
+    the trailing block by its Schur complement
+    a[i][j] += (a[i][k] a[k+1][j] - a[i][k+1] a[k][j]) / p, which has the
+    remaining Pfaffian.  A row k with no nonzero entry right of the
+    diagonal makes the Pfaffian 0.
+    """
     a = [[Fraction(x) for x in row] for row in matrix]
     n = len(a)
     for i in range(n):
@@ -76,24 +93,24 @@ def pfaffian(matrix) -> Fraction:
     if n % 2 == 1:
         return Fraction(0)
 
-    memo = {}
-
-    def pf(indices):
-        if not indices:
-            return Fraction(1)
-        key = indices
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        first = indices[0]
-        rest = indices[1:]
-        total = Fraction(0)
-        for pos, j in enumerate(rest):
-            if a[first][j]:
-                sub = rest[:pos] + rest[pos + 1:]
-                term = a[first][j] * pf(sub)
-                total += term if pos % 2 == 0 else -term
-        memo[key] = total
-        return total
-
-    return pf(tuple(range(n)))
+    result = Fraction(1)
+    for k in range(0, n, 2):
+        j = next((j for j in range(k + 1, n) if a[k][j]), None)
+        if j is None:
+            return Fraction(0)
+        if j != k + 1:
+            a[k + 1], a[j] = a[j], a[k + 1]
+            for row in a:
+                row[k + 1], row[j] = row[j], row[k + 1]
+            result = -result
+        p = a[k][k + 1]
+        result *= p
+        top, below = a[k], a[k + 1]
+        for i in range(k + 2, n):
+            row = a[i]
+            if not row[k] and not row[k + 1]:
+                continue
+            f, h = row[k] / p, row[k + 1] / p
+            for c in range(k + 2, n):
+                row[c] += f * below[c] - h * top[c]
+    return result

@@ -9,6 +9,7 @@ magnitudes.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -158,7 +159,9 @@ def fiber_integral_cyl(v1, v2, epsilon=Fraction(1)) -> Fraction:
 
     The doubled edge contributes twice to the perimeter (2e_0 + sum e_j =
     2*epsilon); the fiber is a union of top simplices, one per local model
-    from the stratum inventory, and the integrals add.
+    from the stratum inventory, and the integrals add.  Models that share a
+    side sequence have the same form, so each distinct sequence is
+    integrated once and counted with its multiplicity.
     """
     if v1 < 1 or v2 < 1:
         raise DomainMismatch("cylinder arcs need v1, v2 >= 1")
@@ -171,11 +174,12 @@ def fiber_integral_cyl(v1, v2, epsilon=Fraction(1)) -> Fraction:
     n = 2 * r + 3
     volume = (2 * eps) ** (2 * r + 2) / factorial(2 * r + 2)
     chart = _simplex_chart(n, 2)
+    cycles = Counter(config["cycle"] for config in cylinder_configurations(v1, v2))
     total = Fraction(0)
-    for config in cylinder_configurations(v1, v2):
-        form = CellForm(_walk_form(config["cycle"], n, 2 * eps))
+    for cycle, count in cycles.items():
+        form = CellForm(_walk_form(cycle, n, 2 * eps))
         coeff = wedge_power_top(form, r + 1, chart)
-        total += abs(coeff) * volume
+        total += count * abs(coeff) * volume
     return total
 
 

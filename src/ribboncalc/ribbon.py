@@ -30,6 +30,7 @@ from fractions import Fraction
 
 from . import permutations as perms
 from .errors import (
+    BrokenInvariant,
     Disconnected,
     DomainMismatch,
     EmptySides,
@@ -167,7 +168,8 @@ def genus(g: RibbonGraph) -> int:
     if not g.is_connected():
         raise Disconnected("genus of a disconnected graph is ambiguous")
     doubled = 2 - g.n_vertices() + g.n_edges() - g.n_holes()
-    assert doubled % 2 == 0 and doubled >= 0, "Euler bookkeeping broke"
+    if doubled % 2 != 0 or doubled < 0:
+        raise BrokenInvariant("Euler bookkeeping broke")
     return doubled // 2
 
 

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from ribboncalc import cli
+from ribboncalc import cli, enumeration, plforms
+from ribboncalc.ribbon import MarkedMetricGraph, graph_to_json
 
 
 def run(capsys, *argv):
@@ -121,3 +123,121 @@ class TestKappa:
             "lhs = 144*k1*psi(q1)^2\nrhs = [locus_5,5;q1=1|3] + 7*[locus_7;q1=2|3]\n",
             "",
         )
+
+
+class TestFiber:
+    def test_disk_text(self, capsys):
+        assert run(capsys, "fiber", "--kind", "disk", "--r", "3") == (0, "1/1680\n", "")
+
+    def test_cyl_text(self, capsys):
+        # v1*v2*(r+1)!/(2r+2)! with r = 4
+        assert run(capsys, "fiber", "--kind", "cyl", "--v1", "3", "--v2", "5") == (
+            0,
+            "1/2016\n",
+            "",
+        )
+
+    def test_disk_json(self, capsys):
+        code, out, err = run(capsys, "fiber", "--kind", "disk", "--r", "3", "--json")
+        assert (code, err) == (0, "")
+        assert out == '{"eps": "1/1", "kind": "disk", "r": 3, "value": "1/1680"}\n'
+
+    def test_cyl_json(self, capsys):
+        code, out, err = run(
+            capsys, "fiber", "--kind", "cyl", "--v1", "3", "--v2", "5", "--json"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "eps": "1/1",
+            "kind": "cyl",
+            "v1": 3,
+            "v2": 5,
+            "value": "1/2016",
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--kind", "disk", "--r", "3"], ["--kind", "cyl", "--v1", "3", "--v2", "5"]],
+    )
+    def test_value_does_not_depend_on_eps(self, capsys, argv):
+        _, value, _ = run(capsys, "fiber", *argv)
+        assert run(capsys, "fiber", *argv, "--eps", "7/2") == (0, value, "")
+        code, out, _ = run(capsys, "fiber", *argv, "--eps", "1/3", "--json")
+        payload = json.loads(out)
+        assert (code, payload["eps"], payload["value"]) == (0, "1/3", value.strip())
+
+    def test_disk_without_r_is_a_usage_error(self, capsys):
+        assert run(capsys, "fiber", "--kind", "disk") == (
+            64,
+            "",
+            "usage error: --kind disk needs --r\n",
+        )
+
+    def test_odd_split_is_a_parity_mismatch(self, capsys):
+        code, out, err = run(capsys, "fiber", "--kind", "cyl", "--v1", "1", "--v2", "2")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "ParityMismatch",
+            "message": "split (1, 2) has odd total",
+        }
+
+
+TORUS_FILE = {
+    "sides": 6,
+    "sigma0": [[1, 2, 3], [4, 5, 6]],
+    "sigma1": [[1, 4], [2, 5], [3, 6]],
+    "marking": {"p": {"kind": "hole", "orbit": [1, 2, 3, 4, 5, 6]}},
+    "lengths": {"1-4": "1/2", "2-5": "1/1", "3-6": "3/2"},
+}
+
+
+class TestOmega:
+    @pytest.fixture
+    def torus(self, tmp_path):
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(TORUS_FILE))
+        return str(path)
+
+    def test_pfaffian_text(self, capsys, torus):
+        assert run(capsys, "omega", "--graph", torus, "--hole", "p", "--pfaffian") == (
+            0,
+            "edges: 1-4 2-5 3-6\n"
+            "matrix:\n"
+            "0 1/18 1/18\n"
+            "-1/18 0 -1/18\n"
+            "-1/18 1/18 0\n"
+            "pfaffian: -1/2\n"
+            "nondegenerate: yes\n",
+            "",
+        )
+
+    def test_pfaffian_json(self, capsys, torus):
+        code, out, err = run(
+            capsys, "omega", "--graph", torus, "--hole", "p", "--pfaffian", "--json"
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert set(payload) == {"edges", "hole", "matrix", "pfaffian", "nondegenerate"}
+        assert (payload["pfaffian"], payload["nondegenerate"]) == ("-1/2", True)
+
+    def test_without_pfaffian_flag(self, capsys, torus):
+        code, out, err = run(capsys, "omega", "--graph", torus, "--hole", "p", "--json")
+        assert (code, err) == (0, "")
+        assert set(json.loads(out)) == {"edges", "hole", "matrix"}
+
+    def test_larger_top_cell_matches_the_library(self, capsys, tmp_path):
+        # a genus-1 two-hole top cell: a 4 x 4 Pfaffian on the perimeter slice
+        profile = enumeration.Profile.from_valencies([3] * 4)
+        cell = enumeration.enumerate(1, ["p", "q"], profile)[0]
+        lengths = {e: Fraction(i + 2, 3) for i, e in enumerate(sorted(cell.graph.edges()))}
+        path = tmp_path / "cell.json"
+        path.write_text(json.dumps(graph_to_json(cell.graph, cell.marking, lengths)))
+        ok, pf = plforms.nondegeneracy_check(
+            MarkedMetricGraph(cell.graph, cell.marking, lengths)
+        )
+        code, out, err = run(
+            capsys, "omega", "--graph", str(path), "--hole", "q", "--pfaffian"
+        )
+        assert (code, err) == (0, "")
+        assert out.endswith(f"pfaffian: {pf}\nnondegenerate: yes\n")
+        assert ok and pf != 0

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,121 @@ def antisym(entries, n):
             a[j][i] = -a[i][j]
             k += 1
     return a
+
+
+def expansion_pfaffian(matrix):
+    """Pfaffian by expansion along the first row, memoized on index subsets.
+
+    About 2^n work; an independent oracle for the elimination in
+    ``exact_linalg.pfaffian``.
+    """
+    a = [[Fraction(x) for x in row] for row in matrix]
+    if len(a) % 2 == 1:
+        return Fraction(0)
+    memo = {}
+
+    def pf(indices):
+        if not indices:
+            return Fraction(1)
+        if indices in memo:
+            return memo[indices]
+        first, rest = indices[0], indices[1:]
+        total = Fraction(0)
+        for pos, j in enumerate(rest):
+            if a[first][j]:
+                term = a[first][j] * pf(rest[:pos] + rest[pos + 1:])
+                total += term if pos % 2 == 0 else -term
+        memo[indices] = total
+        return total
+
+    return pf(tuple(range(len(a))))
+
+
+def random_antisym(rng, n, density=1.0):
+    entries = [
+        Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < density else 0
+        for _ in range(n * (n - 1) // 2)
+    ]
+    return antisym(entries, n)
+
+
+def direct_sum(a, b):
+    n, m = len(a), len(b)
+    out = [[Fraction(0)] * (n + m) for _ in range(n + m)]
+    for i in range(n):
+        out[i][:n] = a[i]
+    for i in range(m):
+        out[n + i][n:] = b[i]
+    return out
+
+
+class TestPfaffianAgainstExpansion:
+    def test_random_rational_matrices(self):
+        rng = random.Random(20261018)
+        for n in range(13):
+            for density in (1.0, 0.5, 0.2):
+                for _ in range(12):
+                    a = random_antisym(rng, n, density)
+                    assert pfaffian(a) == expansion_pfaffian(a)
+
+    def test_pivot_swap(self):
+        # a[0][1] = 0 makes the elimination swap index 1 with a later one
+        rng = random.Random(7)
+        for n in (4, 6, 8, 10):
+            for _ in range(10):
+                a = random_antisym(rng, n)
+                a[0][1] = a[1][0] = Fraction(0)
+                assert pfaffian(a) == expansion_pfaffian(a)
+        a = antisym([0, 2, 3, 4, 5, 6], 4)
+        assert pfaffian(a) == -2 * 5 + 3 * 4
+
+    def test_zero_superdiagonal(self):
+        # row k of the input meets its first nonzero entry at k + 3, not k + 1
+        n = 8
+        a = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 3, n):
+                a[i][j] = Fraction(i + 2 * j, j - i)
+                a[j][i] = -a[i][j]
+        for i in range(n - 1):
+            a[i][i + 1] = a[i + 1][i] = Fraction(0)
+        assert pfaffian(a) == expansion_pfaffian(a)
+
+    def test_zero_first_row(self):
+        rng = random.Random(11)
+        for n in (2, 4, 6, 8):
+            a = random_antisym(rng, n)
+            for j in range(n):
+                a[0][j] = a[j][0] = Fraction(0)
+            assert pfaffian(a) == 0 == expansion_pfaffian(a)
+
+    def test_zero_row_met_after_elimination(self):
+        # the Schur complement a23 + (a20 a13 - a21 a03) / a01 = 0 - 12 + 12
+        # is zero although no row of the input is
+        a = antisym([1, 2, 4, 3, 6, 0], 4)
+        assert pfaffian(a) == 0 == expansion_pfaffian(a)
+
+
+class TestPfaffianClosedForms:
+    @pytest.mark.parametrize("n", range(0, 41, 2))
+    def test_all_ones_above_the_diagonal(self, n):
+        assert pfaffian(antisym([1] * (n * (n - 1) // 2), n)) == 1
+
+    def test_square_is_determinant_at_twenty(self):
+        a = random_antisym(random.Random(20), 20)
+        assert pfaffian(a) ** 2 == det(a)
+
+    def test_direct_sum_multiplies(self):
+        rng = random.Random(5)
+        for n, m in [(2, 2), (4, 6), (8, 10), (12, 14)]:
+            a, b = random_antisym(rng, n), random_antisym(rng, m)
+            assert pfaffian(direct_sum(a, b)) == pfaffian(a) * pfaffian(b)
+
+    def test_input_is_not_modified(self):
+        a = antisym([0, 2, 3, 4, 5, 6], 4)
+        before = [row[:] for row in a]
+        pfaffian(a)
+        assert a == before
 
 
 class TestPfaffian:

@@ -1,0 +1,31 @@
+"""Result-guarding invariants raise ``BrokenInvariant``, so ``python -O`` keeps them."""
+
+import ast
+import pathlib
+
+import pytest
+
+import ribboncalc
+from ribboncalc import combclasses
+from ribboncalc.errors import BrokenInvariant, RibbonError
+
+PACKAGE = pathlib.Path(ribboncalc.__file__).parent
+GUARDED = ["ribbon.py", "degeneration.py", "combclasses.py", "exact_linalg.py", "plforms.py"]
+
+
+@pytest.mark.parametrize("name", GUARDED)
+def test_no_bare_assert(name):
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"), filename=name)
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{name} has bare asserts on lines {lines}"
+
+
+def test_broken_invariant_is_a_domain_error():
+    assert issubclass(BrokenInvariant, RibbonError)
+    assert BrokenInvariant("x").code == "BrokenInvariant"
+
+
+def test_one_vertex_relation_checks_its_coefficient_identity(monkeypatch):
+    monkeypatch.setattr(combclasses, "double_factorial", lambda n: 0)
+    with pytest.raises(BrokenInvariant, match="2r\\+1"):
+        combclasses.one_vertex_relation(2)

@@ -244,7 +244,8 @@ class TestFiberIntegralDisk:
     def test_small_excess_values(self, r, value):
         assert fiber_integral_disk(r) == value
 
-    @pytest.mark.parametrize("r", range(4))
+    # r = 12 needs a 26 x 26 Pfaffian
+    @pytest.mark.parametrize("r", range(13))
     @pytest.mark.parametrize("eps", [F(1, 3), F(1), F(7, 2)])
     def test_closed_form_and_epsilon_independence(self, r, eps):
         assert fiber_integral_disk(r, eps) == F(
@@ -281,6 +282,32 @@ class TestFiberIntegralCyl:
                 val = fiber_integral_cyl(v1, v2)
                 assert (val == 0) == (v1 % 2 == 0)
                 assert val == fiber_integral_cyl(v2, v1)
+
+    def test_closed_form_on_every_split_up_to_sixteen(self):
+        # v1*v2 local models, each worth (r+1)!/(2r+2)! when v1 is odd
+        splits = [
+            (v1, v2)
+            for v1 in range(1, 16)
+            for v2 in range(1, 17 - v1)
+            if (v1 + v2) % 2 == 0
+        ]
+        assert len(splits) == 64
+        for v1, v2 in splits:
+            r = (v1 + v2) // 2
+            law = F(v1 * v2 * factorial(r + 1), factorial(2 * r + 2))
+            assert fiber_integral_cyl(v1, v2) == (law if v1 % 2 == 1 else 0)
+
+    def test_one_pfaffian_per_distinct_side_sequence(self, monkeypatch):
+        calls = []
+        real = exact_linalg.pfaffian
+
+        def counting(matrix):
+            calls.append(len(matrix))
+            return real(matrix)
+
+        monkeypatch.setattr(exact_linalg, "pfaffian", counting)
+        assert fiber_integral_cyl(7, 7) == F(49 * factorial(8), factorial(16))
+        assert calls == [16]
 
     def test_epsilon_independence(self):
         assert fiber_integral_cyl(1, 3, F(1, 3)) == fiber_integral_cyl(1, 3, F(2))
