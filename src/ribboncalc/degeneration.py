@@ -37,6 +37,7 @@ from .ribbon import (
     RibbonGraph,
     genus,
     graph_to_json,
+    restrict,
     side_numbering,
 )
 from . import permutations as perms
@@ -82,19 +83,7 @@ class DualGraph:
     def total_genus(self) -> int:
         """Sum of vertex genera plus the cycle rank of the underlying graph."""
         n = len(self.vertices)
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i, j in self.edges:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-        comps = len({find(i) for i in range(n)})
+        comps = len(perms.blocks(range(n), self.edges))
         rank = len(self.edges) - n + comps
         return sum(g for g, _, _ in self.vertices) + rank
 
@@ -350,16 +339,7 @@ class ShrinkResult:
 def _split_positive_parts(graph: RibbonGraph, zone):
     """Quotient by the zone and hand back per-component restrictions."""
     quo, exc_verts = quotient(graph, zone)
-    comps = sorted(quo.components(), key=min)
-    parts = []
-    for sides in comps:
-        parts.append(
-            RibbonGraph(
-                {x: quo.sigma0[x] for x in sides},
-                {x: quo.sigma1[x] for x in sides},
-                sides,
-            )
-        )
+    parts = [restrict(quo, sides) for sides in sorted(quo.components(), key=min)]
     return parts, [frozenset(v) for v in exc_verts]
 
 
@@ -528,25 +508,13 @@ def detect_clusters(g, labels):
         orbits[q] = orbit
         touched[q] = {frozenset(perms.orbit_of(graph.sigma0, x)) for x in orbit}
 
-    parent = {q: q for q in labels}
-
-    def find(q):
-        while parent[q] != q:
-            parent[q] = parent[parent[q]]
-            q = parent[q]
-        return q
-
-    for i, q1 in enumerate(labels):
-        for q2 in labels[i + 1 :]:
-            if touched[q1] & touched[q2]:
-                r1, r2 = find(q1), find(q2)
-                if r1 != r2:
-                    parent[r1] = r2
-
-    blocks = {}
-    for q in labels:
-        blocks.setdefault(find(q), []).append(q)
-    out_blocks = sorted(frozenset(b) for b in blocks.values())
+    links = [
+        (q1, q2)
+        for i, q1 in enumerate(labels)
+        for q2 in labels[i + 1 :]
+        if touched[q1] & touched[q2]
+    ]
+    out_blocks = sorted(perms.blocks(labels, links))
 
     topologies = []
     for block in out_blocks:

@@ -52,7 +52,7 @@ from .ribbon import (
     Marking,
     RibbonGraph,
     canonical_form,
-    canonicalize,
+    from_code,
     validate,
 )
 
@@ -307,11 +307,9 @@ def _unlabeled_classes(valencies, n_holes, order=None):
     """Canonical representatives (sorted by code) of unlabeled classes."""
     reps = {}
     for partner in _search(valencies, n_holes, collect=True, order=order):
-        g = _graph_from_partner(valencies, partner)
-        code, _ = canonical_form(g)
+        code, _ = canonical_form(_graph_from_partner(valencies, partner))
         if code not in reps:
-            cg, _, _ = canonicalize(g)
-            reps[code] = cg
+            reps[code] = from_code(code)[0]
     return [reps[c] for c in sorted(reps)]
 
 
@@ -348,11 +346,9 @@ def _marked_classes(valencies, hole_labels, vertex_marks, order=None):
                 l: (HOLE, frozenset(h)) for l, h in zip(hole_labels, assigned_holes)
             }
             for extra in _vertex_assignments(vertex_marks, vertices):
-                m = Marking(g, base | extra)
-                cg, cm, aut = canonicalize(g, m)
-                code, _ = canonical_form(cg, cm)
+                code, aut = canonical_form(g, Marking(g, base | extra))
                 if code not in out:
-                    out[code] = CellClass(cg, cm, aut)
+                    out[code] = CellClass(*from_code(code), aut)
     return [out[c] for c in sorted(out)]
 
 

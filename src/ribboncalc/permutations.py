@@ -15,6 +15,10 @@ Cycle notation round-trip::
 ``cycles`` lists every orbit (fixed points included as 1-cycles), each
 rotated so its minimum comes first, sorted by that minimum.
 
+``blocks`` is the package's union-find: the connected components of a
+graph given by its items and links (dual graphs, hole clusters, edge
+subsets).
+
 ``_sub_multisets`` serves the recursions that treat equal values as
 interchangeable: it groups the subsets of a labelled multiset by the
 sub-multiset they pick.  The rooted-map count of ``enumeration`` uses it,
@@ -66,13 +70,6 @@ def cycles(perm):
     return out
 
 
-def compose(f, g):
-    """The permutation x -> f(g(x)). Domains must agree."""
-    if f.keys() != g.keys():
-        raise DomainMismatch("composing permutations on different domains")
-    return {x: f[g[x]] for x in g}
-
-
 def inverse(perm):
     return {y: x for x, y in perm.items()}
 
@@ -115,6 +112,30 @@ def orbit_of(perm, start):
 def conjugate(perm, relabel):
     """relabel o perm o relabel^{-1}, i.e. the same permutation on renamed points."""
     return {relabel[x]: relabel[y] for x, y in perm.items()}
+
+
+def blocks(items, links):
+    """Connected components of the graph on ``items`` with edges ``links``.
+
+    Returns frozensets in the order of their first item in ``items``; a
+    link may join an item to itself.
+    """
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    out = {}
+    for x in parent:
+        out.setdefault(find(x), set()).add(x)
+    return [frozenset(b) for b in out.values()]
 
 
 def _sub_multisets(mu):

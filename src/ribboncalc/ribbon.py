@@ -198,6 +198,15 @@ def contract_edge(g: RibbonGraph, e) -> RibbonGraph:
     return RibbonGraph(s0, s1, new_domain)
 
 
+def restrict(g: RibbonGraph, sides) -> RibbonGraph:
+    """The graph on ``sides``, a union of components of ``g``."""
+    return RibbonGraph(
+        {x: g.sigma0[x] for x in sides},
+        {x: g.sigma1[x] for x in sides},
+        sides,
+    )
+
+
 # --- markings -----------------------------------------------------------------
 
 HOLE = "hole"
@@ -356,7 +365,7 @@ def _bfs_code(g: RibbonGraph, marking, root):
             (label, kind, min(relabel[x] for x in orb))
             for label, (kind, orb) in sorted(marking.targets.items())
         )
-    return (code0, code1, mark_code), relabel
+    return code0, code1, mark_code
 
 
 def canonical_form(g: RibbonGraph, marking: Marking | None = None):
@@ -366,12 +375,13 @@ def canonical_form(g: RibbonGraph, marking: Marking | None = None):
     relabeling commuting with both permutations and fixing every label's
     target.  |Aut| equals the number of roots attaining the least code: an
     automorphism is determined by the image of one side, so these roots form
-    a single free orbit.
+    a single free orbit.  The code determines the canonical graph itself:
+    ``from_code`` rebuilds it.
     """
     best = None
     count = 0
     for root in g.sides:
-        code, _ = _bfs_code(g, marking, root)
+        code = _bfs_code(g, marking, root)
         if best is None or code < best:
             best, count = code, 1
         elif code == best:
@@ -379,29 +389,35 @@ def canonical_form(g: RibbonGraph, marking: Marking | None = None):
     return best, count
 
 
+def from_code(code):
+    """The canonical graph and marking (or None) that a code determines.
+
+    Sides are 1..n with sigma0(i+1) = code0[i] and sigma1(i+1) = code1[i]:
+    the code lists both permutations in traversal order.  Each (label,
+    kind, side) entry marks the hole or vertex through ``side``.
+    """
+    code0, code1, mark_code = code
+    sides = range(1, len(code0) + 1)
+    g = RibbonGraph(dict(zip(sides, code0)), dict(zip(sides, code1)), sides)
+    if not mark_code:
+        return g, None
+    perm = {HOLE: g.sigma_inf, VERTEX: g.sigma0}
+    targets = {
+        label: (kind, frozenset(perms.orbit_of(perm[kind], side)))
+        for label, kind, side in mark_code
+    }
+    return g, Marking(g, targets)
+
+
 def canonicalize(g: RibbonGraph, marking: Marking | None = None):
     """Rebuild the graph (and marking) in canonical side labels 1..|X|.
 
-    Returns (graph, marking, aut).  Any minimal root yields the same output.
+    Returns (graph, marking, aut): the graph and marking are the ones the
+    canonical code determines (``from_code``), so isomorphic inputs give
+    equal outputs.
     """
-    best = None
-    best_relabel = None
-    count = 0
-    for root in g.sides:
-        code, relabel = _bfs_code(g, marking, root)
-        if best is None or code < best:
-            best, best_relabel, count = code, relabel, 1
-        elif code == best:
-            count += 1
-    new_g = RibbonGraph(
-        perms.conjugate(g.sigma0, best_relabel),
-        perms.conjugate(g.sigma1, best_relabel),
-        range(1, len(g.sides) + 1),
-    )
-    new_m = None
-    if marking is not None:
-        new_m = Marking(new_g, marking.relabel_sides(best_relabel))
-    return new_g, new_m, count
+    code, aut = canonical_form(g, marking)
+    return (*from_code(code), aut)
 
 
 # --- rationals and JSON ---------------------------------------------------------

@@ -25,6 +25,7 @@ from itertools import count as _count
 from . import permutations as perms
 from .errors import (
     BadMetric,
+    BrokenInvariant,
     DisconnectedSubset,
     DomainMismatch,
     EmptySubset,
@@ -39,6 +40,7 @@ from .ribbon import (
     RibbonGraph,
     edge_id,
     graph_to_json,
+    restrict,
     side_numbering,
 )
 
@@ -134,7 +136,8 @@ def exceptional_correspondence(g: RibbonGraph, Z):
                 swept.add(x)
                 x = s0[x]
                 steps += 1
-                assert steps <= bound, "hole-to-vertex walk failed to return"
+                if steps > bound:
+                    raise BrokenInvariant("hole-to-vertex walk failed to return")
         pairs.append((hole, frozenset(swept)))
 
     back = {}
@@ -147,16 +150,15 @@ def exceptional_correspondence(g: RibbonGraph, Z):
                 swept.add(x)
                 x = s_inf[x]
                 steps += 1
-                assert steps <= bound, "vertex-to-hole walk failed to return"
+                if steps > bound:
+                    raise BrokenInvariant("vertex-to-hole walk failed to return")
         back[frozenset(vert)] = frozenset(swept)
 
     forward = dict(pairs)
-    assert set(forward.values()) == set(back), (
-        "exceptional holes and vertices fail to match up"
-    )
-    assert all(back[v] == h for h, v in pairs), (
-        "exceptional correspondence is not involutive"
-    )
+    if set(forward.values()) != set(back):
+        raise BrokenInvariant("exceptional holes and vertices fail to match up")
+    if any(back[v] != h for h, v in pairs):
+        raise BrokenInvariant("exceptional correspondence is not involutive")
     return pairs
 
 
@@ -209,22 +211,8 @@ def _subset_valencies(g: RibbonGraph, edges):
 
 
 def _connected_in_graph(g: RibbonGraph, edges):
-    parent = {}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in edges:
-        va, vb = _vertex_orbit(g, a), _vertex_orbit(g, b)
-        parent.setdefault(va, va)
-        parent.setdefault(vb, vb)
-        ra, rb = find(va), find(vb)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v) for v in parent}) <= 1
+    links = [(_vertex_orbit(g, a), _vertex_orbit(g, b)) for a, b in edges]
+    return len(perms.blocks({v for link in links for v in link}, links)) <= 1
 
 
 def _marked_vertex_orbits(marking):
@@ -256,7 +244,8 @@ def _classify_edges(g: RibbonGraph, edges, marked_orbits) -> SubsetClass:
     if n_edges == n_vertices and n_marked == 0:
         return SubsetClass(SEMISTABLE)
     core = _prune_unmarked_tails(g, edges, marked_orbits)
-    assert core, "pruning emptied a stable-bearing subset"
+    if not core:
+        raise BrokenInvariant("pruning emptied a stable-bearing subset")
     return SubsetClass(STABLE_BEARING, core)
 
 
@@ -346,14 +335,6 @@ class _Piece:
         return set(self.graph.edges())
 
 
-def _restrict(graph: RibbonGraph, sides) -> RibbonGraph:
-    return RibbonGraph(
-        {x: graph.sigma0[x] for x in sides},
-        {x: graph.sigma1[x] for x in sides},
-        sides,
-    )
-
-
 def _smooth_unmarked_bivalents(graph: RibbonGraph, keep_orbits) -> RibbonGraph:
     """Splice out bivalent vertices whose orbit is not in ``keep_orbits``."""
     s0 = dict(graph.sigma0)
@@ -383,7 +364,8 @@ def _smooth_unmarked_bivalents(graph: RibbonGraph, keep_orbits) -> RibbonGraph:
 def _spawn_core(piece: _Piece, comp_edges, marked_orbits):
     """Build the next-stage component from a stable collapse piece."""
     core_edges = _prune_unmarked_tails(piece.graph, comp_edges, marked_orbits)
-    assert core_edges, "stable collapse piece pruned to nothing"
+    if not core_edges:
+        raise BrokenInvariant("stable collapse piece pruned to nothing")
     core, _ = subgraph(piece.graph, core_edges)
     keep = set()
     for orb in marked_orbits:
@@ -405,8 +387,10 @@ def _hole_source_map(sub: RibbonGraph, spawned: RibbonGraph):
     for h in spawned.holes():
         hs = frozenset(h)
         src = by_side[min(hs)]
-        assert hs <= src, "spawned hole is not a remnant of a collapse hole"
-        assert src not in seen, "two spawned holes claim the same source"
+        if not hs <= src:
+            raise BrokenInvariant("spawned hole is not a remnant of a collapse hole")
+        if src in seen:
+            raise BrokenInvariant("two spawned holes claim the same source")
         seen.add(src)
         out[hs] = src
     return out
@@ -454,13 +438,15 @@ def _quotient_piece(piece: _Piece, zr, tokens):
         if n_edges == n_vertices - 1 and len(comp_marked) <= 1:
             # a tree: its collapse vertex is ordinary, inheriting the one label
             (hole,) = comp_holes
-            assert hole in exc_hole_set, "a proper tree piece must scar its hole"
+            if hole not in exc_hole_set:
+                raise BrokenInvariant("a proper tree piece must scar its hole")
             label = comp_marked[0] if comp_marked else None
             demoted[vert_of[hole]] = label
             consumed.update(comp_marked)
         elif n_edges == n_vertices and not comp_marked:
             # a circle: pinch; the two boundary walks decide what the ends become
-            assert len(comp_holes) == 2, "a circle piece must have two holes"
+            if len(comp_holes) != 2:
+                raise BrokenInvariant("a circle piece must have two holes")
             new_verts = []
             inherited = []
             for hole in comp_holes:
@@ -475,9 +461,10 @@ def _quotient_piece(piece: _Piece, zr, tokens):
                 vertex_token[new_verts[0]] = tok
                 vertex_token[new_verts[1]] = tok
             else:
-                assert len(new_verts) == 1, (
-                    "a circle collapse piece must scar at least one hole"
-                )
+                if len(new_verts) != 1:
+                    raise BrokenInvariant(
+                        "a circle collapse piece must scar at least one hole"
+                    )
                 (vert,) = new_verts
                 (hole,) = inherited
                 if hole in hole_label:
@@ -497,7 +484,10 @@ def _quotient_piece(piece: _Piece, zr, tokens):
                     consumed.add(label)
                 elif kind == HOLE and orb <= zr_sides and orb & comp_sides:
                     remnant = orb & spawn_sides
-                    assert remnant, "marked hole lost every side in the spawn"
+                    if not remnant:
+                        raise BrokenInvariant(
+                            "marked hole lost every side in the spawn"
+                        )
                     marks[label] = (HOLE, remnant)
                     consumed.add(label)
             special = {}
@@ -516,13 +506,12 @@ def _quotient_piece(piece: _Piece, zr, tokens):
             )
 
     for vert in vert_of.values():
-        assert vert in demoted or vert in vertex_token, (
-            "an exceptional vertex was left unexplained"
-        )
+        if vert not in demoted and vert not in vertex_token:
+            raise BrokenInvariant("an exceptional vertex was left unexplained")
 
     finished = []
     for comp_sides in quo.components():
-        comp_graph = _restrict(quo, comp_sides)
+        comp_graph = restrict(quo, comp_sides)
         comp_verts = {frozenset(v) for v in comp_graph.vertices()}
         marks = {}
         for label, (kind, orb) in piece.marks.items():
@@ -534,9 +523,10 @@ def _quotient_piece(piece: _Piece, zr, tokens):
                     marks[label] = (HOLE, remnant)
             else:
                 if orb & comp_sides:
-                    assert not (orb & zr_sides), (
-                        "an unconsumed vertex label touches the collapse zone"
-                    )
+                    if orb & zr_sides:
+                        raise BrokenInvariant(
+                            "an unconsumed vertex label touches the collapse zone"
+                        )
                     marks[label] = (VERTEX, orb)
         special = {}
         for hole, tok in piece.special_holes.items():
@@ -616,7 +606,8 @@ def build_stable(
                 kind == HOLE and orb == hs for kind, orb in piece.marks.values()
             )
             if not marked:
-                assert hs in piece.special_holes, "an unmarked hole has no partner"
+                if hs not in piece.special_holes:
+                    raise BrokenInvariant("an unmarked hole has no partner")
                 token_points.setdefault(piece.special_holes[hs], []).append(
                     (i, HOLE, hs)
                 )
@@ -629,15 +620,18 @@ def build_stable(
 
     iota = {}
     for tok, points in token_points.items():
-        assert len(points) == 2, f"pairing token {tok} appears {len(points)} time(s)"
+        if len(points) != 2:
+            raise BrokenInvariant(f"pairing token {tok} appears {len(points)} time(s)")
         a, b = points
-        assert not (a[1] == HOLE and b[1] == HOLE), "iota may never pair two holes"
+        if a[1] == HOLE and b[1] == HOLE:
+            raise BrokenInvariant("iota may never pair two holes")
         iota[a] = b
         iota[b] = a
 
     lengths = _stable_metric(components, metrics)
     data = StableGraphData(components, markings, order, special, iota, lengths)
-    assert order_is_admissible(data), "constructed order fails admissibility"
+    if not order_is_admissible(data):
+        raise BrokenInvariant("constructed order fails admissibility")
     return data
 
 

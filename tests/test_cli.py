@@ -1,10 +1,11 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
 from ribboncalc import cli, enumeration, plforms
-from ribboncalc.ribbon import MarkedMetricGraph, graph_to_json
+from ribboncalc.ribbon import MarkedMetricGraph, graph_from_json, graph_to_json
 
 
 def run(capsys, *argv):
@@ -85,6 +86,57 @@ class TestEnumerate:
         cells = [json.loads(line) for line in out.splitlines()]
         assert len(cells) == 4
         assert all(cell["sides"] == 6 for cell in cells)
+
+    def test_json_digest(self, capsys):
+        code, out, err = run(
+            capsys, "enumerate", "--genus", "0", "--labels", "p,q,r,s", "--profile", "4", "--json"
+        )
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 64
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c7eca1f51488e7ed7407fe18c56ffa93722865a7a9200f5a049100a8e88dfbfd"
+        )
+
+
+class TestStrata:
+    ARGV = ("strata", "--genus", "1", "--labels", "p,q", "--hole", "p")
+
+    def test_text(self, capsys):
+        assert run(capsys, *self.ARGV) == (
+            0,
+            "cylinder: 3\ndisk: 16\nsurface: 24\ncells: 43\n",
+            "",
+        )
+
+    def test_json(self, capsys):
+        code, out, err = run(capsys, *self.ARGV, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "genus": 1,
+            "labels": ["p", "q"],
+            "hole": "p",
+            "census": {"cylinder": 3, "disk": 16, "surface": 24},
+            "excluded_closed_complement": 0,
+            "cells": 43,
+        }
+
+
+class TestClusterCount:
+    def test_text(self, capsys):
+        assert run(capsys, "cluster-count", "--rho", "1,0,0") == (
+            0,
+            "3-way agreement: 35\n",
+            "",
+        )
+
+    def test_json(self, capsys):
+        code, out, err = run(capsys, "cluster-count", "--rho", "1,0,0", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "rho": [1, 0, 0],
+            "counts": {"brute": 35, "recurrence": 35, "closed": 35},
+            "agree": True,
+        }
 
 
 class TestKappa:
@@ -241,3 +293,104 @@ class TestOmega:
         assert (code, err) == (0, "")
         assert out.endswith(f"pfaffian: {pf}\nnondegenerate: yes\n")
         assert ok and pf != 0
+
+
+# two bigon circles tied by a doubled edge (1,7) and a long outer edge (6,12);
+# shrinking the short hole q leaves a cylinder zone
+CYLINDER_FILE = {
+    "sides": 12,
+    "sigma0": [[1, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11, 12]],
+    "sigma1": [[1, 7], [2, 4], [3, 5], [6, 12], [8, 10], [9, 11]],
+    "marking": {
+        "p": {"kind": "hole", "orbit": [2, 5, 6, 8, 11, 12]},
+        "q": {"kind": "hole", "orbit": [1, 3, 4, 7, 9, 10]},
+    },
+    "lengths": {
+        "1-7": "1/64",
+        "2-4": "1/64",
+        "3-5": "1/64",
+        "6-12": "2/1",
+        "8-10": "1/64",
+        "9-11": "1/64",
+    },
+}
+# three holes on a bivalent, a trivalent and a univalent vertex
+THREE_HOLES_FILE = {
+    "sides": 8,
+    "sigma0": [[1, 7, 2, 5], [3, 4, 6], [8]],
+    "sigma1": [[1, 4], [2, 3], [5, 6], [7, 8]],
+    "marking": {
+        "a": {"kind": "hole", "orbit": [1, 3, 7, 8]},
+        "b": {"kind": "hole", "orbit": [2, 6]},
+        "c": {"kind": "hole", "orbit": [4, 5]},
+    },
+}
+ZSEQ = "[[[1,4],[2,3],[5,6],[7,8]],[[1,4],[2,3],[5,6]],[[1,4],[2,3]]]"
+
+
+def _write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestShrink:
+    def test_text(self, capsys, tmp_path):
+        path = _write(tmp_path, "cyl.json", CYLINDER_FILE)
+        assert run(capsys, "shrink", "--graph", path, "--hole", "q") == (
+            0,
+            "kind: cylinder\n"
+            "zone genus: 0\n"
+            "boundary valencies: 1 1\n"
+            "components: 1\n"
+            "nodes: 2\n"
+            "dual: DualGraph([(0,{p},+); (0,{q},0)], [(0, 1), (0, 1)])\n",
+            "",
+        )
+
+    def test_json_reads_back(self, capsys, tmp_path):
+        path = _write(tmp_path, "cyl.json", CYLINDER_FILE)
+        code, out, err = run(capsys, "shrink", "--graph", path, "--hole", "q", "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert set(payload) == {"kind", "topology", "components", "nodes", "dual"}
+        assert payload["kind"] == "cylinder"
+        (blob,) = payload["components"]
+        graph, marking, lengths = graph_from_json(blob)
+        assert marking.targets == {"p": ("hole", frozenset({1, 2}))}
+        assert lengths == {(1, 2): Fraction(2)}
+        assert payload["nodes"] == [
+            {"component": 0, "vertex": [1]},
+            {"component": 0, "vertex": [2]},
+        ]
+        assert all(tuple(n["vertex"]) in graph.vertices() for n in payload["nodes"])
+
+
+class TestStable:
+    def test_json_reads_back(self, capsys, tmp_path):
+        path = _write(tmp_path, "three.json", THREE_HOLES_FILE)
+        code, out, err = run(capsys, "stable", "--graph", path, "--zseq", ZSEQ)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert set(payload) == {"components", "iota"}
+        assert [blob["order"] for blob in payload["components"]] == [0, 1]
+        parsed = [graph_from_json(blob) for blob in payload["components"]]
+        labels = [sorted(marking.targets) for _, marking, _ in parsed]
+        assert labels == [["a"], ["b", "c"]]
+        assert all(sum(lengths.values()) == 1 for _, _, lengths in parsed)
+        assert payload["iota"] == [
+            [
+                {"component": 0, "kind": "vertex", "orbit": [1]},
+                {"component": 1, "kind": "vertex", "orbit": [1, 2]},
+            ]
+        ]
+        for pair in payload["iota"]:
+            for point in pair:
+                graph = parsed[point["component"]][0]
+                assert tuple(point["orbit"]) in graph.vertices()
+
+    def test_bad_zseq_is_a_usage_error(self, capsys, tmp_path):
+        path = _write(tmp_path, "three.json", THREE_HOLES_FILE)
+        code, out, err = run(capsys, "stable", "--graph", path, "--zseq", "[[1, 4]")
+        assert (code, out) == (64, "")
+        assert err.startswith("usage error: ")

@@ -6,11 +6,12 @@ import pathlib
 import pytest
 
 import ribboncalc
-from ribboncalc import combclasses
+from ribboncalc import combclasses, stable
 from ribboncalc.errors import BrokenInvariant, RibbonError
+from ribboncalc.ribbon import mark_all_holes, validate
 
 PACKAGE = pathlib.Path(ribboncalc.__file__).parent
-GUARDED = ["ribbon.py", "degeneration.py", "combclasses.py", "exact_linalg.py", "plforms.py"]
+GUARDED = sorted(path.name for path in PACKAGE.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", GUARDED)
@@ -29,3 +30,13 @@ def test_one_vertex_relation_checks_its_coefficient_identity(monkeypatch):
     monkeypatch.setattr(combclasses, "double_factorial", lambda n: 0)
     with pytest.raises(BrokenInvariant, match="2r\\+1"):
         combclasses.one_vertex_relation(2)
+
+
+def test_build_stable_checks_admissibility(monkeypatch):
+    handle = validate([(1, 2, 3, 7), (4, 5, 6, 8)], [(1, 4), (2, 5), (3, 6), (7, 8)])
+    marking = mark_all_holes(handle, ["p", "q"])
+    zseq = [handle.edges(), [(1, 4), (2, 5), (3, 6)]]
+    stable.build_stable(handle, marking, zseq)
+    monkeypatch.setattr(stable, "order_is_admissible", lambda data: False)
+    with pytest.raises(BrokenInvariant, match="admissibility"):
+        stable.build_stable(handle, marking, zseq)

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ribboncalc import enumeration
 from ribboncalc import permutations as perms
 from ribboncalc import ribbon
 from ribboncalc.errors import (
@@ -23,6 +26,7 @@ from ribboncalc.ribbon import (
     canonicalize,
     contract_edge,
     dual,
+    from_code,
     genus,
     graph_from_json,
     graph_to_json,
@@ -209,6 +213,110 @@ class TestCanonical:
         cg, cm, aut = canonicalize(THETA, m)
         assert canonical_form(cg, cm) == canonical_form(THETA, m)
         assert aut >= 1
+
+
+def _relabel_bfs(g, marking, root):
+    """The traversal code rooted at ``root`` and the relabeling behind it."""
+    relabel = {root: 1}
+    order = [root]
+    for x in order:
+        for y in (g.sigma0[x], g.sigma1[x]):
+            if y not in relabel:
+                relabel[y] = len(order) + 1
+                order.append(y)
+    code0 = tuple(relabel[g.sigma0[x]] for x in order)
+    code1 = tuple(relabel[g.sigma1[x]] for x in order)
+    mark_code = ()
+    if marking is not None:
+        mark_code = tuple(
+            (label, kind, min(relabel[x] for x in orb))
+            for label, (kind, orb) in sorted(marking.targets.items())
+        )
+    return (code0, code1, mark_code), relabel
+
+
+def relabel_canonicalize(g, marking=None):
+    """Oracle: conjugate by the BFS relabeling of a minimal root."""
+    best = best_relabel = None
+    count = 0
+    for root in g.sides:
+        code, relabel = _relabel_bfs(g, marking, root)
+        if best is None or code < best:
+            best, best_relabel, count = code, relabel, 1
+        elif code == best:
+            count += 1
+    new_g = ribbon.RibbonGraph(
+        perms.conjugate(g.sigma0, best_relabel),
+        perms.conjugate(g.sigma1, best_relabel),
+        range(1, len(g.sides) + 1),
+    )
+    new_m = None
+    if marking is not None:
+        new_m = Marking(new_g, marking.relabel_sides(best_relabel))
+    return new_g, new_m, count
+
+
+@pytest.fixture(scope="module")
+def marked_cells():
+    """Every class of (0, 4) and (1, 2) on scrambled sides: unmarked, with
+    shuffled hole labels, and with a vertex mark on top of those."""
+    rng = random.Random(7)
+    out = []
+    for g, labels in ((0, ["a", "b", "c", "d"]), (1, ["p", "q"])):
+        for classes in enumeration.enumerate_all_cells(g, labels).values():
+            for cell in classes:
+                n = len(cell.graph.sides)
+                relabel = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+                graph = ribbon.RibbonGraph(
+                    perms.conjugate(cell.graph.sigma0, relabel),
+                    perms.conjugate(cell.graph.sigma1, relabel),
+                    range(1, n + 1),
+                )
+                shuffled = rng.sample(labels, len(labels))
+                holes = {l: (HOLE, frozenset(h)) for l, h in zip(shuffled, graph.holes())}
+                vertex = frozenset(rng.choice(graph.vertices()))
+                out.append((graph, None))
+                out.append((graph, Marking(graph, holes)))
+                out.append((graph, Marking(graph, holes | {"v": (VERTEX, vertex)})))
+    return out
+
+
+class TestSingleRootLoop:
+    def test_matches_the_relabeling_oracle(self, marked_cells):
+        assert len(marked_cells) == 3 * (327 + 43)
+        for graph, marking in marked_cells:
+            cg, cm, aut = canonicalize(graph, marking)
+            og, om, oaut = relabel_canonicalize(graph, marking)
+            assert cg.sides == og.sides
+            assert (cg.sigma0, cg.sigma1, aut) == (og.sigma0, og.sigma1, oaut)
+            if marking is None:
+                assert cm is om is None
+            else:
+                assert cm.targets == om.targets
+
+    def test_code_determines_the_graph(self, marked_cells):
+        for graph, marking in marked_cells:
+            code, aut = canonical_form(graph, marking)
+            rebuilt, rebuilt_marking = from_code(code)
+            assert (rebuilt_marking is None) == (marking is None)
+            assert canonical_form(rebuilt, rebuilt_marking) == (code, aut)
+
+    def test_one_traversal_per_root_per_graph(self, monkeypatch):
+        # each collected pairing and each hole labelling is canonicalized once
+        valencies, holes = [3, 3], 3
+        collected = len(enumeration._search(valencies, holes, collect=True))
+        labellings = len(enumeration._unlabeled_classes(valencies, holes)) * factorial(holes)
+        calls = []
+        original = ribbon._bfs_code
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ribbon, "_bfs_code", counting)
+        classes = enumeration.enumerate(0, ["p", "q", "r"], [2])
+        assert len(classes) == 4
+        assert len(calls) == 6 * (collected + labellings)
 
 
 class TestMarking:
