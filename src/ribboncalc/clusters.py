@@ -11,10 +11,10 @@ The search splits the realizations at their bivalent vertices.  Those all
 carry the root hole, so smoothing them leaves a trivalent core whose
 admissibility filters do not feel the smoothing at all; the bivalent
 vertices come back as subdivision points on the core edges that border
-the root, with a side-count budget per cluster hole.  Enumerating cores
-exhaustively and distributions arithmetically keeps the census exact
-while dodging the pairing blowup of searching the subdivided graphs
-directly.
+the root, with a side-count budget per cluster hole.  The cores come from
+the rooted-map generator in enumeration and the distributions are counted
+arithmetically, so the census stays exact without generating the
+subdivided graphs, whose bivalent vertices multiply the maps to search.
 """
 
 from fractions import Fraction

@@ -1,10 +1,18 @@
 """Exhaustive enumeration of marked ribbon graphs; orbifold Euler characteristics.
 
-Cells are indexed by connected reduced ribbon graphs.  The search fixes
-sigma0 as a canonical product of cycles realizing a valency list and
-exhausts fixed-point-free involutions sigma1, pruning on the number of
-boundary cycles a partial pairing can still produce and on connectivity.
-Isomorphism classes are collected by canonical form.
+Cells are indexed by connected reduced ribbon graphs, generated as rooted
+maps in discovery order.  A root vertex of valency mu_1 opens with sides
+0 .. mu_1 - 1.  Then the smallest unpaired opened side x is paired either
+with a later unpaired opened side or with side 0 of a newly opened vertex,
+one choice per valency still unused, whose sides take the next numbers.
+A rooted map with unlabelled vertices, rooted on a vertex of valency mu_1,
+fixes every choice: walking it from the root numbers each vertex's sides
+when the vertex is first reached.  So each such map comes out exactly
+once, connected by construction; this inverts the root-edge decomposition
+of Walsh and Lehman cited below.  Faces are counted as boundary walks
+close, and a branch that can no longer end with n faces is cut.
+Isomorphism classes, the rooted maps up to moving the root, are collected
+by canonical form.
 
 The Euler sum does not need the classes themselves: with sigma0 fixed, the
 isomorphism classes with a given valency list are the orbits of the
@@ -53,7 +61,6 @@ from .ribbon import (
     RibbonGraph,
     canonical_form,
     from_code,
-    validate,
 )
 
 DEFAULT_MAX_SIDES = 30
@@ -126,8 +133,37 @@ class Profile:
 
 # --- the pairing search ---------------------------------------------------------
 
-def _search(valencies, n_holes, *, collect=False, order=None):
-    """Count (or collect) pairings giving a connected graph with n_holes faces.
+def _open_vertex(inv0, first, valency):
+    """Set sigma0^-1 on the block of sides first .. first + valency - 1."""
+    for j in range(valency):
+        inv0[first + (j + 1) % valency] = first + j
+
+
+def _join(par, size, a, b, undo):
+    """Union the classes of a and b (logging it in undo); 1 if already one."""
+    while par[a] != a:
+        a = par[a]
+    while par[b] != b:
+        b = par[b]
+    if a == b:
+        return 1
+    if size[a] < size[b]:
+        a, b = b, a
+    par[b] = a
+    size[a] += size[b]
+    undo.append((b, a))
+    return 0
+
+
+def _unjoin(par, size, undo):
+    """Undo the unions logged in undo, latest first."""
+    for b, a in reversed(undo):
+        size[a] -= size[b]
+        par[b] = b
+
+
+def _search(valencies, n_holes):
+    """Count pairings giving a connected graph with n_holes faces.
 
     Sides are 0-based here, blocked consecutively by vertex; sigma0 rotates
     within each block.  Faces are tracked incrementally: pairing (x, y)
@@ -136,110 +172,47 @@ def _search(valencies, n_holes, *, collect=False, order=None):
     k pairings left, at least one and at most 2k more faces will close, and
     connectivity needs at most k more merges; violations prune the branch.
 
-    Count mode visits every valid pairing, so ``orbifold_euler`` counts by
-    ``_connected_pairings`` instead; tests keep this count as its oracle.
-    ``order`` is a ranking list used only by tests to scramble the candidate
-    order.
+    It visits every labelled pairing, so nothing in the package calls it:
+    ``orbifold_euler`` counts by ``_connected_pairings`` and cells come from
+    ``_rooted_map_graphs``.  It stays as the independent brute-force oracle
+    that the tests check both of those against.
     """
     n = sum(valencies)
-    s0 = [0] * n
-    base = 0
-    for v in valencies:
-        for j in range(v):
-            s0[base + j] = base + (j + 1) % v
-        base += v
     inv0 = [0] * n
-    for i in range(n):
-        inv0[s0[i]] = i
-
-    partner = [-1] * n
-    fpar = list(range(n))
-    fsz = [1] * n
     cpar = [0] * n
     csz = [1] * n
     base = 0
     for v in valencies:
-        for j in range(v):
-            cpar[base + j] = base
+        _open_vertex(inv0, base, v)
+        cpar[base:base + v] = [base] * v
         csz[base] = v
         base += v
+    partner = [-1] * n
+    fpar = list(range(n))
+    fsz = [1] * n
 
-    closed = 0
-    comps = len(valencies)
-    count = 0
-    found = []
-    total_pairs = n // 2
-
-    def go(lo, remaining):
-        nonlocal closed, comps, count
-        while partner[lo] >= 0:
-            lo += 1
-        x = lo
-        cands = range(lo + 1, n)
-        if order is not None:
-            cands = sorted(cands, key=lambda y: order[y])
-        for y in cands:
+    def go(x, k, closed, comps):
+        while partner[x] >= 0:
+            x += 1
+        count = 0
+        for y in range(x + 1, n):
             if partner[y] >= 0:
                 continue
-            partner[x] = y
-            partner[y] = x
-            newly = 0
-            undo = []
-            for u, v in ((x, inv0[y]), (y, inv0[x])):
-                ru = u
-                while fpar[ru] != ru:
-                    ru = fpar[ru]
-                rv = v
-                while fpar[rv] != rv:
-                    rv = fpar[rv]
-                if ru == rv:
-                    newly += 1
-                else:
-                    if fsz[ru] < fsz[rv]:
-                        ru, rv = rv, ru
-                    fpar[rv] = ru
-                    fsz[ru] += fsz[rv]
-                    undo.append((rv, ru))
-            closed += newly
-            ra = x
-            while cpar[ra] != ra:
-                ra = cpar[ra]
-            rb = y
-            while cpar[rb] != rb:
-                rb = cpar[rb]
-            cundo = None
-            if ra != rb:
-                if csz[ra] < csz[rb]:
-                    ra, rb = rb, ra
-                cpar[rb] = ra
-                csz[ra] += csz[rb]
-                cundo = (rb, ra)
-                comps -= 1
+            partner[x], partner[y] = y, x
+            undo, cundo = [], []
+            now = closed + _join(fpar, fsz, x, inv0[y], undo)
+            now += _join(fpar, fsz, y, inv0[x], undo)
+            parts = comps - 1 + _join(cpar, csz, x, y, cundo)
+            if k == 1:
+                count += now == n_holes and parts == 1
+            elif now < n_holes <= now + 2 * k - 2 and parts <= k:
+                count += go(x + 1, k - 1, now, parts)
+            _unjoin(fpar, fsz, undo)
+            _unjoin(cpar, csz, cundo)
+            partner[x] = partner[y] = -1
+        return count
 
-            k = remaining - 1
-            if k == 0:
-                if closed == n_holes and comps == 1:
-                    if collect:
-                        found.append(tuple(partner))
-                    else:
-                        count += 1
-            elif closed < n_holes and closed + 2 * k >= n_holes and comps - k <= 1:
-                go(lo + 1, k)
-
-            if cundo is not None:
-                rb, ra = cundo
-                csz[ra] -= csz[rb]
-                cpar[rb] = rb
-                comps += 1
-            closed -= newly
-            for rv, ru in reversed(undo):
-                fsz[ru] -= fsz[rv]
-                fpar[rv] = rv
-            partner[x] = -1
-            partner[y] = -1
-
-    go(0, total_pairs)
-    return found if collect else count
+    return go(0, n // 2, 0, len(valencies))
 
 
 # --- counting pairings by the root-edge recursion ---------------------------------
@@ -282,15 +255,56 @@ def _connected_pairings(valencies, n_holes) -> int:
     return _rooted_maps(twice_genus // 2, valencies)
 
 
-def _graph_from_partner(valencies, partner) -> RibbonGraph:
+# --- rooted maps in discovery order -----------------------------------------------
+
+def _rooted_map_graphs(valencies, n_holes):
+    """Yield every rooted map on these valencies with n_holes faces, once each.
+
+    Vertices are unlabelled and the root is side 1, on a vertex of valency
+    ``valencies[0]``; the module docstring says why each map comes out
+    once.  Sides are 0-based while building.  Opening a vertex fixes sigma0
+    on all its sides, so faces are tracked and pruned as in ``_search``.
+    """
     n = sum(valencies)
-    s0_cycles = []
-    base = 0
-    for v in valencies:
-        s0_cycles.append(tuple(range(base + 1, base + v + 1)))
-        base += v
-    s1 = {i + 1: partner[i] + 1 for i in range(n)}
-    return validate(s0_cycles, s1, sides=n)
+    left = Counter(valencies)
+    left[valencies[0]] -= 1
+    kinds = sorted(left)
+    inv0 = [0] * n
+    _open_vertex(inv0, 0, valencies[0])
+    partner = [-1] * n
+    fpar = list(range(n))
+    fsz = [1] * n
+
+    def go(x, k, opened, closed):
+        while x < opened and partner[x] >= 0:
+            x += 1
+        if x == opened:
+            return  # every opened side is paired, but vertices remain
+        choices = [(y, 0) for y in range(x + 1, opened) if partner[y] < 0]
+        choices += [(opened, v) for v in kinds if left[v]]
+        for y, v in choices:
+            if v:
+                left[v] -= 1
+                _open_vertex(inv0, y, v)
+            partner[x], partner[y] = y, x
+            undo = []
+            now = closed + _join(fpar, fsz, x, inv0[y], undo)
+            now += _join(fpar, fsz, y, inv0[x], undo)
+            if k == 1:
+                if now == n_holes:
+                    yield RibbonGraph(
+                        {inv0[i] + 1: i + 1 for i in range(n)},
+                        {i + 1: partner[i] + 1 for i in range(n)},
+                        range(1, n + 1),
+                    )
+            elif now < n_holes <= now + 2 * k - 2:
+                yield from go(x + 1, k - 1, opened + v, now)
+            _unjoin(fpar, fsz, undo)
+            partner[x] = partner[y] = -1
+            if v:
+                left[v] += 1
+
+    yield from go(0, n // 2, valencies[0], 0)
 
 
 # --- class enumeration ----------------------------------------------------------
@@ -303,11 +317,11 @@ class CellClass(NamedTuple):
     aut: int
 
 
-def _unlabeled_classes(valencies, n_holes, order=None):
+def _unlabeled_classes(valencies, n_holes):
     """Canonical representatives (sorted by code) of unlabeled classes."""
     reps = {}
-    for partner in _search(valencies, n_holes, collect=True, order=order):
-        code, _ = canonical_form(_graph_from_partner(valencies, partner))
+    for graph in _rooted_map_graphs(valencies, n_holes):
+        code, _ = canonical_form(graph)
         if code not in reps:
             reps[code] = from_code(code)[0]
     return [reps[c] for c in sorted(reps)]
@@ -316,29 +330,15 @@ def _unlabeled_classes(valencies, n_holes, order=None):
 def _vertex_assignments(vertex_marks, vertices):
     """All injective maps: marked label -> vertex of the required valency."""
     labels = sorted(vertex_marks)
-    if not labels:
-        yield {}
-        return
-
-    def rec(idx, used, acc):
-        if idx == len(labels):
-            yield dict(acc)
-            return
-        q = labels[idx]
-        want = vertex_marks[q]
-        for v in vertices:
-            if len(v) == want and v not in used:
-                acc[q] = (VERTEX, frozenset(v))
-                yield from rec(idx + 1, used | {v}, acc)
-                del acc[q]
-
-    yield from rec(0, frozenset(), {})
+    for chosen in _perm_iter(vertices, len(labels)):
+        if all(len(v) == vertex_marks[q] for q, v in zip(labels, chosen)):
+            yield {q: (VERTEX, frozenset(v)) for q, v in zip(labels, chosen)}
 
 
-def _marked_classes(valencies, hole_labels, vertex_marks, order=None):
+def _marked_classes(valencies, hole_labels, vertex_marks):
     n = len(hole_labels)
     out = {}
-    for g in _unlabeled_classes(valencies, n, order=order):
+    for g in _unlabeled_classes(valencies, n):
         holes = g.holes()
         vertices = g.vertices()
         for assigned_holes in _perm_iter(holes):
@@ -352,7 +352,7 @@ def _marked_classes(valencies, hole_labels, vertex_marks, order=None):
     return [out[c] for c in sorted(out)]
 
 
-def enumerate(g, P, profile, vertex_marks=None, max_sides=None, _order=None):  # noqa: A001
+def enumerate(g, P, profile, vertex_marks=None, max_sides=None):  # noqa: A001
     """All isomorphism classes for one valency profile.
 
     P is the label set; vertex_marks maps a subset Q of P to required (odd,
@@ -380,7 +380,7 @@ def enumerate(g, P, profile, vertex_marks=None, max_sides=None, _order=None):  #
         raise TooLarge(
             f"{profile.n_sides()} sides exceeds the limit {max_sides_limit(max_sides)}"
         )
-    return _marked_classes(profile.valencies(), hole_labels, vm, order=_order)
+    return _marked_classes(profile.valencies(), hole_labels, vm)
 
 
 def _partitions(total):

@@ -203,11 +203,12 @@ def nondegeneracy_check(g: MarkedMetricGraph):
     total = [[Fraction(0)] * len(edges) for _ in range(len(edges))]
     perimeter_rows = []
     for p in marking.hole_labels():
-        half = g.circumference(p) / 2
+        weight = (g.circumference(p) / 2) ** 2
         form = omega_on_cell(g, p)
-        for i in range(len(edges)):
-            for j in range(len(edges)):
-                total[i][j] += half * half * form.matrix[i][j]
+        for total_row, row in zip(total, form.matrix):
+            for j, entry in enumerate(row):
+                if entry:
+                    total_row[j] += weight * entry
         row = [Fraction(0)] * len(edges)
         for x in marking.orbit(p):
             row[index[graph.edge_of(x)]] += 1

@@ -105,9 +105,6 @@ class RibbonGraph:
     def vertex_of(self, side):
         return min(perms.orbit_of(self.sigma0, side))
 
-    def hole_of(self, side):
-        return min(perms.orbit_of(self.sigma_inf, side))
-
     def valencies(self):
         """Sorted list of vertex valencies."""
         return sorted(len(v) for v in self.vertices())

@@ -97,6 +97,16 @@ class TestEnumerate:
             "c7eca1f51488e7ed7407fe18c56ffa93722865a7a9200f5a049100a8e88dfbfd"
         )
 
+    def test_genus_two_top_cells(self, capsys):
+        # 3,061,800 labelled pairings / (3^6 6!) = 35/6
+        code, out, err = run(
+            capsys, "enumerate", "--genus", "2", "--labels", "p", "--profile", "6", "--json"
+        )
+        assert (code, err) == (0, "")
+        cells = [json.loads(line) for line in out.splitlines()]
+        assert len(cells) == 9
+        assert sum(Fraction(1, cell["aut"]) for cell in cells) == Fraction(35, 6)
+
 
 class TestStrata:
     ARGV = ("strata", "--genus", "1", "--labels", "p,q", "--hole", "p")

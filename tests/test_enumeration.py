@@ -1,11 +1,19 @@
-import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from ribboncalc import enumeration as en
 from ribboncalc.errors import DomainMismatch, InconsistentProfile, TooLarge
-from ribboncalc.ribbon import HOLE, VERTEX, canonical_form, contract_edge, genus
+from ribboncalc.ribbon import (
+    HOLE,
+    VERTEX,
+    RibbonGraph,
+    _bfs_code,
+    canonical_form,
+    contract_edge,
+    genus,
+)
 
 
 def bernoulli(m):
@@ -35,6 +43,58 @@ def face_counts(valencies):
     """Face counts F >= 1 with 2 - V + E - F even and nonnegative."""
     v, e = len(valencies), sum(valencies) // 2
     return range(2 - v + e, 0, -2)
+
+
+def rooted_map_count(valencies, faces):
+    """C_g(mu) v c_v / |Z(sigma0)|: maps rooted on a vertex of valency v = mu[0]."""
+    v = valencies[0]
+    labelled = en._connected_pairings(valencies, faces) * v * Counter(valencies)[v]
+    return Fraction(labelled, en._centralizer_size(valencies))
+
+
+def pairings(n):
+    """Every fixed-point-free involution of 1..n, as a partner list (slot 0 unused)."""
+    partner = [0] * (n + 1)
+
+    def go(x):
+        while x <= n and partner[x]:
+            x += 1
+        if x > n:
+            yield partner
+            return
+        for y in range(x + 1, n + 1):
+            if not partner[y]:
+                partner[x], partner[y] = y, x
+                yield from go(x + 1)
+                partner[x] = partner[y] = 0
+
+    yield from go(1)
+
+
+def classes_by_pairing_search(valencies, wanted):
+    """{faces: [(code, aut), ...] sorted} for each face count in ``wanted``.
+
+    The pipeline the rooted-map generator replaced, without its pruning:
+    sigma0 is fixed as consecutive blocks, and every labelled pairing that
+    gives a connected graph is canonicalized.  Pairings with the same
+    traversal code from side 1 are isomorphic, so only the first of each
+    goes to ``canonical_form``.
+    """
+    n = sum(valencies)
+    sides = range(1, n + 1)
+    sigma0, base = {}, 1
+    for v in valencies:
+        sigma0 |= {base + j: base + (j + 1) % v for j in range(v)}
+        base += v
+    rooted = {f: {} for f in wanted}
+    for partner in pairings(n):
+        graph = RibbonGraph(sigma0, {x: partner[x] for x in sides}, sides)
+        faces = graph.n_holes()
+        if faces in rooted and graph.is_connected():
+            rooted[faces].setdefault(_bfs_code(graph, None, 1), graph)
+    return {
+        f: sorted({canonical_form(g) for g in reps.values()}) for f, reps in rooted.items()
+    }
 
 
 class TestProfile:
@@ -131,18 +191,6 @@ class TestEnumerate:
             assert cls.graph.valencies() == [3, 3, 3, 3]
             assert set(cls.marking.hole_labels()) == {"p1", "p2"}
 
-    def test_determinism_under_search_order(self):
-        base = en.enumerate(1, ["p1", "p2"], en.Profile([4]))
-        codes = [canonical_form(c.graph, c.marking) for c in base]
-        rng = random.Random(7)
-        for _ in range(3):
-            order = list(range(12))
-            rng.shuffle(order)
-            again = en.enumerate(1, ["p1", "p2"], en.Profile([4]), _order=order)
-            assert [canonical_form(c.graph, c.marking) for c in again] == codes
-            assert [c.aut for c in again] == [c.aut for c in base]
-
-
 class TestAllCells:
     def test_torus_one_hole_cells(self):
         cells = en.enumerate_all_cells(1, ["p1"])
@@ -216,6 +264,18 @@ class TestEuler:
             total += sum(Fraction(sign, c.aut) for c in classes)
         assert total == en.orbifold_euler(1, 2)
 
+    # beyond the range the pairing search finished in: 18-side top cells
+    @pytest.mark.parametrize(
+        "g,labels,chi",
+        [(2, ["p"], Fraction(1, 120)), (1, ["p", "q", "r"], Fraction(-1, 6))],
+    )
+    def test_cell_sum_is_the_harer_zagier_number(self, g, labels, chi):
+        total = Fraction(0)
+        for vals, classes in en.enumerate_all_cells(g, labels).items():
+            sign = -1 if (sum(vals) // 2 - len(labels)) % 2 else 1
+            total += sum(Fraction(sign, c.aut) for c in classes)
+        assert total == chi == harer_zagier(g, len(labels))
+
     def test_labeled_unlabeled_identity(self):
         # sum of 1/|Aut| over labeled classes = n!/|Aut| summed unlabeled
         classes = en.enumerate(1, ["p1", "p2"], en.Profile([4]))
@@ -253,6 +313,39 @@ class TestEuler:
         assert harer_zagier(3, 1) == Fraction(-1, 252)
         assert harer_zagier(0, 5) == 2
         assert harer_zagier(2, 2) == Fraction(-1, 40)
+
+
+class TestRootedMapGenerator:
+    @pytest.mark.parametrize("sides", [4, 6, 8, 10, 12, 14, 16, 18])
+    def test_count_is_the_rooted_map_number(self, sides):
+        # 18 sides hold 34,459,425 one-vertex rooted maps, so above 12 sides
+        # only the shapes with at most 10,000 rooted maps are generated
+        checked = 0
+        for vals in valency_lists_by_sides(sides, 3):
+            totals = {f: rooted_map_count(vals, f) for f in face_counts(vals)}
+            if sides > 12 and sum(totals.values()) > 10_000:
+                continue
+            for faces, want in totals.items():
+                got = sum(1 for _ in en._rooted_map_graphs(list(vals), faces))
+                assert got == want, (vals, faces)
+            checked += 1
+        assert checked
+
+    @pytest.mark.parametrize(
+        "vals",
+        [v for s in range(4, 13, 2) for v in valency_lists_by_sides(s, 3)] + [(5, 3, 3, 3)],
+        ids=lambda vals: "-".join(map(str, vals)),
+    )
+    def test_classes_match_the_pairing_search(self, vals):
+        wanted = [1] if vals == (5, 3, 3, 3) else face_counts(vals)
+        for faces, expected in classes_by_pairing_search(vals, wanted).items():
+            got = [canonical_form(g) for g in en._unlabeled_classes(list(vals), faces)]
+            assert got == expected, (vals, faces)
+
+    def test_trivalent_genus_two_one_face(self):
+        # sum over unlabelled classes of 2E/|Aut| counts the rooted maps
+        classes = en._unlabeled_classes([3] * 6, 1)
+        assert sum(Fraction(18, canonical_form(g)[1]) for g in classes) == 105
 
 
 class TestRootedMaps:

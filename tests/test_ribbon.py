@@ -302,9 +302,14 @@ class TestSingleRootLoop:
             assert canonical_form(rebuilt, rebuilt_marking) == (code, aut)
 
     def test_one_traversal_per_root_per_graph(self, monkeypatch):
-        # each collected pairing and each hole labelling is canonicalized once
+        # each rooted map and each hole labelling is canonicalized once; the
+        # maps rooted on a trivalent vertex number C_0(3, 3) * 3 * 2 / |Z(sigma0)|
         valencies, holes = [3, 3], 3
-        collected = len(enumeration._search(valencies, holes, collect=True))
+        rooted = Fraction(
+            enumeration._connected_pairings(valencies, holes) * 3 * 2,
+            enumeration._centralizer_size(valencies),
+        )
+        assert rooted == 4
         labellings = len(enumeration._unlabeled_classes(valencies, holes)) * factorial(holes)
         calls = []
         original = ribbon._bfs_code
@@ -316,7 +321,7 @@ class TestSingleRootLoop:
         monkeypatch.setattr(ribbon, "_bfs_code", counting)
         classes = enumeration.enumerate(0, ["p", "q", "r"], [2])
         assert len(classes) == 4
-        assert len(calls) == 6 * (collected + labellings)
+        assert len(calls) == 6 * (rooted + labellings)
 
 
 class TestMarking:
