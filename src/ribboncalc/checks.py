@@ -4,9 +4,9 @@ Each entry recomputes a headline number from scratch and compares it with
 an independent oracle: solver output against printed closed forms, the
 cluster censuses against brute-force search, Euler characteristics against
 Bernoulli numbers and the Harer-Zagier step, Pfaffians against seeded
-random-metric sweeps.  A check returns ``(ok, detail)`` and touches no
-global state, so the registry can run in any order, any number of times,
-with byte-identical output.
+random-metric sweeps and the closed form 2^-g.  A check returns
+``(ok, detail)`` and touches no global state, so the registry can run in
+any order, any number of times, with byte-identical output.
 """
 
 from __future__ import annotations
@@ -345,6 +345,10 @@ def _nondegeneracy_sweep(metrics=100):
                     values.add(pf)
                 if len(values) != 1:
                     raise _Failed("a cell's Pfaffian depended on the metric")
+                if abs(pf) != Fraction(1, 2**g):
+                    raise _Failed(
+                        f"|Pfaffian| {abs(pf)} on a genus-{g} top cell, not 2^-{g}"
+                    )
     return f"pairing nondegenerate on {cells} top cells x {metrics} metrics"
 
 

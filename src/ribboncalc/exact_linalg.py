@@ -1,6 +1,8 @@
 """Small exact linear algebra over Fraction: kernels, restriction, Pfaffians.
 
-The matrices that show up are antisymmetric forms on cell coordinates.
+The matrices that show up are antisymmetric forms on cell coordinates,
+mostly with integer entries; kernels and restrictions keep integers as
+integers and divide through Fraction only where a quotient is needed.
 Pfaffians come from skew-symmetric Gaussian elimination, O(n^3) exact
 operations on an n x n matrix, so every value stays an exact rational
 without a numerical stack.
@@ -9,8 +11,22 @@ without a numerical stack.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DomainMismatch
+
+
+def _over_common_denominator(v):
+    """(d, w) with w an integer vector and v = w / d; v holds ints and Fractions."""
+    d = lcm(*(x.denominator for x in v))
+    return d, [x.numerator * (d // x.denominator) for x in v]
+
+
+def _primitive(v):
+    """The integer multiple of a rational row with coprime entries (same kernel)."""
+    w = _over_common_denominator(v)[1]
+    g = gcd(*w)
+    return [x // g for x in w] if g > 1 else w
 
 
 def kernel_basis(rows, dim) -> list:
@@ -18,12 +34,16 @@ def kernel_basis(rows, dim) -> list:
 
     ``rows`` is an iterable of length-``dim`` rational vectors.  Returns the
     standard free-column basis from the reduced row echelon form, one vector
-    per non-pivot coordinate.
+    per non-pivot coordinate.  Scaling a row keeps its kernel, so the
+    elimination runs on primitive integer rows, replacing a row by
+    p*row - f*pivot_row; the echelon entries are divided out at the end,
+    one Fraction each.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
-    for row in mat:
+    mat = []
+    for row in rows:
         if len(row) != dim:
             raise DomainMismatch(f"row length {len(row)} != dimension {dim}")
+        mat.append(_primitive(row))
     pivots = []
     r = 0
     for c in range(dim):
@@ -31,12 +51,12 @@ def kernel_basis(rows, dim) -> list:
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        top = mat[r]
+        p = top[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if i != r and f:
+                mat[i] = _primitive([p * a - f * b for a, b in zip(row, top)])
         pivots.append(c)
         r += 1
     basis = []
@@ -47,7 +67,7 @@ def kernel_basis(rows, dim) -> list:
         vec = [Fraction(0)] * dim
         vec[c] = Fraction(1)
         for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][c]
+            vec[pc] = Fraction(-mat[i][c], mat[i][pc])
         basis.append(vec)
     return basis
 
@@ -55,19 +75,21 @@ def kernel_basis(rows, dim) -> list:
 def restrict_form(matrix, basis) -> list:
     """Pull an antisymmetric form back to a subspace: B^T A B.
 
-    Slice bases are sparse (two nonzero entries per simplex chart vector),
-    so the products run over the nonzero entries of u and A u only.
+    Each basis vector is written as an integer vector over a common
+    denominator, so for an integer A every product is an integer and each
+    entry takes one Fraction division.  Slice bases are sparse, so the
+    products run over the nonzero entries of u and A u only.
     """
-    a = [[Fraction(x) for x in row] for row in matrix]
-    zero = Fraction(0)
-    out = []
-    for u in basis:
+    scaled = [_over_common_denominator(v) for v in basis]
+    images = []
+    for d, u in scaled:
         support = [(j, x) for j, x in enumerate(u) if x]
-        au = [sum((row[j] * x for j, x in support), zero) for row in a]
-        image = [(i, y) for i, y in enumerate(au) if y]
-        out.append([sum((v[i] * y for i, y in image), zero) for v in basis])
-    # out[i][j] currently holds v_j^T A u_i; transpose into row-major B^T A B
-    return [[out[j][i] for j in range(len(basis))] for i in range(len(basis))]
+        au = [sum(row[j] * x for j, x in support) for row in matrix]
+        images.append((d, [(i, y) for i, y in enumerate(au) if y]))
+    return [
+        [Fraction(sum(v[i] * y for i, y in image), dv * du) for du, image in images]
+        for dv, v in scaled
+    ]
 
 
 def pfaffian(matrix) -> Fraction:

@@ -1,15 +1,26 @@
 """Piecewise-linear 2-forms on cells and their exact fiber integrals.
 
-A hole's form has constant rational coefficients in the edge coordinates of
-a cell, so wedge powers reduce to Pfaffians and integrals over simplices to
-a coefficient times an exact volume.  Everything stays in Fraction land;
-orientation is not pinned down globally, so the integral routines report
+A hole's form omega_p = sum_{s<t} d(l_s/L_p) ^ d(l_t/L_p) has constant
+coefficients in the edge coordinates of a cell: the integer walk matrix W
+of sum_{s<t} de_s ^ de_t, scaled by 1/L_p^2.  Every scale factor cancels
+before any linear algebra is done:
+
+- on a fixed-perimeter slice the weight (L_p/2)^2 of the total form meets
+  the 1/L_p^2 of omega_p, leaving W/4 for every hole, so the symplectic
+  Pfaffian of a cell is Pf(B^T M B) / 4^k with M the integer sum of the
+  walk matrices; it depends only on the cell, not on the metric;
+- on a fiber simplex the form's 1/(2 epsilon)^2 per factor meets the
+  simplex volume (2 epsilon)^(2r+2), so fiber integrals do not depend on
+  epsilon either.
+
+The forms reach the linear algebra as integer matrices; only the slice
+basis, the restriction and the Pfaffian divide, through Fraction.
+Orientation is not pinned down globally, so the integral routines report
 magnitudes.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -52,27 +63,23 @@ class CellForm:
         return f"CellForm(dim {self.dim})"
 
 
-def _walk_form(cycle, n_coords, perimeter):
-    """Matrix of sum_{s<t} d(e_s/perimeter) ^ d(e_t/perimeter).
+def _walk_matrix(cycle, n):
+    """Integer matrix W of sum_{s<t} de_s ^ de_t along a hole's walk.
 
     ``cycle`` lists, per side position, the coordinate index of its edge;
-    repeated indices share a differential, so entries accumulate.
+    repeated indices share a differential, so entries accumulate (and a
+    repeated pair cancels on the diagonal).
     """
-    m = [[Fraction(0)] * n_coords for _ in range(n_coords)]
-    k = len(cycle)
-    for s in range(k):
-        for t in range(s + 1, k):
-            u, v = cycle[s], cycle[t]
-            if u == v:
-                continue
-            m[u][v] += 1
-            m[v][u] -= 1
-    scale = Fraction(1) / (Fraction(perimeter) ** 2)
-    return [[x * scale for x in row] for row in m]
+    w = [[0] * n for _ in range(n)]
+    for t, v in enumerate(cycle):
+        for u in cycle[:t]:
+            w[u][v] += 1
+            w[v][u] -= 1
+    return w
 
 
 def omega_on_cell(g: MarkedMetricGraph, p) -> CellForm:
-    """The p-th hole's form on the cell of g, in sorted-edge coordinates.
+    """The p-th hole's form W/L_p^2 on the cell of g, in sorted-edge coordinates.
 
     The walk of the hole is linearized starting from its canonical tuple;
     different starting sides change the matrix only by a d(perimeter) term,
@@ -92,66 +99,42 @@ def omega_on_cell(g: MarkedMetricGraph, p) -> CellForm:
     edges = sorted(g.graph.edges())
     index = {e: i for i, e in enumerate(edges)}
     walk = next(h for h in g.graph.holes() if frozenset(h) == orbit)
-    cycle = [index[g.graph.edge_of(x)] for x in walk]
-    return CellForm(_walk_form(cycle, len(edges), perimeter), edges)
+    scale = 1 / perimeter**2
+    w = _walk_matrix([index[g.graph.edge_of(x)] for x in walk], len(edges))
+    return CellForm([[x * scale for x in row] for row in w], edges)
 
 
-def wedge_power_top(form: CellForm, k, subspace):
-    """Coefficient of form^k against the basis volume of an even slice.
+def _chart_pfaffian(cycle, weight):
+    """Pfaffian of weight * B^T W B on the simplex {weight*e_0 + e_1 + ... = c}.
 
-    ``subspace`` is a list of rational vectors in the form's coordinates.
-    The result is k! times the Pfaffian of the restricted matrix; its sign
-    depends on the basis order, its magnitude only on the subspace up to
-    unimodular change.
+    The chart eliminates e_0 = -(e_1 + ...)/weight, so the restricted
+    entries are weight*W_ij - W_0j + W_0i for i, j >= 1, all integers.
     """
-    if k < 0:
-        raise DomainMismatch(f"wedge power {k} is negative")
-    vectors = [list(v) for v in subspace]
-    for v in vectors:
-        if len(v) != form.dim:
-            raise DomainMismatch(
-                f"slice vector length {len(v)} != form dimension {form.dim}"
-            )
-    if len(vectors) % 2 == 1:
-        raise OddDimension(f"slice dimension {len(vectors)} is odd")
-    if len(vectors) != 2 * k:
-        raise DomainMismatch(
-            f"form^{k} needs a slice of dimension {2 * k}, got {len(vectors)}"
-        )
-    if k == 0:
-        return Fraction(1)
-    restricted = exact_linalg.restrict_form(form.matrix, vectors)
-    return factorial(k) * exact_linalg.pfaffian(restricted)
-
-
-def _simplex_chart(n_coords, first_weight):
-    """Tangent basis of {weight*e_0 + e_1 + ... = const} eliminating e_0."""
-    basis = []
-    for i in range(1, n_coords):
-        v = [Fraction(0)] * n_coords
-        v[0] = -Fraction(1, first_weight)
-        v[i] = Fraction(1)
-        basis.append(v)
-    return basis
+    w = _walk_matrix(cycle, max(cycle) + 1)
+    top = w[0]
+    restricted = [
+        [weight * row[j] - top[j] + top[i] for j in range(1, len(row))]
+        for i, row in enumerate(w)
+        if i
+    ]
+    return exact_linalg.pfaffian(restricted)
 
 
 def fiber_integral_disk(r, epsilon=Fraction(1)) -> Fraction:
     """Integral of the hole form's (r+1)-st power over the disk fiber.
 
     The fiber at ``epsilon`` is the simplex where the 2r+3 distinct edge
-    lengths of the hole sum to 2*epsilon.  The value comes out of an exact
-    Pfaffian times the simplex volume and does not depend on epsilon.
+    lengths of the hole sum to 2*epsilon.  The form's 1/(2 epsilon)^2 per
+    factor cancels the simplex volume (2 epsilon)^(2r+2), so the value is
+    (r+1)! |Pf| / (2r+2)! with Pf the integer chart Pfaffian; epsilon is
+    checked but does not enter.
     """
     if r < 0:
         raise DomainMismatch(f"negative excess {r}")
-    eps = Fraction(epsilon)
-    if eps <= 0:
+    if Fraction(epsilon) <= 0:
         raise DomainMismatch("epsilon must be positive")
-    n = 2 * r + 3
-    form = CellForm(_walk_form(list(range(n)), n, 2 * eps))
-    coeff = wedge_power_top(form, r + 1, _simplex_chart(n, 1))
-    volume = (2 * eps) ** (n - 1) / factorial(n - 1)
-    return abs(coeff) * volume
+    pf = _chart_pfaffian(range(2 * r + 3), 1)
+    return factorial(r + 1) * abs(pf) / factorial(2 * r + 2)
 
 
 def fiber_integral_cyl(v1, v2, epsilon=Fraction(1)) -> Fraction:
@@ -161,64 +144,57 @@ def fiber_integral_cyl(v1, v2, epsilon=Fraction(1)) -> Fraction:
     2*epsilon); the fiber is a union of top simplices, one per local model
     from the stratum inventory, and the integrals add.  Models that share a
     side sequence have the same form, so each distinct sequence is
-    integrated once and counted with its multiplicity.
+    integrated once and counted with its multiplicity.  As on the disk,
+    epsilon cancels; the chart weight 2 leaves a further 1/2^(r+1).
     """
     if v1 < 1 or v2 < 1:
         raise DomainMismatch("cylinder arcs need v1, v2 >= 1")
     if (v1 + v2) % 2 == 1:
         raise ParityMismatch(f"split ({v1}, {v2}) has odd total")
-    eps = Fraction(epsilon)
-    if eps <= 0:
+    if Fraction(epsilon) <= 0:
         raise DomainMismatch("epsilon must be positive")
     r = (v1 + v2) // 2
-    n = 2 * r + 3
-    volume = (2 * eps) ** (2 * r + 2) / factorial(2 * r + 2)
-    chart = _simplex_chart(n, 2)
-    cycles = Counter(config["cycle"] for config in cylinder_configurations(v1, v2))
-    total = Fraction(0)
-    for cycle, count in cycles.items():
-        form = CellForm(_walk_form(cycle, n, 2 * eps))
-        coeff = wedge_power_top(form, r + 1, chart)
-        total += count * abs(coeff) * volume
-    return total
+    scale = Fraction(factorial(r + 1), 2 ** (r + 1) * factorial(2 * r + 2))
+    return sum(
+        config["count"] * abs(_chart_pfaffian(config["cycle"], 2)) * scale
+        for config in cylinder_configurations(v1, v2)
+    )
 
 
 def nondegeneracy_check(g: MarkedMetricGraph):
     """Whether the perimeter-weighted total form is symplectic on the cell.
 
-    Restricts sum_p l_p^2 omega_p to the fixed-perimeter slice and returns
-    (Pfaffian != 0, Pfaffian).  Only top cells qualify: trivalent with
-    every marking on a hole.
+    Restricts sum_p (L_p/2)^2 omega_p to the fixed-perimeter slice and
+    returns (Pfaffian != 0, Pfaffian).  Each term is W_p/4 since the
+    perimeters cancel, so the Pfaffian is Pf(B^T M B) / 4^k for the integer
+    sum M of the walk matrices and a slice of dimension 2k: it depends only
+    on the cell, never on the metric.  Only top cells qualify: trivalent
+    with every marking on a hole.
     """
     if not isinstance(g, MarkedMetricGraph):
         raise DomainMismatch("nondegeneracy_check needs a marked metric graph")
-    graph, marking = g.graph, g.marking
+    graph = g.graph
     if any(len(v) != 3 for v in graph.vertices()):
         raise NotTopCell("cell is not trivalent")
-    if marking.vertex_labels():
+    if g.marking.vertex_labels():
         raise NotTopCell("vertex markings land outside the top stratum")
 
     edges = sorted(graph.edges())
+    n = len(edges)
     index = {e: i for i, e in enumerate(edges)}
-    total = [[Fraction(0)] * len(edges) for _ in range(len(edges))]
+    total = [[0] * n for _ in range(n)]
     perimeter_rows = []
-    for p in marking.hole_labels():
-        weight = (g.circumference(p) / 2) ** 2
-        form = omega_on_cell(g, p)
-        for total_row, row in zip(total, form.matrix):
-            for j, entry in enumerate(row):
-                if entry:
-                    total_row[j] += weight * entry
-        row = [Fraction(0)] * len(edges)
-        for x in marking.orbit(p):
-            row[index[graph.edge_of(x)]] += 1
-        perimeter_rows.append(row)
+    for walk in graph.holes():
+        cycle = [index[graph.edge_of(x)] for x in walk]
+        w = _walk_matrix(cycle, n)
+        total = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(total, w)]
+        perimeter_rows.append([cycle.count(i) for i in range(n)])
 
-    slice_basis = exact_linalg.kernel_basis(perimeter_rows, len(edges))
+    slice_basis = exact_linalg.kernel_basis(perimeter_rows, n)
     if len(slice_basis) % 2 == 1:
         raise OddDimension(
             f"fixed-perimeter slice has odd dimension {len(slice_basis)}"
         )
     restricted = exact_linalg.restrict_form(total, slice_basis)
-    pf = exact_linalg.pfaffian(restricted)
+    pf = exact_linalg.pfaffian(restricted) / 4 ** (len(slice_basis) // 2)
     return pf != 0, pf

@@ -1,4 +1,8 @@
-from ribboncalc import checks
+from fractions import Fraction
+
+import pytest
+
+from ribboncalc import checks, plforms
 
 
 def test_cluster_census_agrees_three_ways():
@@ -6,3 +10,55 @@ def test_cluster_census_agrees_three_ways():
         True,
         "3-way agreement on 34 censuses (h <= 3, total excess <= 3)",
     )
+
+
+def test_fiber_integrals_obey_both_laws():
+    assert checks.check_fiber_integrals() == (
+        True,
+        "disk law holds for r <= 3 at three scales; "
+        "cylinder law holds for 16 splits with v1+v2 <= 8",
+    )
+
+
+def test_structure_sweeps_pass():
+    assert checks.check_structure_sweeps() == (
+        True,
+        "dual involution x50; V-E+H bookkeeping on 52 cells; "
+        "contraction closure over 9 edges; "
+        "pairing nondegenerate on 78 top cells x 100 metrics; "
+        "exceptional bijection x50; quotient=contraction x50; "
+        "shrink trichotomy census (cylinder 144, disk 908, surface 258)",
+    )
+
+
+def test_nondegeneracy_sweep_wants_the_closed_form(monkeypatch):
+    # a Pfaffian that is nonzero and metric-independent but off by 2 fails
+    real = plforms.nondegeneracy_check
+
+    def doubled(mmg):
+        ok, pf = real(mmg)
+        return ok, 2 * pf
+
+    monkeypatch.setattr(plforms, "nondegeneracy_check", doubled)
+    with pytest.raises(checks._Failed, match="not 2\\^-0"):
+        checks._nondegeneracy_sweep(metrics=1)
+
+
+def test_nondegeneracy_sweep_wants_one_value_per_cell(monkeypatch):
+    real = plforms.nondegeneracy_check
+
+    def metric_dependent(mmg):
+        ok, pf = real(mmg)
+        return ok, pf * Fraction(sum(mmg.lengths.values()))
+
+    monkeypatch.setattr(plforms, "nondegeneracy_check", metric_dependent)
+    with pytest.raises(checks._Failed, match="depended on the metric"):
+        checks._nondegeneracy_sweep(metrics=2)
+
+
+@pytest.mark.slow
+def test_the_whole_registry_passes():
+    results = checks.run_all()
+    assert [r.name for r in results] == [name for name, _ in checks.CHECKS]
+    assert len(results) == 7
+    assert all(isinstance(r, checks.CheckResult) and r.ok for r in results)

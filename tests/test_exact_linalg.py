@@ -234,3 +234,100 @@ class TestRestrict:
         assert b[0][0] == 0 and b[1][1] == 0
         assert b[0][1] == a[0][2]
         assert b[1][0] == -a[0][2]
+
+
+# --- the Fraction-only kernel and restriction, kept as oracles ---------------------
+
+
+def fraction_kernel_basis(rows, dim):
+    """Free-column kernel basis from a reduced row echelon form over Fraction."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(dim):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    basis = []
+    for c in range(dim):
+        if c in pivots:
+            continue
+        vec = [Fraction(0)] * dim
+        vec[c] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -mat[i][c]
+        basis.append(vec)
+    return basis
+
+
+def dense_restriction(matrix, basis):
+    """B^T A B entry by entry, over Fraction."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    n = len(a)
+    return [
+        [sum((Fraction(u[i]) * a[i][j] * Fraction(v[j])
+              for i in range(n) for j in range(n)), Fraction(0))
+         for v in basis]
+        for u in basis
+    ]
+
+
+def random_rational(rng, density):
+    if rng.random() >= density:
+        return 0
+    if rng.random() < 0.5:
+        return rng.randint(-4, 4)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+
+class TestIntegerElimination:
+    """Kernels and restrictions keep integers; the results are the Fraction ones."""
+
+    def test_kernel_matches_the_fraction_echelon_form(self):
+        rng = random.Random(20261018)
+        for dim in range(1, 9):
+            for n_rows in range(0, dim + 2):
+                for density in (1.0, 0.5, 0.2):
+                    rows = [
+                        [random_rational(rng, density) for _ in range(dim)]
+                        for _ in range(n_rows)
+                    ]
+                    if n_rows > 1 and rng.random() < 0.3:
+                        rows[-1] = [3 * x - y for x, y in zip(rows[0], rows[1])]
+                    assert kernel_basis(rows, dim) == fraction_kernel_basis(rows, dim)
+
+    def test_perimeter_rows_give_the_same_slice(self):
+        # 0/1/2 incidence rows like a hole's edge multiplicities
+        rng = random.Random(5)
+        for dim in (3, 6, 9, 12):
+            for _ in range(20):
+                rows = [[rng.choice((0, 0, 1, 2)) for _ in range(dim)]
+                        for _ in range(rng.randint(1, 5))]
+                assert kernel_basis(rows, dim) == fraction_kernel_basis(rows, dim)
+
+    def test_restriction_matches_the_dense_product(self):
+        rng = random.Random(11)
+        for n in range(1, 8):
+            for _ in range(10):
+                a = antisym(
+                    [rng.randint(-5, 5) for _ in range(n * (n - 1) // 2)], n
+                )
+                ints = [[int(x) for x in row] for row in a]
+                basis = [
+                    [random_rational(rng, 0.5) for _ in range(n)]
+                    for _ in range(rng.randint(0, n))
+                ]
+                want = dense_restriction(a, basis)
+                got = restrict_form(ints, basis)
+                assert got == want
+                assert all(type(x) is Fraction for row in got for x in row)
+                assert restrict_form(a, basis) == want

@@ -16,12 +16,11 @@ from ribboncalc.errors import (
 )
 from ribboncalc.plforms import (
     CellForm,
-    _walk_form,
+    _walk_matrix,
     fiber_integral_cyl,
     fiber_integral_disk,
     nondegeneracy_check,
     omega_on_cell,
-    wedge_power_top,
 )
 from ribboncalc.ribbon import (
     HOLE,
@@ -55,6 +54,67 @@ def uniform_metric(graph, labels, value=F(1)):
 
 def random_lengths(rng, graph):
     return {e: F(rng.randint(1, 48), rng.randint(1, 48)) for e in graph.edges()}
+
+
+# --- the Fraction path the integer walk matrices replaced, kept as an oracle ---
+
+
+def _walk_form(cycle, n_coords, perimeter):
+    """Matrix of sum_{s<t} d(e_s/perimeter) ^ d(e_t/perimeter).
+
+    ``cycle`` lists, per side position, the coordinate index of its edge;
+    repeated indices share a differential, so entries accumulate.
+    """
+    m = [[Fraction(0)] * n_coords for _ in range(n_coords)]
+    k = len(cycle)
+    for s in range(k):
+        for t in range(s + 1, k):
+            u, v = cycle[s], cycle[t]
+            if u == v:
+                continue
+            m[u][v] += 1
+            m[v][u] -= 1
+    scale = Fraction(1) / (Fraction(perimeter) ** 2)
+    return [[x * scale for x in row] for row in m]
+
+
+def wedge_power_top(form: CellForm, k, subspace):
+    """Coefficient of form^k against the basis volume of an even slice.
+
+    ``subspace`` is a list of rational vectors in the form's coordinates.
+    The result is k! times the Pfaffian of the restricted matrix; its sign
+    depends on the basis order, its magnitude only on the subspace up to
+    unimodular change.
+    """
+    if k < 0:
+        raise DomainMismatch(f"wedge power {k} is negative")
+    vectors = [list(v) for v in subspace]
+    for v in vectors:
+        if len(v) != form.dim:
+            raise DomainMismatch(
+                f"slice vector length {len(v)} != form dimension {form.dim}"
+            )
+    if len(vectors) % 2 == 1:
+        raise OddDimension(f"slice dimension {len(vectors)} is odd")
+    if len(vectors) != 2 * k:
+        raise DomainMismatch(
+            f"form^{k} needs a slice of dimension {2 * k}, got {len(vectors)}"
+        )
+    if k == 0:
+        return Fraction(1)
+    restricted = exact_linalg.restrict_form(form.matrix, vectors)
+    return factorial(k) * exact_linalg.pfaffian(restricted)
+
+
+def _simplex_chart(n_coords, first_weight):
+    """Tangent basis of {weight*e_0 + e_1 + ... = const} eliminating e_0."""
+    basis = []
+    for i in range(1, n_coords):
+        v = [Fraction(0)] * n_coords
+        v[0] = -Fraction(1, first_weight)
+        v[i] = Fraction(1)
+        basis.append(v)
+    return basis
 
 
 def perimeter_row(g, label):
@@ -380,3 +440,128 @@ class TestNondegeneracy:
     def test_rejects_bare_graph(self):
         with pytest.raises(DomainMismatch):
             nondegeneracy_check(THETA)
+
+
+def top_cells(g, n):
+    labels = [f"p{i}" for i in range(1, n + 1)]
+    tops = enumeration.enumerate_all_cells(g, labels, max_excess=0)
+    return [cell for _, classes in sorted(tops.items()) for cell in classes]
+
+
+def hole_cycle(g, label):
+    """The hole's walk as sorted-edge indices, from its canonical tuple."""
+    edges = sorted(g.graph.edges())
+    index = {e: i for i, e in enumerate(edges)}
+    orbit = g.marking.orbit(label)
+    walk = next(h for h in g.graph.holes() if frozenset(h) == orbit)
+    return [index[g.graph.edge_of(x)] for x in walk]
+
+
+def fraction_path_pfaffian(g):
+    """Pfaffian of sum_p (L_p/2)^2 omega_p on the slice, every form in Fraction."""
+    n = g.graph.n_edges()
+    total = [[F(0)] * n for _ in range(n)]
+    for p in g.marking.hole_labels():
+        perimeter = g.circumference(p)
+        weight = (perimeter / 2) ** 2
+        form = _walk_form(hole_cycle(g, p), n, perimeter)
+        total = [
+            [a + weight * b for a, b in zip(r1, r2)] for r1, r2 in zip(total, form)
+        ]
+    rows = [perimeter_row(g, p) for p in g.marking.hole_labels()]
+    basis = exact_linalg.kernel_basis(rows, n)
+    return exact_linalg.pfaffian(exact_linalg.restrict_form(total, basis))
+
+
+class TestWalkMatrix:
+    def test_torus_hole(self):
+        # the walk (1,6,2,4,3,5) meets edges 0, 2, 1, 0, 2, 1; the entries
+        # 2, 2, -2 are those of omega before its 1/36 scaling
+        assert _walk_matrix([0, 2, 1, 0, 2, 1], 3) == [
+            [0, 2, 2], [-2, 0, -2], [-2, 2, 0],
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=12))
+    def test_is_the_walk_form_at_unit_perimeter(self, cycle):
+        assert _walk_matrix(cycle, 6) == _walk_form(cycle, 6, 1)
+
+
+class TestAgainstTheFractionPath:
+    """The integer walk matrices against the metric-weighted Fraction forms.
+
+    The new code cancels the perimeter and epsilon weights before any
+    linear algebra, so metric independence holds by construction; these
+    tests check it against the path that carried the weights.
+    """
+
+    @pytest.mark.parametrize("g,n", [(0, 4), (1, 2)])
+    def test_omega_matches_the_walk_form(self, g, n):
+        rng = random.Random(20261018)
+        for cell in top_cells(g, n):
+            mg = MarkedMetricGraph(
+                cell.graph, cell.marking, random_lengths(rng, cell.graph)
+            )
+            for p in mg.marking.hole_labels():
+                want = _walk_form(hole_cycle(mg, p), mg.graph.n_edges(),
+                                  mg.circumference(p))
+                assert omega_on_cell(mg, p).matrix == CellForm(want).matrix
+
+    @pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1), (1, 2)])
+    def test_nondegeneracy_matches_the_weighted_total_form(self, g, n):
+        rng = random.Random(20261018 + 10 * g + n)
+        for cell in top_cells(g, n):
+            edges = sorted(cell.graph.edges())
+            metrics = [random_lengths(rng, cell.graph) for _ in range(3)]
+            # one edge 48^2 times longer or shorter than the rest
+            metrics.append({e: F(48) if e == edges[0] else F(1, 48) for e in edges})
+            metrics.append({e: F(1, 48) if e == edges[0] else F(48) for e in edges})
+            for lengths in metrics:
+                mg = MarkedMetricGraph(cell.graph, cell.marking, lengths)
+                want = fraction_path_pfaffian(mg)
+                assert want != 0
+                assert nondegeneracy_check(mg) == (True, want)
+
+    @pytest.mark.parametrize("eps", [F(1, 3), F(1), F(7, 2)])
+    def test_disk_matches_the_wedge_power(self, eps):
+        for r in range(13):
+            n = 2 * r + 3
+            form = CellForm(_walk_form(list(range(n)), n, 2 * eps))
+            coeff = wedge_power_top(form, r + 1, _simplex_chart(n, 1))
+            volume = (2 * eps) ** (n - 1) / factorial(n - 1)
+            assert fiber_integral_disk(r, eps) == abs(coeff) * volume
+
+    @pytest.mark.parametrize("eps", [F(1, 3), F(1), F(7, 2)])
+    def test_cylinder_matches_the_wedge_power(self, eps):
+        splits = 0
+        for v1 in range(1, 16):
+            for v2 in range(1, 17 - v1):
+                if (v1 + v2) % 2 == 1:
+                    continue
+                n = v1 + v2 + 3
+                cycle = [0, *range(1, v1 + 2), 0, *range(v1 + 2, n)]
+                form = CellForm(_walk_form(cycle, n, 2 * eps))
+                coeff = wedge_power_top(form, (n - 1) // 2, _simplex_chart(n, 2))
+                volume = (2 * eps) ** (n - 1) / factorial(n - 1)
+                # one local model per gap choice on each side
+                want = v1 * v2 * abs(coeff) * volume
+                assert fiber_integral_cyl(v1, v2, eps) == want
+                splits += 1
+        assert splits == 64
+
+
+class TestSymplecticVolume:
+    # |Pf| = 2^-g on the fixed-perimeter slice of every top cell, well beyond
+    # the families the Fraction path is compared on
+    @pytest.mark.parametrize("g,n,cells", [
+        (0, 3, 4), (0, 4, 64), (1, 1, 1), (1, 2, 9), (1, 3, 236), (2, 1, 9),
+    ])
+    def test_pfaffian_is_two_to_the_minus_genus(self, g, n, cells):
+        tops = top_cells(g, n)
+        assert len(tops) == cells
+        for cell in tops:
+            lengths = {e: F(1) for e in cell.graph.edges()}
+            ok, pf = nondegeneracy_check(
+                MarkedMetricGraph(cell.graph, cell.marking, lengths)
+            )
+            assert ok and abs(pf) == F(1, 2**g)
