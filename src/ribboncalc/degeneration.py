@@ -539,21 +539,24 @@ def detect_clusters(g, labels):
 
 
 def cylinder_configurations(v1: int, v2: int):
-    """The local models of a cylinder zone with arc sizes v1+1 and v2+1.
+    """All local models of a cylinder zone with arc sizes v1+1 and v2+1.
 
     The doubled edge's endpoint on each boundary circle sits in one of the
-    gaps between that circle's outgoing edges, so there are v1*v2 models,
-    one per gap choice per side.  They all walk the same cyclic side
-    sequence of the hole, as edge indices: 0 is the doubled edge, 1..v1+1
-    the first arc, v1+2..v1+v2+2 the second.  Each distinct sequence is
-    listed once with its number of models.
+    gaps between that circle's outgoing edges, so the models are indexed
+    by a gap choice per side.  Each model carries the cyclic side sequence
+    of the hole as edge indices: 0 is the doubled edge, 1..v1+1 the first
+    arc, v1+2..v1+v2+2 the second.
     """
     if v1 < 1 or v2 < 1:
         raise DomainMismatch("cylinder arcs need at least one external edge each")
     first_arc = list(range(1, v1 + 2))
     second_arc = list(range(v1 + 2, v1 + v2 + 3))
     cycle = tuple([0] + first_arc + [0] + second_arc)
-    return [{"cycle": cycle, "count": v1 * v2}]
+    return [
+        {"gaps": (i, j), "cycle": cycle}
+        for i in range(v1)
+        for j in range(v2)
+    ]
 
 
 # --- JSON forms -------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Small exact linear algebra over Fraction: kernels, restriction, Pfaffians.
 
 The matrices that show up are antisymmetric forms on cell coordinates,
-mostly with integer entries; kernels and restrictions keep integers as
-integers and divide through Fraction only where a quotient is needed.
+mostly integer; kernels and restrictions keep integers as integers.
 Pfaffians come from skew-symmetric Gaussian elimination, O(n^3) exact
 operations on an n x n matrix, so every value stays an exact rational
 without a numerical stack.
@@ -16,8 +15,14 @@ from math import gcd, lcm
 from .errors import DomainMismatch
 
 
+def _rational(x):
+    """x if it is an int or a Fraction, else Fraction(x) (a float, Decimal, '1/2')."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def _over_common_denominator(v):
-    """(d, w) with w an integer vector and v = w / d; v holds ints and Fractions."""
+    """(d, w) with w an integer vector and v = w / d."""
+    v = [_rational(x) for x in v]
     d = lcm(*(x.denominator for x in v))
     return d, [x.numerator * (d // x.denominator) for x in v]
 
@@ -34,10 +39,8 @@ def kernel_basis(rows, dim) -> list:
 
     ``rows`` is an iterable of length-``dim`` rational vectors.  Returns the
     standard free-column basis from the reduced row echelon form, one vector
-    per non-pivot coordinate.  Scaling a row keeps its kernel, so the
-    elimination runs on primitive integer rows, replacing a row by
-    p*row - f*pivot_row; the echelon entries are divided out at the end,
-    one Fraction each.
+    per non-pivot coordinate.  The elimination runs on primitive integer
+    rows (p*row - f*pivot_row keeps the kernel) and divides once at the end.
     """
     mat = []
     for row in rows:
@@ -75,11 +78,11 @@ def kernel_basis(rows, dim) -> list:
 def restrict_form(matrix, basis) -> list:
     """Pull an antisymmetric form back to a subspace: B^T A B.
 
-    Each basis vector is written as an integer vector over a common
-    denominator, so for an integer A every product is an integer and each
-    entry takes one Fraction division.  Slice bases are sparse, so the
-    products run over the nonzero entries of u and A u only.
+    Each basis vector is an integer vector over a common denominator, so an
+    integer A stays integer up to one division per entry.  Slice bases are
+    sparse: the products run over the nonzero entries of u and A u only.
     """
+    matrix = [[_rational(x) for x in row] for row in matrix]
     scaled = [_over_common_denominator(v) for v in basis]
     images = []
     for d, u in scaled:

@@ -1,26 +1,18 @@
 """Piecewise-linear 2-forms on cells and their exact fiber integrals.
 
-A hole's form omega_p = sum_{s<t} d(l_s/L_p) ^ d(l_t/L_p) has constant
-coefficients in the edge coordinates of a cell: the integer walk matrix W
-of sum_{s<t} de_s ^ de_t, scaled by 1/L_p^2.  Every scale factor cancels
-before any linear algebra is done:
-
-- on a fixed-perimeter slice the weight (L_p/2)^2 of the total form meets
-  the 1/L_p^2 of omega_p, leaving W/4 for every hole, so the symplectic
-  Pfaffian of a cell is Pf(B^T M B) / 4^k with M the integer sum of the
-  walk matrices; it depends only on the cell, not on the metric;
-- on a fiber simplex the form's 1/(2 epsilon)^2 per factor meets the
-  simplex volume (2 epsilon)^(2r+2), so fiber integrals do not depend on
-  epsilon either.
-
-The forms reach the linear algebra as integer matrices; only the slice
-basis, the restriction and the Pfaffian divide, through Fraction.
+A hole's form omega_p = sum_{s<t} d(l_s/L_p) ^ d(l_t/L_p) is W/L_p^2 in the
+edge coordinates of a cell, with W the integer walk matrix of
+sum_{s<t} de_s ^ de_t.  The scales cancel before any linear algebra: on a
+fixed-perimeter slice (L_p/2)^2 / L_p^2 = 1/4, so a cell's symplectic
+Pfaffian depends only on the cell, not on the metric; on a fiber simplex
+the form's 1/(2 epsilon)^2 per factor meets the volume (2 epsilon)^(2r+2).
 Orientation is not pinned down globally, so the integral routines report
 magnitudes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -155,9 +147,10 @@ def fiber_integral_cyl(v1, v2, epsilon=Fraction(1)) -> Fraction:
         raise DomainMismatch("epsilon must be positive")
     r = (v1 + v2) // 2
     scale = Fraction(factorial(r + 1), 2 ** (r + 1) * factorial(2 * r + 2))
+    cycles = Counter(config["cycle"] for config in cylinder_configurations(v1, v2))
     return sum(
-        config["count"] * abs(_chart_pfaffian(config["cycle"], 2)) * scale
-        for config in cylinder_configurations(v1, v2)
+        count * abs(_chart_pfaffian(cycle, 2)) * scale
+        for cycle, count in cycles.items()
     )
 
 

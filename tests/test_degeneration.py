@@ -704,9 +704,10 @@ class TestCylinderConfigurations:
     def test_the_count_is_the_product_of_the_gaps(self):
         for v1 in range(1, 5):
             for v2 in range(1, 5):
-                # one gap choice per side, all walking the same side sequence
-                [config] = cylinder_configurations(v1, v2)
-                assert config["count"] == v1 * v2
+                configs = cylinder_configurations(v1, v2)
+                assert len(configs) == v1 * v2
+                gaps = {c["gaps"] for c in configs}
+                assert len(gaps) == v1 * v2
 
     def test_each_cycle_walks_the_doubled_edge_twice(self):
         for config in cylinder_configurations(2, 3):

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -331,3 +332,16 @@ class TestIntegerElimination:
                 assert got == want
                 assert all(type(x) is Fraction for row in got for x in row)
                 assert restrict_form(a, basis) == want
+
+    def test_entries_that_fraction_accepts_are_converted(self):
+        # floats, Decimals and strings go through Fraction() as they always did
+        rows = [[0.5, "1/3", Decimal("2.25"), 1]]
+        exact = [[Fraction(1, 2), Fraction(1, 3), Fraction(9, 4), Fraction(1)]]
+        assert kernel_basis(rows, 4) == kernel_basis(exact, 4)
+        a = [[0, 0.5, "-2"], [-0.5, 0, Decimal("0.75")], ["2", Decimal("-0.75"), 0]]
+        a_exact = [[Fraction(x) for x in row] for row in a]
+        basis = [[0.25, "1/3", 1], [1, 0, "-3/7"]]
+        basis_exact = [[Fraction(x) for x in v] for v in basis]
+        want = dense_restriction(a_exact, basis_exact)
+        assert restrict_form(a, basis) == want
+        assert all(type(x) is Fraction for row in want for x in row)
