@@ -365,7 +365,7 @@ def _exceptional_bijection_sweep(rounds=50):
         quo, exc_verts = stable.quotient(g, z)
         if len(sub.sides) + len(quo.sides) != len(g.sides):
             raise _Failed("subgraph and quotient sides do not partition the graph")
-        pairs = stable.exceptional_correspondence(g, z)
+        pairs = stable.collapse(g, z).pairs
         if len(pairs) != len(exc_holes) or len(pairs) != len(exc_verts):
             raise _Failed("correspondence size mismatch")
         if {p[0] for p in pairs} != set(exc_holes):

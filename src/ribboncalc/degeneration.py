@@ -6,7 +6,10 @@ metric ribbon graphs) and at most one nonpositive piece that survives only
 as numerical data.  The zone's own topology, disk, cylinder with one
 doubled edge, or a genuine surface, decides which: a disk leaves the hole
 label on a fresh vertex, anything bigger buds off a labeled bubble joined
-to the positive parts at nodes.
+to the positive parts at nodes.  One ``stable.collapse`` of the zone
+computes the zone subgraph G_Z, the quotient G/G_Z and the pairing of the
+scar holes with the new vertices; the topology, the positive parts and
+the nodes are all read from it.
 
 The module also houses the dual-graph calculus (two reduction moves whose
 fixed points are the reduced dual graphs), the per-hole and per-cluster
@@ -16,8 +19,6 @@ fiber integrals sum over.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import (
     BrokenInvariant,
@@ -39,9 +40,10 @@ from .ribbon import (
     graph_to_json,
     restrict,
     side_numbering,
+    smooth_bivalent,
 )
 from . import permutations as perms
-from .stable import exceptional_correspondence, quotient, subgraph
+from .stable import collapse, subgraph
 
 DISK = "disk"
 CYLINDER = "cylinder"
@@ -213,24 +215,25 @@ def _zone_edges(graph: RibbonGraph, orbit):
     return {graph.edge_of(x) for x in orbit}
 
 
-def _zone_boundary(graph: RibbonGraph, zone, covered):
+def _zone_cut(graph: RibbonGraph, zone):
+    """The collapse of a zone, or None for a zone of every edge."""
+    return collapse(graph, zone) if len(zone) < graph.n_edges() else None
+
+
+def _zone_boundary(graph: RibbonGraph, zone, covered, cut):
     """Genus of the zone subgraph and its non-covered boundary circles.
 
     Each circle comes back as (orbit, valency): valency is the size of the
     collapsed vertex the circle wraps (0 for a circle that is already a
-    hole of the ambient graph).
+    hole of the ambient graph).  ``cut`` is the zone's collapse.
     """
-    sub, exc = subgraph(graph, zone)
-    exc_set = set(exc)
-    partner = {}
-    if len(zone) < graph.n_edges():
-        partner = {h: len(v) for h, v in exceptional_correspondence(graph, zone)}
+    sub = subgraph(graph, zone)[0] if cut is None else cut.sub
+    partner = {} if cut is None else {h: len(v) for h, v in cut.pairs}
     boundary = []
     for h in sub.holes():
         hs = frozenset(h)
-        if hs in covered:
-            continue
-        boundary.append((hs, partner[hs] if hs in exc_set else 0))
+        if hs not in covered:
+            boundary.append((hs, partner.get(hs, 0)))
     return genus(sub), boundary
 
 
@@ -271,7 +274,12 @@ def hole_topology(g, q) -> HoleTopology:
     graph, marking = _graph_and_marking(g)
     orbit = _hole_orbit(marking, q)
     zone = _zone_edges(graph, orbit)
-    h, boundary = _zone_boundary(graph, zone, {orbit})
+    return _hole_zone_topology(graph, orbit, zone, _zone_cut(graph, zone))
+
+
+def _hole_zone_topology(graph, orbit, zone, cut):
+    """``hole_topology`` on a zone whose collapse ``cut`` is already known."""
+    h, boundary = _zone_boundary(graph, zone, {orbit}, cut)
     doubled = [e for e in sorted(zone) if e[0] in orbit and e[1] in orbit]
     if h == 0 and len(boundary) == 1 and not doubled:
         return HoleTopology(DISK)
@@ -336,13 +344,6 @@ class ShrinkResult:
         )
 
 
-def _split_positive_parts(graph: RibbonGraph, zone):
-    """Quotient by the zone and hand back per-component restrictions."""
-    quo, exc_verts = quotient(graph, zone)
-    parts = [restrict(quo, sides) for sides in sorted(quo.components(), key=min)]
-    return parts, [frozenset(v) for v in exc_verts]
-
-
 def shrink(g: MarkedMetricGraph, q) -> ShrinkResult:
     """Crush the zone of hole q; the cone condition guards the limit.
 
@@ -377,9 +378,10 @@ def shrink(g: MarkedMetricGraph, q) -> ShrinkResult:
                     f"the marked vertex {p!r} borders the collapse zone"
                 )
 
-    topo = hole_topology((g.graph, marking), q)
+    cut = _zone_cut(g.graph, zone)
+    topo = _hole_zone_topology(g.graph, orbit, zone, cut)
 
-    if len(zone) == g.graph.n_edges():
+    if cut is None:
         # the zone already swallows everything; the cone checks above make
         # sure q was the only marking, so only the bubble survives
         dual = reduce_dual_graph(
@@ -387,7 +389,8 @@ def shrink(g: MarkedMetricGraph, q) -> ShrinkResult:
         )
         return ShrinkResult(topo, (), (), dual)
 
-    parts, exc_verts = _split_positive_parts(g.graph, zone)
+    parts = [restrict(cut.quo, s) for s in sorted(cut.quo.components(), key=min)]
+    exc_verts = sorted((v for _, v in cut.pairs), key=min)
     comp_of_side = {}
     for i, part in enumerate(parts):
         for x in part.sides:
@@ -466,11 +469,7 @@ def forget_vertex_marking(g: MarkedMetricGraph, q) -> MarkedMetricGraph:
     x, y = graph.sigma1[a], graph.sigma1[b]
     if x == b:
         raise DomainMismatch("cannot forget the only vertex of a circle")
-    sides = set(graph.sides) - {a, b}
-    s0 = {z: graph.sigma0[z] for z in sides}
-    s1 = {z: graph.sigma1[z] for z in sides}
-    s1[x], s1[y] = y, x
-    merged = RibbonGraph(s0, s1, sides)
+    merged = smooth_bivalent(graph, a, b)
     lengths = {
         e: g.lengths[e]
         for e in graph.edges()
@@ -522,7 +521,7 @@ def detect_clusters(g, labels):
         for q in block:
             zone |= _zone_edges(graph, orbits[q])
         covered = {orbits[q] for q in block}
-        h, boundary = _zone_boundary(graph, zone, covered)
+        h, boundary = _zone_boundary(graph, zone, covered, _zone_cut(graph, zone))
         vs = tuple(sorted(v for _, v in boundary))
         if h == 0 and len(boundary) == 1:
             topologies.append(HoleTopology(DISK))

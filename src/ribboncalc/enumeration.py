@@ -44,7 +44,6 @@ integers, so its cost no longer grows with the number of pairings.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -67,11 +66,8 @@ DEFAULT_MAX_SIDES = 30
 
 
 def max_sides_limit(override=None) -> int:
-    """The side-count bound: override, else $RIBBONCALC_MAX_SIDES, else 30."""
-    if override is not None:
-        return int(override)
-    env = os.environ.get("RIBBONCALC_MAX_SIDES")
-    return int(env) if env else DEFAULT_MAX_SIDES
+    """The side-count bound: override, else ``DEFAULT_MAX_SIDES``."""
+    return DEFAULT_MAX_SIDES if override is None else int(override)
 
 
 class Profile:

@@ -204,6 +204,18 @@ def restrict(g: RibbonGraph, sides) -> RibbonGraph:
     )
 
 
+def smooth_bivalent(g: RibbonGraph, a, b) -> RibbonGraph:
+    """Splice out the bivalent vertex (a, b): its two edges merge into one."""
+    x, y = g.sigma1[a], g.sigma1[b]
+    if x == b:
+        raise DomainMismatch("cannot smooth the only vertex of a circle")
+    sides = set(g.sides) - {a, b}
+    s0 = {z: g.sigma0[z] for z in sides}
+    s1 = {z: g.sigma1[z] for z in sides}
+    s1[x], s1[y] = y, x
+    return RibbonGraph(s0, s1, sides)
+
+
 # --- markings -----------------------------------------------------------------
 
 HOLE = "hole"

@@ -6,7 +6,8 @@ maps, while the quotient G/G_Z keeps the complementary sides and lets the
 boundary walks become first-return maps.  Holes of G_Z that the ambient
 graph never had ("exceptional") match up, one for one, with vertices of
 G/G_Z that the ambient graph never had, and the matching is computed by an
-explicit walk, not by counting.
+explicit walk, not by counting.  ``collapse`` computes G_Z, G/G_Z and that
+matching once; every collapse in the package goes through it.
 
 Iterating the construction along a permissible sequence of subsets yields a
 stable ribbon graph: components at increasing orders plus an involution
@@ -14,13 +15,15 @@ stable ribbon graph: components at increasing orders plus an involution
 Tree-like collapse pieces just donate an ordinary vertex, circle-like ones
 either hand their surrounded hole's label to the new vertex or vanish as
 unstable spheres (their two boundary points get paired directly), and only
-the stable cores spawn deeper components.
+the stable cores spawn deeper components.  Each piece is sorted into these
+three kinds by the rule ``classify_subset`` applies.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count as _count
+from typing import NamedTuple
 
 from . import permutations as perms
 from .errors import (
@@ -42,6 +45,7 @@ from .ribbon import (
     graph_to_json,
     restrict,
     side_numbering,
+    smooth_bivalent,
 )
 
 CONTRACTIBLE = "contractible"
@@ -112,17 +116,31 @@ def quotient(g: RibbonGraph, Z):
     return quo, sorted(exc, key=min)
 
 
-def exceptional_correspondence(g: RibbonGraph, Z):
-    """Pair each exceptional hole of G_Z with an exceptional vertex of G/G_Z.
+class Collapse(NamedTuple):
+    """Collapsing an edge subset Z: G_Z, G/G_Z and the scar pairing.
+
+    ``sub`` and ``quo`` are the graphs ``subgraph`` and ``quotient`` build;
+    ``pairs`` matches each exceptional hole of ``sub`` with the exceptional
+    vertex of ``quo`` it collapses onto, as [(hole, vertex), ...] sorted by
+    hole.
+    """
+
+    sub: RibbonGraph
+    quo: RibbonGraph
+    pairs: list
+
+
+def collapse(g: RibbonGraph, Z) -> Collapse:
+    """Collapse a proper nonempty subset Z: G_Z and G/G_Z once, scars paired.
 
     From a side of a truncated hole, walking the ambient rotation until the
     edge involution re-enters the hole sweeps out exactly the sides of the
     matching collapsed vertex; walking boundary links from a collapsed
     vertex sweeps the hole back out.  Both walks are performed and checked
-    against each other.  Returns [(hole, vertex), ...] sorted by hole.
+    against each other.
     """
-    _sub, exc_holes = subgraph(g, Z)
-    _quo, exc_verts = quotient(g, Z)
+    sub, exc_holes = subgraph(g, Z)
+    quo, exc_verts = quotient(g, Z)
     s0, s1, s_inf = g.sigma0, g.sigma1, g.sigma_inf
     bound = len(g.sides) + 1
 
@@ -159,7 +177,7 @@ def exceptional_correspondence(g: RibbonGraph, Z):
         raise BrokenInvariant("exceptional holes and vertices fail to match up")
     if any(back[v] != h for h, v in pairs):
         raise BrokenInvariant("exceptional correspondence is not involutive")
-    return pairs
+    return Collapse(sub, quo, pairs)
 
 
 # --- subset classification --------------------------------------------------------
@@ -337,35 +355,18 @@ class _Piece:
 
 def _smooth_unmarked_bivalents(graph: RibbonGraph, keep_orbits) -> RibbonGraph:
     """Splice out bivalent vertices whose orbit is not in ``keep_orbits``."""
-    s0 = dict(graph.sigma0)
-    s1 = dict(graph.sigma1)
-    sides = set(graph.sides)
     while True:
-        found = None
-        for a in sorted(sides):
-            b = s0[a]
-            if b != a and s0[b] == a and frozenset((a, b)) not in keep_orbits:
-                found = (a, b)
+        for a in graph.sides:
+            b = graph.sigma0[a]
+            if b != a and graph.sigma0[b] == a and frozenset((a, b)) not in keep_orbits:
+                graph = smooth_bivalent(graph, a, b)
                 break
-        if found is None:
-            return RibbonGraph(s0, s1, sides)
-        a, b = found
-        x, y = s1[a], s1[b]
-        if x == b:
-            raise DomainMismatch("cannot smooth the only vertex of a circle")
-        s1[x] = y
-        s1[y] = x
-        for z in (a, b):
-            del s0[z]
-            del s1[z]
-            sides.discard(z)
+        else:
+            return graph
 
 
-def _spawn_core(piece: _Piece, comp_edges, marked_orbits):
-    """Build the next-stage component from a stable collapse piece."""
-    core_edges = _prune_unmarked_tails(piece.graph, comp_edges, marked_orbits)
-    if not core_edges:
-        raise BrokenInvariant("stable collapse piece pruned to nothing")
+def _spawn_core(piece: _Piece, core_edges, marked_orbits):
+    """Build the next-stage component on the pruned core of a stable piece."""
     core, _ = subgraph(piece.graph, core_edges)
     keep = set()
     for orb in marked_orbits:
@@ -375,13 +376,9 @@ def _spawn_core(piece: _Piece, comp_edges, marked_orbits):
     return _smooth_unmarked_bivalents(core, keep)
 
 
-def _hole_source_map(sub: RibbonGraph, spawned: RibbonGraph):
+def _hole_source_map(sub_holes, spawned: RibbonGraph):
     """Match each hole of the spawned graph to the sub-hole it survived from."""
-    by_side = {}
-    for h in sub.holes():
-        hs = frozenset(h)
-        for x in hs:
-            by_side[x] = hs
+    by_side = {x: hs for hs in sub_holes for x in hs}
     out = {}
     seen = set()
     for h in spawned.holes():
@@ -399,58 +396,48 @@ def _hole_source_map(sub: RibbonGraph, spawned: RibbonGraph):
 def _quotient_piece(piece: _Piece, zr, tokens):
     """Collapse ``zr`` inside one piece; return (finished quo pieces, spawned)."""
     graph = piece.graph
-    sub, exc_holes = subgraph(graph, zr)
-    quo, exc_verts = quotient(graph, zr)
-    vert_of = dict(exceptional_correspondence(graph, zr))
-    exc_hole_set = set(exc_holes)
+    cut = collapse(graph, zr)
+    vert_of = dict(cut.pairs)
     marked_orbits = _marked_vertex_orbits(piece.marks)
     zr_sides = _zone_sides(zr)
 
     hole_label = {
         orb: label for label, (kind, orb) in piece.marks.items() if kind == HOLE
     }
-    sub_holes_by_side = {}
-    for h in sub.holes():
-        hs = frozenset(h)
-        for x in hs:
-            sub_holes_by_side[x] = hs
+    sub_edges = cut.sub.edges()
+    sub_holes = [frozenset(h) for h in cut.sub.holes()]
 
     consumed = set()
     demoted = {}  # exceptional vertex -> label or None (ordinary after all)
     vertex_token = {}  # exceptional vertex -> pairing token
     spawned = []
 
-    for comp_sides in sub.components():
-        comp_edges = {e for e in sub.edges() if e[0] in comp_sides}
-        comp_holes = [
-            frozenset(h) for h in sub.holes() if frozenset(h) <= comp_sides
-        ]
+    for comp_sides in cut.sub.components():
+        comp_edges = {e for e in sub_edges if e[0] in comp_sides}
+        comp_holes = [h for h in sub_holes if h <= comp_sides]
         comp_marked = [
             label
             for label, (kind, orb) in piece.marks.items()
             if kind == VERTEX and orb & comp_sides
         ]
-        n_vertices = sum(
-            1 for v in sub.vertices() if frozenset(v) <= comp_sides
-        )
-        n_edges = len(comp_edges)
+        cls = _classify_edges(graph, comp_edges, marked_orbits)
 
-        if n_edges == n_vertices - 1 and len(comp_marked) <= 1:
+        if cls.kind == CONTRACTIBLE:
             # a tree: its collapse vertex is ordinary, inheriting the one label
             (hole,) = comp_holes
-            if hole not in exc_hole_set:
+            if hole not in vert_of:
                 raise BrokenInvariant("a proper tree piece must scar its hole")
             label = comp_marked[0] if comp_marked else None
             demoted[vert_of[hole]] = label
             consumed.update(comp_marked)
-        elif n_edges == n_vertices and not comp_marked:
+        elif cls.kind == SEMISTABLE:
             # a circle: pinch; the two boundary walks decide what the ends become
             if len(comp_holes) != 2:
                 raise BrokenInvariant("a circle piece must have two holes")
             new_verts = []
             inherited = []
             for hole in comp_holes:
-                if hole in exc_hole_set:
+                if hole in vert_of:
                     new_verts.append(vert_of[hole])
                 else:
                     inherited.append(hole)
@@ -474,9 +461,9 @@ def _quotient_piece(piece: _Piece, zr, tokens):
                     vertex_token[vert] = piece.special_holes[hole]
         else:
             # a stable core: spawn the next-stage component
-            spawn_graph = _spawn_core(piece, comp_edges, marked_orbits)
+            spawn_graph = _spawn_core(piece, cls.zst, marked_orbits)
             spawn_sides = set(spawn_graph.sides)
-            source_of = _hole_source_map(sub, spawn_graph)
+            source_of = _hole_source_map(sub_holes, spawn_graph)
             marks = {}
             for label, (kind, orb) in piece.marks.items():
                 if kind == VERTEX and orb & spawn_sides:
@@ -492,7 +479,7 @@ def _quotient_piece(piece: _Piece, zr, tokens):
                     consumed.add(label)
             special = {}
             for hs, src in source_of.items():
-                if src in exc_hole_set:
+                if src in vert_of:
                     tok = next(tokens)
                     special[hs] = tok
                     vertex_token[vert_of[src]] = tok
@@ -510,8 +497,8 @@ def _quotient_piece(piece: _Piece, zr, tokens):
             raise BrokenInvariant("an exceptional vertex was left unexplained")
 
     finished = []
-    for comp_sides in quo.components():
-        comp_graph = restrict(quo, comp_sides)
+    for comp_sides in cut.quo.components():
+        comp_graph = restrict(cut.quo, comp_sides)
         comp_verts = {frozenset(v) for v in comp_graph.vertices()}
         marks = {}
         for label, (kind, orb) in piece.marks.items():

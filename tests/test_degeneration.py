@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ribboncalc import enumeration
+from ribboncalc import degeneration, enumeration, stable
 from ribboncalc.degeneration import (
     CYLINDER,
     DISK,
@@ -382,6 +382,50 @@ class TestShrink:
         for comp in res.components:
             for e, l in comp.lengths.items():
                 assert l == metric.lengths[e]
+
+
+class TestOneCollapse:
+    """Each zone or stage is collapsed once: one G_Z, one G/G_Z."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count calls through every binding of ``subgraph`` and ``quotient``."""
+        seen = {"subgraph": 0, "quotient": 0}
+        for module in (stable, degeneration):
+            for name in seen:
+                if not hasattr(module, name):
+                    continue
+                original = getattr(module, name)
+
+                def counted(*args, _name=name, _original=original):
+                    seen[_name] += 1
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        return seen
+
+    def test_cylinder_shrink(self, calls):
+        m = mark_all_holes(CYL, ["q", "p"])
+        res = shrink(zone_metric(CYL, m, "q"), "q")
+        assert res.kind == CYLINDER
+        assert calls == {"subgraph": 1, "quotient": 1}
+
+    def test_surface_shrink(self, calls):
+        m = mark_all_holes(TADPOLE, ["p", "q"])
+        res = shrink(zone_metric(TADPOLE, m, "q"), "q")
+        assert res.kind == SURFACE
+        assert calls == {"subgraph": 1, "quotient": 1}
+
+    def test_one_stage_spawning_one_core(self, calls):
+        handle = validate(
+            [(1, 2, 3, 7), (4, 5, 6, 8)], [(1, 4), (2, 5), (3, 6), (7, 8)]
+        )
+        m = mark_all_holes(handle, ["p", "q"])
+        data = stable.build_stable(
+            handle, m, [handle.edges(), [(1, 4), (2, 5), (3, 6)]]
+        )
+        assert data.order == (0, 1)
+        assert calls == {"subgraph": 2, "quotient": 1}
 
 
 class TestStratumCensus:

@@ -174,12 +174,10 @@ class TestEnumerate:
         with pytest.raises(TooLarge):
             en.enumerate(8, ["p1"], en.Profile([30]))
 
-    def test_max_sides_env(self, monkeypatch):
-        monkeypatch.setenv("RIBBONCALC_MAX_SIDES", "4")
+    def test_max_sides_env(self):
         with pytest.raises(TooLarge):
-            en.enumerate(1, ["p1"], en.Profile([2]))
-        monkeypatch.setenv("RIBBONCALC_MAX_SIDES", "30")
-        assert len(en.enumerate(1, ["p1"], en.Profile([2]))) == 1
+            en.enumerate(1, ["p1"], en.Profile([2]), max_sides=4)
+        assert len(en.enumerate(1, ["p1"], en.Profile([2]), max_sides=30)) == 1
 
     def test_classes_are_valid(self):
         # frozen aut multiset for the (1,2) trivalent cells

@@ -21,6 +21,30 @@ def test_no_bare_assert(name):
     assert lines == [], f"{name} has bare asserts on lines {lines}"
 
 
+@pytest.mark.parametrize("name", GUARDED)
+def test_no_unused_import(name):
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"), filename=name)
+    bound = {}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(
+        (line, binding)
+        for binding, line in bound.items()
+        if binding not in used and binding not in exported
+    )
+    assert unused == [], f"{name} imports names it never uses: {unused}"
+
+
 def test_broken_invariant_is_a_domain_error():
     assert issubclass(BrokenInvariant, RibbonError)
     assert BrokenInvariant("x").code == "BrokenInvariant"

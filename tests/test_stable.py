@@ -32,7 +32,7 @@ from ribboncalc.stable import (
     SubsetClass,
     build_stable,
     classify_subset,
-    exceptional_correspondence,
+    collapse,
     order_is_admissible,
     quotient,
     stable_to_json,
@@ -118,15 +118,15 @@ class TestQuotient:
 
 class TestExceptionalCorrespondence:
     def test_theta_edge(self):
-        pairs = exceptional_correspondence(THETA, [(1, 4)])
+        pairs = collapse(THETA, [(1, 4)]).pairs
         assert pairs == [(frozenset({1, 4}), frozenset({2, 3, 5, 6}))]
 
     def test_dumbbell_loop_and_bridge(self):
-        pairs = exceptional_correspondence(DUMBBELL, [(1, 2), (3, 4)])
+        pairs = collapse(DUMBBELL, [(1, 2), (3, 4)]).pairs
         assert pairs == [(frozenset({2, 3, 4}), frozenset({5, 6}))]
 
     def test_handle_torus_block(self):
-        pairs = exceptional_correspondence(HANDLE, TORUS_BLOCK)
+        pairs = collapse(HANDLE, TORUS_BLOCK).pairs
         assert pairs == [(frozenset({1, 2, 3, 4, 5, 6}), frozenset({7, 8}))]
 
     @settings(max_examples=50, deadline=None)
@@ -143,7 +143,7 @@ class TestExceptionalCorrespondence:
         sub, exc_holes = subgraph(g, z)
         quo, exc_verts = quotient(g, z)
         assert len(sub.sides) + len(quo.sides) == len(g.sides)
-        pairs = exceptional_correspondence(g, z)
+        pairs = collapse(g, z).pairs
         assert len(pairs) == len(exc_holes) == len(exc_verts)
 
     @settings(max_examples=50, deadline=None)
@@ -445,6 +445,29 @@ class TestBuildStable:
             assert stable.iota[b] == a
             assert a != b
             assert not (a[1] == HOLE and b[1] == HOLE)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_stage_follows_classify_subset(self, data):
+        g = random_graph(data)
+        edges = g.edges()
+        assume(len(edges) >= 2)
+        m = mark_all_holes(g, [f"p{i}" for i in range(g.n_holes())])
+        k = data.draw(st.integers(1, len(edges) - 1), label="size")
+        z = data.draw(
+            st.lists(st.sampled_from(edges), min_size=k, max_size=k, unique=True),
+            label="subset",
+        )
+        sub, _ = subgraph(g, z)
+        cores = [
+            comp
+            for comp in sub.components()
+            if classify_subset(g, m, [e for e in sub.edges() if e[0] in comp]).kind
+            == STABLE_BEARING
+        ]
+        stable = build_stable(g, m, [edges, z])
+        assert stable.order.count(1) == len(cores)
 
 
 class TestOrderAdmissibility:
