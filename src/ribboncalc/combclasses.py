@@ -12,6 +12,13 @@ symbols.  ``kappa_polynomial`` solves the triangular system the relations
 form, by induction on the number of non-trivalent vertices, and returns the
 kappa-expression of any valency locus.  Everything is exact; coefficients
 stay in ``Fraction`` land throughout.
+
+Partitions whose blocks carry the same orders give the same term, so both
+sum over them by value: ``_solve`` through ``permutations._partition_sums``,
+and ``merge_relation`` through ``_sub_multisets`` (the unkept companions of
+each kept label) and ``_partition_sums`` (the rest).  Only a relation that
+keeps every label walks the labelled partitions one by one, because each of
+them names its own bubble-tail locus.
 """
 
 from __future__ import annotations
@@ -22,34 +29,23 @@ from math import factorial
 from typing import NamedTuple, Optional
 
 from .enumeration import Profile
-from .errors import (
-    BrokenInvariant,
-    DomainMismatch,
-    EvenInput,
-    InconsistentProfile,
-    NegativeCount,
-)
-from .permutations import _partition_sums
+from .errors import BrokenInvariant, DomainMismatch, EvenInput, InconsistentProfile
+from .permutations import _partition_sums, _sub_multisets
 from .tautring import ONE, TautPoly, kappa, kappa_cycle_sum, psi, symbol
 
 __all__ = [
-    "RhoAssignment",
-    "SetPartition",
     "Relation",
     "OneVertexRelation",
     "TwoVertexCheck",
-    "all_partitions",
     "ambient_genus",
     "ambient_surface",
     "delta_class",
     "double_factorial",
-    "forget_multiplicity",
     "kappa_polynomial",
     "merge_coefficient",
     "merge_relation",
     "node_class",
     "one_vertex_relation",
-    "partition_coefficient",
     "tails_class",
     "two_vertex_check",
     "valency_class",
@@ -88,184 +84,29 @@ def merge_coefficient(rho_sum, block_size) -> int:
     return out
 
 
-# --- marking data and partitions of the label set ------------------------------
+# --- marking orders and labelled partitions -------------------------------------
 
-class RhoAssignment:
-    """Marking orders q -> rho(q) >= 0 on a finite label set."""
-
-    __slots__ = ("_map",)
-
-    def __init__(self, mapping):
-        clean = {}
-        for q, v in dict(mapping).items():
-            v = int(v)
-            if v < 0:
-                raise DomainMismatch("negative marking orders are not supported")
-            clean[str(q)] = v
-        self._map = clean
-
-    def labels(self) -> tuple:
-        return tuple(sorted(self._map))
-
-    def value(self, q) -> int:
-        try:
-            return self._map[str(q)]
-        except KeyError:
-            raise DomainMismatch(f"label {q!r} carries no marking") from None
-
-    def as_dict(self) -> dict:
-        return dict(self._map)
-
-    def count(self, i) -> int:
-        """How many labels have marking order i."""
-        return sum(1 for v in self._map.values() if v == i)
-
-    def total(self) -> int:
-        return sum(self._map.values())
-
-    def __len__(self):
-        return len(self._map)
-
-    def __contains__(self, q):
-        return str(q) in self._map
-
-    def __eq__(self, other):
-        return isinstance(other, RhoAssignment) and self._map == other._map
-
-    def __repr__(self):
-        inner = ", ".join(f"{q}: {v}" for q, v in sorted(self._map.items()))
-        return f"RhoAssignment({{{inner}}})"
-
-
-def _coerce_rho(rho) -> RhoAssignment:
-    return rho if isinstance(rho, RhoAssignment) else RhoAssignment(rho)
-
-
-class SetPartition:
-    """A partition of a finite label set into nonempty blocks."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks):
-        out = []
-        seen = set()
-        for b in blocks:
-            fs = frozenset(str(x) for x in b)
-            if not fs:
-                raise DomainMismatch("partition blocks are nonempty")
-            if fs & seen:
-                raise DomainMismatch("partition blocks overlap")
-            seen |= fs
-            out.append(fs)
-        self.blocks = tuple(sorted(out, key=sorted))
-
-    @staticmethod
-    def discrete(labels) -> "SetPartition":
-        return SetPartition([x] for x in labels)
-
-    def ground(self) -> frozenset:
-        return frozenset().union(*self.blocks) if self.blocks else frozenset()
-
-    def is_discrete(self) -> bool:
-        return all(len(b) == 1 for b in self.blocks)
-
-    def block_of(self, q) -> frozenset:
-        q = str(q)
-        for b in self.blocks:
-            if q in b:
-                return b
-        raise DomainMismatch(f"label {q!r} not in the partition")
-
-    def splits(self, subset) -> bool:
-        """Whether every block meets ``subset`` in at most one label."""
-        s = {str(x) for x in subset}
-        return all(len(b & s) <= 1 for b in self.blocks)
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def __eq__(self, other):
-        return isinstance(other, SetPartition) and self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash(frozenset(self.blocks))
-
-    def __repr__(self):
-        inner = ", ".join("{" + ", ".join(sorted(b)) + "}" for b in self.blocks)
-        return f"SetPartition([{inner}])"
-
-
-def all_partitions(labels):
-    """Yield every partition of the labels (Bell-number many)."""
-    items = sorted({str(x) for x in labels})
-
-    def rec(rest):
-        if not rest:
-            yield []
-            return
-        first, tail = rest[0], rest[1:]
-        for sub in rec(tail):
-            yield [[first]] + sub
-            for k in range(len(sub)):
-                yield sub[:k] + [sub[k] + [first]] + sub[k + 1:]
-
-    for raw in rec(items):
-        yield SetPartition(raw)
-
-
-def partition_coefficient(rho, M: SetPartition) -> int:
-    """Product of merge coefficients over the blocks of M; 1 on discrete M."""
-    rho = _coerce_rho(rho)
-    out = 1
-    for b in M.blocks:
-        out *= merge_coefficient(sum(rho.value(q) for q in b), len(b))
+def _orders(rho) -> dict:
+    """Marking orders q -> rho(q) as a dict on string labels, checked >= 0."""
+    out = {}
+    for q, v in dict(rho).items():
+        v = int(v)
+        if v < 0:
+            raise DomainMismatch("negative marking orders are not supported")
+        out[str(q)] = v
     return out
 
 
-def _merged_counts(rho: RhoAssignment, M: SetPartition) -> Counter:
-    """Counter i -> number of blocks with merged order i."""
-    return Counter(sum(rho.value(q) for q in b) for b in M.blocks)
-
-
-def forget_multiplicity(m_star, M: SetPartition, rho, kept=()) -> int:
-    """Fiber count of the map forgetting the labels of blocks missing ``kept``.
-
-    ``m_star`` is the merged valency profile, trivalent slot included.  The
-    count is the product over i of (m_i - [kept marks of order i])! divided
-    by (m_0 - [blocks of merged order 0])!, a falling factorial once the
-    common factors cancel.
-    """
-    rho = _coerce_rho(rho)
-    prof = m_star if isinstance(m_star, Profile) else Profile(m_star)
-    kept = {str(x) for x in kept}
-    labels = set(rho.labels())
-    if M.ground() != labels:
-        raise DomainMismatch("partition does not cover the marked labels")
-    if not kept <= labels:
-        raise DomainMismatch("kept labels must be marked")
-    if not M.splits(kept):
-        raise DomainMismatch("a block holds two kept labels")
-
-    merged = _merged_counts(rho, M)
-    tau = Counter(sum(rho.value(q) for q in M.block_of(q)) for q in kept)
-    for i in tau:
-        if i >= len(prof.m):
-            raise NegativeCount(f"profile has no vertex of valency {2 * i + 3}")
-
-    m0 = prof.m[0] if prof.m else 0
-    hi = m0 - tau.get(0, 0)
-    lo = m0 - merged.get(0, 0)
-    if lo < 0:
-        raise NegativeCount("more merged trivalent markings than trivalent slots")
-    out = 1
-    for t in range(lo + 1, hi + 1):
-        out *= t
-    for i in range(1, len(prof.m)):
-        d = prof.m[i] - tau.get(i, 0)
-        if d < 0:
-            raise NegativeCount(f"kept markings exceed the valency-{2 * i + 3} count")
-        out *= factorial(d)
-    return out
+def _set_partitions(items):
+    """Yield every partition of the list ``items`` as a list of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for sub in _set_partitions(rest):
+        yield [[first]] + sub
+        for k in range(len(sub)):
+            yield sub[:k] + [[first] + sub[k]] + sub[k + 1:]
 
 
 # --- opaque class symbols -------------------------------------------------------
@@ -300,16 +141,19 @@ def valency_class(valencies, tau=None, weight=None) -> TautPoly:
     return symbol(name, weight)
 
 
-def tails_class(M: SetPartition, rho, weight=None) -> TautPoly:
-    """Locus where each block's labels sit on a bubble at one merged vertex."""
-    rho = _coerce_rho(rho)
-    if M.ground() != set(rho.labels()):
-        raise DomainMismatch("partition does not cover the marked labels")
-    parts = []
-    for b in M.blocks:
-        parts.append(".".join(sorted(b)) + "=" + str(sum(rho.value(q) for q in b)))
+def tails_class(blocks, rho, weight=None) -> TautPoly:
+    """Locus where each block's labels sit on a bubble at one merged vertex.
+
+    ``blocks`` partition the marked labels; the name lists each block sorted,
+    and the blocks sorted by their sorted label lists.
+    """
+    rho = _orders(rho)
+    blocks = sorted(sorted(str(q) for q in b) for b in blocks)
+    if not all(blocks) or sorted(q for b in blocks for q in b) != sorted(rho):
+        raise DomainMismatch("blocks do not partition the marked labels")
+    parts = [".".join(b) + "=" + str(sum(rho[q] for q in b)) for b in blocks]
     if weight is None:
-        weight = sum(rho.value(q) + 1 for q in rho.labels())
+        weight = sum(v + 1 for v in rho.values())
     return symbol("tails;" + "/".join(parts), weight)
 
 
@@ -404,13 +248,13 @@ def merge_relation(g, P, rho, kept=()) -> Relation:
     partitions separating the kept labels and each term also picks up its
     forgetful fiber count.
     """
-    rho = _coerce_rho(rho)
+    rho = _orders(rho)
     holes = [str(p) for p in P]
     if not holes:
         raise InconsistentProfile("need at least one hole")
     if len(set(holes)) != len(holes):
         raise DomainMismatch("duplicate hole labels")
-    labels = set(rho.labels())
+    labels = set(rho)
     if labels & set(holes):
         raise DomainMismatch("marking labels collide with hole labels")
     kept = {str(x) for x in kept}
@@ -419,46 +263,67 @@ def merge_relation(g, P, rho, kept=()) -> Relation:
 
     n = len(holes)
     total = 4 * g - 4 + 2 * n
-    spent = sum(2 * rho.value(q) + 1 for q in labels)
-    base_m0 = total - spent
-    if base_m0 < rho.count(0):
+    spent = sum(2 * v + 1 for v in rho.values())
+    if total - spent < sum(1 for v in rho.values() if v == 0):
         raise InconsistentProfile(
             f"profile needs {spent} of 4g-4+2n = {total} plus a trivalent slot per order-0 label"
         )
 
     scale = 1
-    for q in labels:
-        scale *= 2 ** (rho.value(q) + 1) * double_factorial(2 * rho.value(q) + 1)
+    for v in rho.values():
+        scale *= 2 ** (v + 1) * double_factorial(2 * v + 1)
     lhs = TautPoly.constant(scale)
     for q in sorted(kept):
-        lhs = lhs * psi(q) ** (rho.value(q) + 1)
-    lhs = lhs * kappa_cycle_sum([rho.value(q) for q in sorted(labels - kept)])
+        lhs = lhs * psi(q) ** (rho[q] + 1)
+    unkept = [rho[q] for q in sorted(labels - kept)]
+    lhs = lhs * kappa_cycle_sum(unkept)
 
     rhs = TautPoly()
     if kept == labels:
-        for M in all_partitions(labels):
-            if M.is_discrete():
-                vals = [2 * rho.value(q) + 3 for q in labels]
-                term = valency_class(vals, rho.as_dict())
+        # one tails symbol per labelled partition, so walk them all
+        for blocks in _set_partitions(sorted(labels)):
+            if len(blocks) == len(labels):
+                term = valency_class([2 * v + 3 for v in rho.values()], rho)
             else:
-                term = partition_coefficient(rho, M) * tails_class(M, rho)
+                coeff = 1
+                for b in blocks:
+                    coeff *= merge_coefficient(sum(rho[q] for q in b), len(b))
+                term = coeff * tails_class(blocks, rho)
             rhs = rhs + term
         return Relation(lhs, rhs)
 
-    for M in all_partitions(labels):
-        if not M.splits(kept):
-            continue
-        merged = _merged_counts(rho, M)
-        # trivalent vertices (marked ones included) soak up the leftover weight
-        m0 = total - sum((2 * i + 1) * cnt for i, cnt in merged.items() if i >= 1)
-        size = max((i for i in merged if i >= 1), default=0) + 1
-        m_star = Profile([m0] + [merged.get(i, 0) for i in range(1, size)])
-        mult = forget_multiplicity(m_star, M, rho, kept)
-        tau = {q: sum(rho.value(x) for x in M.block_of(q)) for q in kept}
-        vals = [2 * i + 3 for i, cnt in merged.items() if i >= 1 for _ in range(cnt)]
-        vals += [3] * sum(1 for v in tau.values() if v == 0)
-        term = valency_class(vals, tau)
-        rhs = rhs + mult * partition_coefficient(rho, M) * term
+    # A term depends only on each kept label's merged order and on the block
+    # sums of the blocks without a kept label, so both are summed by value:
+    # each kept label picks its unkept companions as a sub-multiset, and
+    # ``_partition_sums`` partitions what is left.
+    picks = Counter({((), tuple(unkept)): 1})
+    for q in sorted(kept):
+        step = Counter()
+        for (tau, rest), w in picks.items():
+            for inside, outside, ways in _sub_multisets(rest):
+                s = rho[q] + sum(inside)
+                step[tau + ((q, s),), outside] += w * ways * merge_coefficient(s, 1 + len(inside))
+        picks = step
+
+    loci = Counter()  # (valencies, kept label -> merged order) -> coefficient
+    for (tau, rest), w in picks.items():
+        held = Counter(s for _, s in tau)
+        for sums, weight in _partition_sums(rest, merge_coefficient).items():
+            merged = held + Counter(sums)
+            # trivalent vertices (marked ones included) soak up the leftover weight
+            m0 = total - sum((2 * i + 1) * c for i, c in merged.items() if i >= 1)
+            # fibers of forgetting the unkept labels: a falling factorial on the
+            # free trivalent slots, a factorial per larger valency
+            mult = 1
+            for t in range(m0 - merged[0] + 1, m0 - held[0] + 1):
+                mult *= t
+            for i, c in merged.items():
+                if i >= 1:
+                    mult *= factorial(c - held[i])
+            vals = [2 * i + 3 for i, c in sorted(merged.items()) if i >= 1 for _ in range(c)]
+            loci[tuple(vals + [3] * held[0]), tau] += mult * w * weight
+    for (vals, tau), c in loci.items():
+        rhs = rhs + c * valency_class(vals, dict(tau))
     return Relation(lhs, rhs)
 
 
@@ -555,12 +420,13 @@ def ambient_genus(rho, n_holes=1) -> int:
     Each label of order r needs a (2r+3)-valent vertex, and order-0 labels
     additionally need a trivalent slot left over.
     """
-    rho = _coerce_rho(rho)
+    rho = _orders(rho)
     n = int(n_holes)
     if n < 1:
         raise DomainMismatch("need at least one hole")
-    spent = sum(2 * rho.value(q) + 1 for q in rho.labels())
-    g = max(0, -(-(spent + rho.count(0) + 4 - 2 * n) // 4))
+    spent = sum(2 * v + 1 for v in rho.values())
+    zeros = sum(1 for v in rho.values() if v == 0)
+    g = max(0, -(-(spent + zeros + 4 - 2 * n) // 4))
     while 4 * g - 4 + 2 * n <= 0:
         g += 1
     return g

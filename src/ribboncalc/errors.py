@@ -76,10 +76,6 @@ class EvenInput(RibbonError):
     """Double factorial of an even integer requested."""
 
 
-class NegativeCount(RibbonError):
-    """A factorial argument went negative (inconsistent partition data)."""
-
-
 # --- piecewise-linear forms --------------------------------------------------
 
 class ZeroPerimeter(RibbonError):

@@ -23,8 +23,9 @@ subsets).
 interchangeable: it groups the subsets of a labelled multiset by the
 sub-multiset they pick.  The rooted-map count of ``enumeration`` uses it,
 and so does ``_partition_sums``, which sums over the set partitions of a
-labelled multiset by their block sums for the kappa cycle sums and the
-kappa solver.
+labelled multiset by their block sums for the kappa cycle sums, the kappa
+solver and the merging relations.  ``combclasses.merge_relation`` also
+calls ``_sub_multisets`` itself, to pick each kept label's companions.
 """
 
 from __future__ import annotations

@@ -54,11 +54,10 @@ STABLE_BEARING = "stable-bearing"
 
 
 def _normalize_edges(g: RibbonGraph, Z):
-    known = set(g.edges())
     out = set()
     for e in Z:
         e = tuple(sorted(e))
-        if e not in known:
+        if len(e) != 2 or g.sigma1.get(e[0]) != e[1]:
             raise NoSuchEdge(f"{e!r} is not an edge of the graph")
         out.add(e)
     return out
@@ -349,9 +348,6 @@ class _Piece:
         self.exc_vertices = dict(exc_vertices)
         self.order = order
 
-    def edges(self):
-        return set(self.graph.edges())
-
 
 def _smooth_unmarked_bivalents(graph: RibbonGraph, keep_orbits) -> RibbonGraph:
     """Splice out bivalent vertices whose orbit is not in ``keep_orbits``."""
@@ -556,21 +552,19 @@ def build_stable(
         if not znext:
             raise NotPermissible("collapse subsets must be nonempty")
         wanted = {tuple(sorted(e)) for e in znext}
-        available = set()
-        for piece in layer:
-            available |= piece.edges()
-        stray = wanted - available
+        pieces = [(piece, set(piece.graph.edges())) for piece in layer]
+        stray = wanted.difference(*(edges for _, edges in pieces))
         if stray:
             raise NotPermissible(
                 f"{sorted(stray)[0]!r} is not an edge of the current stage"
             )
         next_layer = []
-        for piece in layer:
-            zr = wanted & piece.edges()
+        for piece, edges in pieces:
+            zr = wanted & edges
             if not zr:
                 final.append(piece)
                 continue
-            if zr == piece.edges():
+            if zr == edges:
                 raise NotPermissible("a stage may not swallow a whole component")
             finished, spawned = _quotient_piece(piece, zr, tokens)
             final.extend(finished)

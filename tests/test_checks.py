@@ -12,6 +12,36 @@ def test_cluster_census_agrees_three_ways():
     )
 
 
+def test_relation_agrees_with_the_solver():
+    assert checks.check_relation_vs_solver() == (
+        True,
+        "pair locus from the relation: 72*k1^2 - 348*k2; direct solve: 72*k1^2 - 348*k2",
+    )
+
+
+def test_polynomial_goldens_reproduce():
+    assert checks.check_polynomial_goldens() == (
+        True,
+        "12*k1 and the m1=3 polynomial reproduced; "
+        "two-vertex formula agrees at [(1, 1), (1, 2), (2, 2), (1, 3)]",
+    )
+
+
+def test_leading_coefficients_obey_the_product_rule():
+    assert checks.check_leading_coefficients() == (
+        True,
+        "7 profiles of weight <= 6 obey the coefficient product rule",
+    )
+
+
+def test_euler_characteristics_match_both_closed_forms():
+    assert checks.check_euler_characteristics() == (
+        True,
+        "all 14 (g,n) with at most 30 sides match -B_2g/2g and the Harer-Zagier step; "
+        "(2,1) = 1/120, (3,1) = -1/252",
+    )
+
+
 def test_fiber_integrals_obey_both_laws():
     assert checks.check_fiber_integrals() == (
         True,

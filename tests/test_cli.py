@@ -187,6 +187,75 @@ class TestKappa:
         )
 
 
+class TestRelation:
+    # text output and the sha256 of the --json output for each argument list
+    GOLDEN = {
+        ("--rho", "1,2,1,1"): (
+            "lhs = 207360*k1^3*k2 + 622080*k1^2*k3 + 622080*k1*k2^2 + 1244160*k1*k4"
+            " + 1036800*k2*k3 + 1244160*k5\n"
+            "rhs = 429*[locus_11,5|5] + 3315*[locus_13|5] + 6*[locus_7,5,5,5|5]"
+            " + 42*[locus_7,7,5|5] + 54*[locus_9,5,5|5] + 288*[locus_9,7|5]\n",
+            "ef8c072060b64ff952e3084a51d7c6e715738f1e7608436959b7f7bbcfc3c6e7",
+        ),
+        ("--rho", "1,1,1,1,1", "--keep", "q1,q2"): (
+            "lhs = 248832*k1^3*psi(q1)^2*psi(q2)^2 + 746496*k1*k2*psi(q1)^2*psi(q2)^2"
+            " + 497664*k3*psi(q1)^2*psi(q2)^2\n"
+            "rhs = 2145*[locus_11,5;q1=1,q2=4|7] + 2145*[locus_11,5;q1=4,q2=1|7]"
+            " + 6*[locus_5,5,5,5,5;q1=1,q2=1|7] + 21*[locus_7,5,5,5;q1=1,q2=1|7]"
+            " + 42*[locus_7,5,5,5;q1=1,q2=2|7] + 42*[locus_7,5,5,5;q1=2,q2=1|7]"
+            " + 147*[locus_7,7,5;q1=1,q2=2|7] + 147*[locus_7,7,5;q1=2,q2=1|7]"
+            " + 294*[locus_7,7,5;q1=2,q2=2|7] + 99*[locus_9,5,5;q1=1,q2=1|7]"
+            " + 297*[locus_9,5,5;q1=1,q2=3|7] + 297*[locus_9,5,5;q1=3,q2=1|7]"
+            " + 2079*[locus_9,7;q1=2,q2=3|7] + 2079*[locus_9,7;q1=3,q2=2|7]\n",
+            "05d6f5784048782eaf7dbff82701770ae01e2e8f1bb8b8a0a857ae7b2f20bc97",
+        ),
+        ("--rho", "1,1,1", "--keep", "q1,q2,q3"): (
+            "lhs = 1728*psi(q1)^2*psi(q2)^2*psi(q3)^2\n"
+            "rhs = [locus_5,5,5;q1=1,q2=1,q3=1|6] + 99*[tails;q1.q2.q3=3|6]"
+            " + 7*[tails;q1.q2=2/q3=1|6] + 7*[tails;q1.q3=2/q2=1|6]"
+            " + 7*[tails;q1=1/q2.q3=2|6]\n",
+            "53990a18119f693254bbf5410d43d280aa4fa72a681dce937f6a6fcf6a3f294c",
+        ),
+        ("--rho", "0,1", "--labels", "p,p2"): (
+            "lhs = 24*k0*k1 + 24*k1\nrhs = 10*[locus_5|1]\n",
+            "9e746fec9b0a1e17f6b9fb3b966f2e36752b04eb50c9c481a812a08223783c09",
+        ),
+    }
+
+    @pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+    def test_text(self, capsys, argv):
+        assert run(capsys, "relation", *argv) == (0, self.GOLDEN[argv][0], "")
+
+    @pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+    def test_json(self, capsys, argv):
+        code, out, err = run(capsys, "relation", *argv, "--json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[argv][1]
+        payload = json.loads(out)
+        assert set(payload) == {"g", "holes", "rho", "keep", "lhs", "rhs"}
+
+    def test_negative_order_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "relation", "--rho", "-1")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "DomainMismatch",
+            "message": "negative marking orders are not supported",
+        }
+
+    def test_genus_too_small_is_inconsistent(self, capsys):
+        code, out, err = run(capsys, "relation", "--rho", "1", "--g", "0")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "InconsistentProfile",
+            "message": "profile needs 3 of 4g-4+2n = -2 plus a trivalent slot per order-0 label",
+        }
+
+    def test_keeping_an_unknown_label_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "relation", "--rho", "1,1", "--keep", "q9")
+        assert (code, out) == (64, "")
+        assert err == "usage error: --keep names 'q9'; labels are ['q1', 'q2']\n"
+
+
 class TestFiber:
     def test_disk_text(self, capsys):
         assert run(capsys, "fiber", "--kind", "disk", "--r", "3") == (0, "1/1680\n", "")

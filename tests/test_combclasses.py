@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from math import factorial
 
 import pytest
@@ -8,34 +9,124 @@ from hypothesis import strategies as st
 
 from ribboncalc import combclasses
 from ribboncalc.combclasses import (
-    RhoAssignment,
-    SetPartition,
-    all_partitions,
     ambient_genus,
     ambient_surface,
     delta_class,
     double_factorial,
-    forget_multiplicity,
     kappa_polynomial,
     merge_coefficient,
     merge_relation,
     node_class,
     one_vertex_relation,
-    partition_coefficient,
     tails_class,
     two_vertex_check,
     valency_class,
 )
 from ribboncalc.enumeration import Profile
-from ribboncalc.errors import (
-    DomainMismatch,
-    EvenInput,
-    InconsistentProfile,
-    NegativeCount,
+from ribboncalc.errors import DomainMismatch, EvenInput, InconsistentProfile
+from ribboncalc.tautring import (
+    ONE,
+    TautPoly,
+    kappa,
+    kappa_cycle_sum,
+    map_generators,
+    psi,
+    symbol,
 )
-from ribboncalc.tautring import ONE, TautPoly, kappa, kappa_cycle_sum, map_generators, psi
 
 BELL = [1, 1, 2, 5, 15, 52]
+
+
+def set_partitions(labels):
+    """Oracle: every partition of the labels (Bell-number many), each block
+    sorted and the blocks sorted by their sorted label lists."""
+    items = sorted({str(x) for x in labels})
+
+    def rec(rest):
+        if not rest:
+            yield []
+            return
+        first, tail = rest[0], rest[1:]
+        for sub in rec(tail):
+            yield [[first]] + sub
+            for k in range(len(sub)):
+                yield sub[:k] + [sub[k] + [first]] + sub[k + 1:]
+
+    for raw in rec(items):
+        yield sorted(sorted(b) for b in raw)
+
+
+def block_coefficient(rho, blocks):
+    """Product of merge coefficients over the blocks; 1 on the discrete partition."""
+    out = 1
+    for b in blocks:
+        out *= merge_coefficient(sum(rho[q] for q in b), len(b))
+    return out
+
+
+def merge_relation_by_set_partitions(g, P, rho, kept=()):
+    """Oracle: the merging relation walking all Bell(m) labelled partitions."""
+    clean = {}
+    for q, v in dict(rho).items():
+        if int(v) < 0:
+            raise DomainMismatch("negative marking orders are not supported")
+        clean[str(q)] = int(v)
+    rho = clean
+    holes = [str(p) for p in P]
+    if not holes:
+        raise InconsistentProfile("need at least one hole")
+    if len(set(holes)) != len(holes):
+        raise DomainMismatch("duplicate hole labels")
+    labels = set(rho)
+    if labels & set(holes):
+        raise DomainMismatch("marking labels collide with hole labels")
+    kept = {str(x) for x in kept}
+    if not kept <= labels:
+        raise DomainMismatch("kept labels must be marked")
+
+    total = 4 * g - 4 + 2 * len(holes)
+    spent = sum(2 * v + 1 for v in rho.values())
+    if total - spent < sum(1 for v in rho.values() if v == 0):
+        raise InconsistentProfile(
+            f"profile needs {spent} of 4g-4+2n = {total} plus a trivalent slot per order-0 label"
+        )
+    lhs = TautPoly.constant(1)
+    for v in rho.values():
+        lhs = lhs * (2 ** (v + 1) * double_factorial(2 * v + 1))
+    for q in sorted(kept):
+        lhs = lhs * psi(q) ** (rho[q] + 1)
+    lhs = lhs * kappa_cycle_sum([rho[q] for q in sorted(labels - kept)])
+
+    rhs = TautPoly()
+    loci = Counter()  # (valencies, marked orders) -> coefficient
+    for blocks in set_partitions(labels):
+        if kept == labels:
+            if len(blocks) == len(labels):
+                rhs = rhs + valency_class([2 * v + 3 for v in rho.values()], rho)
+            else:
+                name = "/".join(".".join(b) + "=" + str(sum(rho[q] for q in b)) for b in blocks)
+                tails = symbol("tails;" + name, sum(v + 1 for v in rho.values()))
+                rhs = rhs + block_coefficient(rho, blocks) * tails
+            continue
+        if any(len(kept.intersection(b)) > 1 for b in blocks):
+            continue
+        block_sum = {q: sum(rho[x] for x in b) for b in blocks for q in b}
+        merged = Counter(sum(rho[q] for q in b) for b in blocks)
+        tau = {q: block_sum[q] for q in kept}
+        held = Counter(tau.values())
+        # forgetting the unkept labels: (m0 - held_0)! / (m0 - merged_0)! on the
+        # trivalent slots, and (m_i - held_i)! on each larger valency
+        m0 = total - sum((2 * i + 1) * cnt for i, cnt in merged.items() if i >= 1)
+        mult = factorial(m0 - held[0]) // factorial(m0 - merged[0])
+        for i, cnt in merged.items():
+            if i >= 1:
+                mult *= factorial(cnt - held[i])
+        vals = [2 * i + 3 for i, cnt in merged.items() if i >= 1 for _ in range(cnt)]
+        vals += [3] * held[0]
+        loci[tuple(sorted(vals)), tuple(sorted(tau.items()))] += mult * block_coefficient(rho, blocks)
+    for (vals, tau), c in loci.items():
+        rhs = rhs + c * valency_class(vals, dict(tau))
+    return combclasses.Relation(lhs, rhs)
 
 
 def gen_of(sym_poly):
@@ -44,6 +135,12 @@ def gen_of(sym_poly):
     ((gen, exp),) = mono
     assert exp == 1
     return gen
+
+
+def coefficient(poly, sym_poly):
+    """The coefficient in ``poly`` of the one-term polynomial ``sym_poly``."""
+    ((mono, _),) = sym_poly.terms().items()
+    return poly.terms().get(mono, 0)
 
 
 def tails_with_weight(w):
@@ -88,95 +185,75 @@ class TestArithmetic:
         assert merge_coefficient(r, h) * bottom == top
 
     def test_partition_coefficient(self):
+        # an all-kept relation weights each partition by the product of its
+        # blocks' merge coefficients, 1 on the discrete one
         rho = {"q1": 1, "q2": 1, "q3": 1}
-        assert partition_coefficient(rho, SetPartition.discrete(rho)) == 1
-        assert partition_coefficient(rho, SetPartition([["q1", "q2"], ["q3"]])) == 7
-        assert partition_coefficient(rho, SetPartition([["q1", "q2", "q3"]])) == 99
+        rel = merge_relation(3, ["p"], rho, kept=rho)
+        assert coefficient(rel.rhs, valency_class([5, 5, 5], rho)) == 1
+        assert coefficient(rel.rhs, tails_class([["q1", "q2"], ["q3"]], rho)) == 7
+        assert coefficient(rel.rhs, tails_class([["q1", "q2", "q3"]], rho)) == 99
 
 
 class TestPartitions:
     def test_bell_counts(self):
+        # an all-kept relation has one term per labelled partition
         for n in range(6):
-            labels = [f"x{i}" for i in range(n)]
-            assert sum(1 for _ in all_partitions(labels)) == BELL[n]
+            rho = {f"x{i}": 1 for i in range(n)}
+            rel = merge_relation(ambient_genus(rho), ["p"], rho, kept=rho)
+            assert len(rel.rhs.terms()) == BELL[n]
 
     def test_every_partition_covers(self):
-        labels = {"a", "b", "c", "d"}
-        for M in all_partitions(labels):
-            assert M.ground() == labels
-
-    def test_splits(self):
-        M = SetPartition([["a", "b"], ["c"]])
-        assert M.splits({"a", "c"})
-        assert M.splits(set())
-        assert not M.splits({"a", "b"})
-        assert SetPartition.discrete("abc").splits({"a", "b", "c"})
-
-    def test_block_of(self):
-        M = SetPartition([["a", "b"], ["c"]])
-        assert M.block_of("b") == frozenset({"a", "b"})
-        with pytest.raises(DomainMismatch):
-            M.block_of("z")
+        labels = ["a", "b", "c", "d"]
+        seen = set()
+        for blocks in combclasses._set_partitions(labels):
+            assert sorted(q for b in blocks for q in b) == labels
+            seen.add(frozenset(frozenset(b) for b in blocks))
+        assert len(seen) == BELL[4]
 
     def test_validation(self):
-        with pytest.raises(DomainMismatch):
-            SetPartition([["a"], ["a", "b"]])
-        with pytest.raises(DomainMismatch):
-            SetPartition([[]])
+        rho = {"a": 1, "b": 0}
+        for bad in ([["a"], ["a", "b"]], [["a", "b"], []], [["a"]]):
+            with pytest.raises(DomainMismatch):
+                tails_class(bad, rho)
 
     def test_rho_assignment(self):
-        rho = RhoAssignment({"q2": 0, "q1": 3})
-        assert rho.labels() == ("q1", "q2")
-        assert rho.value("q1") == 3
-        assert rho.count(0) == 1 and rho.count(1) == 0
-        assert rho.total() == 3
-        assert "q2" in rho and "p" not in rho
-        with pytest.raises(DomainMismatch):
-            RhoAssignment({"q": -1})
-        with pytest.raises(DomainMismatch):
-            rho.value("absent")
+        # labels are read as strings and orders as integers
+        a = merge_relation(3, ["p"], {2: "1", 1: 3}, kept=[2])
+        assert a == merge_relation(3, ["p"], {"2": 1, "1": 3}, kept=["2"])
+        for call in (
+            lambda: merge_relation(2, ["p"], {"q": -1}),
+            lambda: merge_relation(2, ["p"], {"q1": 1, "q2": -2}, kept=["q1"]),
+            lambda: ambient_genus({"q": -1}),
+        ):
+            with pytest.raises(DomainMismatch, match="negative marking orders are not supported"):
+                call()
 
 
 class TestForgetMultiplicity:
+    # the fiber count of forgetting the unkept labels, read off merge_relation
     def test_discrete_nothing_kept(self):
         # two order-1 labels: the profile factor 2! survives
-        rho = {"q1": 1, "q2": 1}
-        M = SetPartition.discrete(rho)
-        assert forget_multiplicity(Profile([5, 2]), M, rho) == 2
+        rel = merge_relation(2, ["p"], {"q1": 1, "q2": 1})
+        assert coefficient(rel.rhs, valency_class([5, 5])) == 2
 
     def test_merged_pair(self):
-        rho = {"q1": 1, "q2": 1}
-        M = SetPartition([["q1", "q2"]])
-        assert forget_multiplicity(Profile([5, 0, 1]), M, rho) == 1
+        # one fiber, times the merge coefficient 7
+        rel = merge_relation(2, ["p"], {"q1": 1, "q2": 1})
+        assert coefficient(rel.rhs, valency_class([7])) == 7
 
     def test_everything_kept_cancels(self):
         rho = {"q1": 1, "q2": 1}
-        M = SetPartition.discrete(rho)
-        assert forget_multiplicity(Profile([5, 2]), M, rho, kept=("q1", "q2")) == 1
+        rel = merge_relation(2, ["p"], rho, kept=("q1", "q2"))
+        assert coefficient(rel.rhs, valency_class([5, 5], rho)) == 1
 
     def test_trivalent_marking_counts_slots(self):
-        rho = {"q": 0}
-        M = SetPartition.discrete(rho)
-        assert forget_multiplicity(Profile([4]), M, rho) == 4
+        # one order-0 label on the 4 trivalent vertices of (1, 2)
+        assert merge_relation(1, ["p", "p2"], {"q": 0}).rhs == TautPoly.constant(4)
 
     def test_mixed_profile_factor(self):
-        rho = {"a": 1, "b": 1, "c": 2}
-        M = SetPartition.discrete(rho)
-        assert forget_multiplicity(Profile([1, 2, 1]), M, rho) == 2
-
-    def test_negative_counts(self):
-        rho = {"q": 1}
-        M = SetPartition.discrete(rho)
-        with pytest.raises(NegativeCount):
-            forget_multiplicity(Profile([3]), M, rho, kept=("q",))
-
-    def test_bad_inputs(self):
-        rho = {"q1": 1, "q2": 1}
-        with pytest.raises(DomainMismatch):
-            forget_multiplicity(Profile([5, 2]), SetPartition([["q1"]]), rho)
-        M = SetPartition([["q1", "q2"]])
-        with pytest.raises(DomainMismatch):
-            forget_multiplicity(Profile([5, 0, 1]), M, rho, kept=("q1", "q2"))
+        # profile [1, 2, 1] on (3, 2): the two 5-valent vertices give 2!
+        rel = merge_relation(3, ["p", "p2"], {"a": 1, "b": 1, "c": 2})
+        assert coefficient(rel.rhs, valency_class([7, 5, 5])) == 2
 
 
 class TestSymbols:
@@ -201,10 +278,15 @@ class TestSymbols:
 
     def test_tails_class(self):
         rho = {"q1": 1, "q2": 1, "q3": 0}
-        M = SetPartition([["q1", "q2"], ["q3"]])
-        assert tails_class(M, rho).text() == "[tails;q1.q2=2/q3=0|5]"
+        assert tails_class([["q2", "q1"], ["q3"]], rho).text() == "[tails;q1.q2=2/q3=0|5]"
+        assert tails_class([["q3"], ["q1", "q2"]], rho) == tails_class([["q1", "q2"], ["q3"]], rho)
         with pytest.raises(DomainMismatch):
-            tails_class(SetPartition([["q1"]]), rho)
+            tails_class([["q1"]], rho)
+
+    def test_tails_blocks_sort_by_label_lists(self):
+        # "a" < "a!" as labels, but "a!" < "a.b" as joined strings
+        rho = {"a": 1, "b": 0, "a!": 2}
+        assert tails_class([["a!"], ["b", "a"]], rho).text() == "[tails;a.b=1/a!=2|6]"
 
     def test_node_class(self):
         assert node_class(3, 1).text() == "[node_1,3|2]"
@@ -280,9 +362,8 @@ class TestMergeRelation:
     def test_everything_kept_is_the_unforgotten_display(self):
         rel = merge_relation(2, ["p"], {"q1": 1, "q2": 1}, kept=["q1", "q2"])
         assert rel.lhs == 144 * psi("q1") ** 2 * psi("q2") ** 2
-        merged = SetPartition([["q1", "q2"]])
         expected = valency_class([5, 5], {"q1": 1, "q2": 1}) + 7 * tails_class(
-            merged, {"q1": 1, "q2": 1}
+            [["q1", "q2"]], {"q1": 1, "q2": 1}
         )
         assert rel.rhs == expected
 
@@ -345,6 +426,71 @@ class TestMergeRelation:
             merge_relation(2, ["q"], {"q": 1})
         with pytest.raises(DomainMismatch):
             merge_relation(2, ["p", "p"], {"q": 1})
+
+
+def _outcome(call):
+    """What a relation call gives, as text, JSON and error type and message."""
+    try:
+        rel = call()
+    except Exception as err:  # the error itself is compared
+        return type(err).__name__, str(err)
+    return rel.lhs, rel.rhs, rel.lhs.text(), rel.rhs.text(), rel.lhs.to_json(), rel.rhs.to_json()
+
+
+# the second naming has labels whose string order differs from the order of
+# the tails blocks they form ("a" < "a!" but "a!" < "a.b"); up to four labels
+NAMINGS = [(["q1", "q2", "q3", "q4", "q5"], 5), (["a", "a!", "b", "a!!"], 4)]
+CASES = [(i, size) for i, (_, top) in enumerate(NAMINGS) for size in range(top + 1)]
+
+
+class TestMergeRelationAgainstSetPartitions:
+    def test_oracle_counts_bell_partitions(self):
+        for n in range(6):
+            assert sum(1 for _ in set_partitions(f"x{i}" for i in range(n))) == BELL[n]
+
+    @pytest.mark.parametrize("naming,size", CASES)
+    def test_every_small_relation_matches(self, naming, size):
+        # every multiset of orders 0..3 on `size` labels, every kept subset,
+        # one and two holes, and the genera around the least one
+        names = NAMINGS[naming][0][:size]
+        for orders in combinations_with_replacement(range(4), size):
+            rho = dict(zip(names, orders))
+            for r in range(size + 1):
+                for kept in combinations(sorted(rho), r):
+                    for holes in (["p"], ["p", "p2"]):
+                        g = ambient_genus(rho, len(holes))
+                        for genus in (g - 1, g, g + 1):
+                            args = (genus, holes, rho, kept)
+                            want = _outcome(lambda: merge_relation_by_set_partitions(*args))
+                            assert _outcome(lambda: merge_relation(*args)) == want, args
+
+    def test_odd_inputs_match(self):
+        cases = [
+            (2, ["p"], {"q": -1}, ()),
+            (2, ["p"], {1: 1, 2: 1}, ("1",)),
+            (2, ["p"], {"q": 1}, ("r",)),
+            (2, ["q"], {"q": 1}, ()),
+            (2, [], {"q": 1}, ()),
+            (2, ["p", "p"], {"q": 1}, ()),
+            (3, ["p"], {}, ()),
+        ]
+        for args in cases:
+            want = _outcome(lambda: merge_relation_by_set_partitions(*args))
+            assert _outcome(lambda: merge_relation(*args)) == want, args
+
+    @pytest.mark.parametrize("k", [6, 7, 8])
+    def test_solved_loci_close_the_relation_beyond_the_walk(self, k):
+        # the Bell walk takes 0.03-0.7 s here; the relation must still close
+        rho = {f"q{i}": 1 for i in range(k)}
+        rel = merge_relation(ambient_genus(rho), ["p"], rho)
+        mapping = {}
+        for mono in rel.rhs.terms():
+            ((gen, _),) = mono
+            vals = [int(v) for v in gen[1].removeprefix("locus_").split(",")]
+            prof = Profile.from_valencies(vals)
+            mapping[gen] = kappa_polynomial(prof, (prof.weight() + 5) // 4, 1)
+        assert len(mapping) == len(rel.rhs.terms()) > 1
+        assert map_generators(rel.rhs, mapping) == rel.lhs
 
 
 class TestKappaPolynomial:
@@ -424,21 +570,20 @@ def solve_by_set_partitions(tail, memo):
     for i, mi in enumerate(tail, start=1):
         for _ in range(mi):
             rho[f"v{len(rho) + 1}"] = i
-    rho = RhoAssignment(rho)
-    labels = rho.labels()
+    labels = sorted(rho)
     scale = 1
     for q in labels:
-        scale *= 2 ** (rho.value(q) + 1) * double_factorial(2 * rho.value(q) + 1)
-    acc = scale * kappa_cycle_sum([rho.value(q) for q in labels])
-    for M in all_partitions(labels):
-        if M.is_discrete():
+        scale *= 2 ** (rho[q] + 1) * double_factorial(2 * rho[q] + 1)
+    acc = scale * kappa_cycle_sum([rho[q] for q in labels])
+    for blocks in set_partitions(labels):
+        if len(blocks) == len(labels):
             continue
-        merged = Counter(sum(rho.value(q) for q in b) for b in M.blocks)
+        merged = Counter(sum(rho[q] for q in b) for b in blocks)
         sub_tail = tuple(merged.get(i, 0) for i in range(1, max(merged) + 1))
         mult = 1
         for cnt in merged.values():
             mult *= factorial(cnt)
-        acc = acc - mult * partition_coefficient(rho, M) * solve_by_set_partitions(sub_tail, memo)
+        acc = acc - mult * block_coefficient(rho, blocks) * solve_by_set_partitions(sub_tail, memo)
     denom = 1
     for mi in tail:
         denom *= factorial(mi)

@@ -1,6 +1,7 @@
 """Result-guarding invariants raise ``BrokenInvariant``, so ``python -O`` keeps them."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -43,6 +44,14 @@ def test_no_unused_import(name):
         if binding not in used and binding not in exported
     )
     assert unused == [], f"{name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("name", GUARDED)
+def test_all_names_resolve(name):
+    stem = pathlib.Path(name).stem
+    module = importlib.import_module("ribboncalc" if stem == "__init__" else f"ribboncalc.{stem}")
+    dangling = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert dangling == [], f"{name} exports names it does not define: {dangling}"
 
 
 def test_broken_invariant_is_a_domain_error():
