@@ -72,28 +72,14 @@ def check_polynomial_goldens():
 # --- 2. leading coefficients ------------------------------------------------------
 
 
-def _odd_partitions(total, largest=None):
-    """Multisets of odd numbers summing to ``total``, largest part first."""
-    if total == 0:
-        yield ()
-        return
-    if largest is None or largest > total:
-        largest = total
-    if largest % 2 == 0:
-        largest -= 1
-    part = largest
-    while part >= 1:
-        for rest in _odd_partitions(total - part, part):
-            yield (part,) + rest
-        part -= 2
-
-
 def check_leading_coefficients():
     checked = 0
     for w in (2, 4, 6):
         n = 1 if w % 4 == 2 else 2
         g = (w + 4 - 2 * n) // 4
-        for parts in _odd_partitions(w):
+        for parts in enumeration._partitions(w):
+            if any(p % 2 == 0 for p in parts):
+                continue
             m = [0] * ((max(parts) + 1) // 2)
             for p in parts:
                 m[(p - 1) // 2] += 1

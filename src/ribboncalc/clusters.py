@@ -11,14 +11,14 @@ The search splits the realizations at their bivalent vertices.  Those all
 carry the root hole, so smoothing them leaves a trivalent core whose
 admissibility filters do not feel the smoothing at all; the bivalent
 vertices come back as subdivision points on the core edges that border
-the root, with a side-count budget per cluster hole.  The cores come from
-the rooted-map generator in enumeration and the distributions are counted
+the root, with a side-count budget per cluster hole.  The cores are the
+labelled classes of enumeration, and the distributions are counted
 arithmetically, so the census stays exact without generating the
 subdivided graphs, whose bivalent vertices multiply the maps to search.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 from . import enumeration
 from .combclasses import merge_coefficient
@@ -244,37 +244,19 @@ def count_admissible(spec, max_sides=None) -> int:
         raise TooLarge(f"{total_sides} sides exceeds the limit {budget}")
 
     q_labels = [f"q{j}" for j in range(1, h + 1)]
-    if h == 1:
-        # the seed is the one-vertex circle; it already spends a bivalent
-        cores = [validate([(1, 2)], [(1, 2)])]
-        n_points = 2 * spec.excess + 2
-    else:
-        cores = enumeration._unlabeled_classes([3] * (2 * h - 2), h + 1)
-        n_points = 2 * spec.excess + 3
+    # the one-hole seed is the one-vertex circle; it already spends a bivalent
+    valencies = [2] if h == 1 else [3] * (2 * h - 2)
+    n_points = 2 * spec.excess + (2 if h == 1 else 3)
     total = 0
-    seen = set()
-    for rep in cores:
-        holes = [frozenset(hole) for hole in rep.holes()]
-        for perm in permutations(range(h + 1)):
-            orbits = {ROOT_LABEL: holes[perm[0]]}
-            for q, i in zip(q_labels, perm[1:]):
-                orbits[q] = holes[i]
-            fresh = _fresh_side_counts(rep, orbits, q_labels)
-            deficits = {
-                q: 2 * r + 3 - fresh[q] for q, r in zip(q_labels, spec.rho)
-            }
-            if any(d < 0 for d in deficits.values()):
-                continue
-            marking = Marking(rep, {l: (HOLE, o) for l, o in orbits.items()})
-            code, aut = canonical_form(rep, marking)
-            if code in seen:
-                continue
-            seen.add(code)
-            if not _admissible_core(rep, orbits, q_labels):
-                continue
-            total += _count_subdivisions(
-                rep, orbits, q_labels, deficits, n_points, aut
-            )
+    for rep, marking, aut in enumeration._marked_classes(valencies, [ROOT_LABEL, *q_labels], {}):
+        orbits = {l: orbit for l, (_, orbit) in marking.targets.items()}
+        fresh = _fresh_side_counts(rep, orbits, q_labels)
+        deficits = {q: 2 * r + 3 - fresh[q] for q, r in zip(q_labels, spec.rho)}
+        if any(d < 0 for d in deficits.values()):
+            continue
+        if not _admissible_core(rep, orbits, q_labels):
+            continue
+        total += _count_subdivisions(rep, orbits, q_labels, deficits, n_points, aut)
     return total
 
 

@@ -29,7 +29,7 @@ from math import factorial
 from typing import NamedTuple, Optional
 
 from .enumeration import Profile
-from .errors import BrokenInvariant, DomainMismatch, EvenInput, InconsistentProfile
+from .errors import BrokenInvariant, DomainMismatch, EvenInput, InconsistentProfile, TooLarge
 from .permutations import _partition_sums, _sub_multisets
 from .tautring import ONE, TautPoly, kappa, kappa_cycle_sum, psi, symbol
 
@@ -50,6 +50,9 @@ __all__ = [
     "two_vertex_check",
     "valency_class",
 ]
+
+# a relation keeping every label has Bell(m) terms: 115,975 at 10, 678,570 at 11
+MAX_KEPT_LABELS = 10
 
 
 # --- small exact arithmetic ---------------------------------------------------
@@ -244,9 +247,10 @@ def merge_relation(g, P, rho, kept=()) -> Relation:
     right-hand loci; the rest are summed out into kappa cycle sums.  With
     every label kept nothing is forgotten and the right side runs over all
     partitions of the label set, the non-discrete ones as bubble-tail loci
-    weighted by the merge coefficient alone.  Otherwise the sum runs over
-    partitions separating the kept labels and each term also picks up its
-    forgetful fiber count.
+    weighted by the merge coefficient alone; that walk is refused with
+    ``TooLarge`` past ``MAX_KEPT_LABELS`` labels.  Otherwise the sum runs
+    over partitions separating the kept labels and each term also picks up
+    its forgetful fiber count.
     """
     rho = _orders(rho)
     holes = [str(p) for p in P]
@@ -268,6 +272,8 @@ def merge_relation(g, P, rho, kept=()) -> Relation:
         raise InconsistentProfile(
             f"profile needs {spent} of 4g-4+2n = {total} plus a trivalent slot per order-0 label"
         )
+    if kept == labels and len(labels) > MAX_KEPT_LABELS:
+        raise TooLarge(f"keeping all {len(labels)} labels exceeds the limit {MAX_KEPT_LABELS}")
 
     scale = 1
     for v in rho.values():
@@ -278,9 +284,9 @@ def merge_relation(g, P, rho, kept=()) -> Relation:
     unkept = [rho[q] for q in sorted(labels - kept)]
     lhs = lhs * kappa_cycle_sum(unkept)
 
-    rhs = TautPoly()
     if kept == labels:
         # one tails symbol per labelled partition, so walk them all
+        terms = Counter()
         for blocks in _set_partitions(sorted(labels)):
             if len(blocks) == len(labels):
                 term = valency_class([2 * v + 3 for v in rho.values()], rho)
@@ -289,8 +295,8 @@ def merge_relation(g, P, rho, kept=()) -> Relation:
                 for b in blocks:
                     coeff *= merge_coefficient(sum(rho[q] for q in b), len(b))
                 term = coeff * tails_class(blocks, rho)
-            rhs = rhs + term
-        return Relation(lhs, rhs)
+            terms.update(term.terms())
+        return Relation(lhs, TautPoly(terms))
 
     # A term depends only on each kept label's merged order and on the block
     # sums of the blocks without a kept label, so both are summed by value:
@@ -322,6 +328,7 @@ def merge_relation(g, P, rho, kept=()) -> Relation:
                     mult *= factorial(c - held[i])
             vals = [2 * i + 3 for i, c in sorted(merged.items()) if i >= 1 for _ in range(c)]
             loci[tuple(vals + [3] * held[0]), tau] += mult * w * weight
+    rhs = TautPoly()
     for (vals, tau), c in loci.items():
         rhs = rhs + c * valency_class(vals, dict(tau))
     return Relation(lhs, rhs)

@@ -12,7 +12,9 @@ once, connected by construction; this inverts the root-edge decomposition
 of Walsh and Lehman cited below.  Faces are counted as boundary walks
 close, and a branch that can no longer end with n faces is cut.
 Isomorphism classes, the rooted maps up to moving the root, are collected
-by canonical form.
+by canonical form.  A labelled class's code extends the unlabelled one, so
+each class's least-code roots are found once and every labelling of its
+holes and marked vertices only compares mark codes over those roots.
 
 The Euler sum does not need the classes themselves: with sigma0 fixed, the
 isomorphism classes with a given valency list are the orbits of the
@@ -58,6 +60,8 @@ from .ribbon import (
     VERTEX,
     Marking,
     RibbonGraph,
+    _least_roots,
+    _marked_code,
     canonical_form,
     from_code,
 )
@@ -332,17 +336,16 @@ def _vertex_assignments(vertex_marks, vertices):
 
 
 def _marked_classes(valencies, hole_labels, vertex_marks):
-    n = len(hole_labels)
+    """Labelled classes by code; a labelling only breaks ties among least roots."""
     out = {}
-    for g in _unlabeled_classes(valencies, n):
-        holes = g.holes()
+    for g in _unlabeled_classes(valencies, len(hole_labels)):
+        best, relabels = _least_roots(g)
+        holes = [(HOLE, frozenset(h)) for h in g.holes()]
         vertices = g.vertices()
         for assigned_holes in _perm_iter(holes):
-            base = {
-                l: (HOLE, frozenset(h)) for l, h in zip(hole_labels, assigned_holes)
-            }
+            base = dict(zip(hole_labels, assigned_holes))
             for extra in _vertex_assignments(vertex_marks, vertices):
-                code, aut = canonical_form(g, Marking(g, base | extra))
+                code, aut = _marked_code(best, relabels, base | extra)
                 if code not in out:
                     out[code] = CellClass(*from_code(code), aut)
     return [out[c] for c in sorted(out)]

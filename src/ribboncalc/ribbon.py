@@ -354,8 +354,8 @@ class MarkedMetricGraph:
 
 # --- canonical form -----------------------------------------------------------
 
-def _bfs_code(g: RibbonGraph, marking, root):
-    """Traversal code rooted at ``root``: relabeled (sigma0, sigma1, marking)."""
+def _bfs_code(g: RibbonGraph, root):
+    """Unmarked traversal code rooted at ``root``, and its side relabeling."""
     relabel = {root: 1}
     order = [root]
     for x in order:  # appending while iterating = BFS
@@ -367,14 +367,34 @@ def _bfs_code(g: RibbonGraph, marking, root):
         raise Disconnected("canonical form needs a connected graph")
     code0 = tuple(relabel[g.sigma0[x]] for x in order)
     code1 = tuple(relabel[g.sigma1[x]] for x in order)
-    if marking is None:
-        mark_code = ()
-    else:
+    return (code0, code1), relabel
+
+
+def _least_roots(g: RibbonGraph):
+    """The least unmarked code and the relabelings of the roots attaining it."""
+    best, relabels = None, []
+    for root in g.sides:
+        code, relabel = _bfs_code(g, root)
+        if best is None or code < best:
+            best, relabels = code, [relabel]
+        elif code == best:
+            relabels.append(relabel)
+    return best, relabels
+
+
+def _marked_code(best, relabels, targets):
+    """The least code (*best, mark code) over these roots, and how many attain it."""
+    least, count = None, 0
+    for relabel in relabels:
         mark_code = tuple(
             (label, kind, min(relabel[x] for x in orb))
-            for label, (kind, orb) in sorted(marking.targets.items())
+            for label, (kind, orb) in sorted(targets.items())
         )
-    return code0, code1, mark_code
+        if least is None or mark_code < least:
+            least, count = mark_code, 1
+        elif mark_code == least:
+            count += 1
+    return (*best, least), count
 
 
 def canonical_form(g: RibbonGraph, marking: Marking | None = None):
@@ -384,18 +404,13 @@ def canonical_form(g: RibbonGraph, marking: Marking | None = None):
     relabeling commuting with both permutations and fixing every label's
     target.  |Aut| equals the number of roots attaining the least code: an
     automorphism is determined by the image of one side, so these roots form
-    a single free orbit.  The code determines the canonical graph itself:
+    a single free orbit.  The code is (code0, code1, mark code), the last a
+    (label, kind, first side) per target, so only the roots attaining the
+    least unmarked code (``_least_roots``) compete on the mark code
+    (``_marked_code``).  The code determines the canonical graph itself:
     ``from_code`` rebuilds it.
     """
-    best = None
-    count = 0
-    for root in g.sides:
-        code = _bfs_code(g, marking, root)
-        if best is None or code < best:
-            best, count = code, 1
-        elif code == best:
-            count += 1
-    return best, count
+    return _marked_code(*_least_roots(g), {} if marking is None else marking.targets)
 
 
 def from_code(code):

@@ -178,16 +178,15 @@ class TautPoly:
     # -- text and JSON forms ---------------------------------------------------------
 
     def _sorted_monomials(self):
+        # weight, then the exponent vector over the sorted generators, compared
+        # sparsely: monomials list generators in that order with positive exponents
         gens = sorted({g for m in self._terms for g, _ in m})
         index = {g: i for i, g in enumerate(gens)}
 
-        def vec(mono):
-            out = [0] * len(gens)
-            for g, e in mono:
-                out[index[g]] = e
-            return tuple(out)
+        def key(mono):
+            return _mono_weight(mono), tuple((-index[g], e) for g, e in mono)
 
-        return sorted(self._terms, key=lambda m: (_mono_weight(m), vec(m)), reverse=True)
+        return sorted(self._terms, key=key, reverse=True)
 
     def text(self) -> str:
         if not self._terms:

@@ -97,6 +97,48 @@ class TestEnumerate:
             "c7eca1f51488e7ed7407fe18c56ffa93722865a7a9200f5a049100a8e88dfbfd"
         )
 
+    # captured from one full canonical form per labelling; labelling through
+    # the least-code roots must not change a byte
+    MARKED = {
+        ("--genus", "2", "--labels", "p,q", "--profile", "3,1", "--vertex-mark", "q=5"): (
+            19,
+            "3e5d670c81d07df29d1ee1722027247ae765f6452989eeaccdb16177a2e3a5d8",
+        ),
+        (
+            "--genus", "2", "--labels", "p,q,r", "--profile", "0,2",
+            "--vertex-mark", "q=5", "--vertex-mark", "r=5",
+        ): (9, "4f5a666572d72de9f1a9a45748ea51015e301eecdf13cd61e4b97bbcb09dfebe"),
+        ("--genus", "1", "--labels", "p,q,r", "--profile", "6"): (
+            236,
+            "7bf5fd0d426145819d4ecc49e5e64ee6e874200d4656bd525e9b14775e083713",
+        ),
+    }
+
+    @pytest.mark.parametrize("argv", list(MARKED), ids=" ".join)
+    def test_json_goldens(self, capsys, argv):
+        code, out, err = run(capsys, "enumerate", *argv, "--json")
+        assert (code, err) == (0, "")
+        lines, digest = self.MARKED[argv]
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    ARGV = ("enumerate", "--genus", "0", "--labels", "p,q,r,s", "--profile", "4", "--json")
+
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path):
+        _, stdout, _ = run(capsys, *self.ARGV)
+        path = tmp_path / "cells.jsonl"
+        assert run(capsys, *self.ARGV, "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == stdout.encode()
+
+    def test_manifest_records_the_output_digest(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        code, out, err = run(capsys, *self.ARGV, "--manifest", str(path))
+        assert (code, err) == (0, "")
+        manifest = json.loads(path.read_text())
+        assert manifest["command"] == "enumerate"
+        assert manifest["parameters"]["profile"] == "4"
+        assert manifest["digest"] == hashlib.sha256(out.removesuffix("\n").encode()).hexdigest()
+
     def test_genus_two_top_cells(self, capsys):
         # 3,061,800 labelled pairings / (3^6 6!) = 35/6
         code, out, err = run(
@@ -118,6 +160,15 @@ class TestStrata:
             "",
         )
 
+    def test_manifest_records_the_output_digest(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        code, out, err = run(capsys, *self.ARGV, "--json", "--manifest", str(path))
+        assert (code, err) == (0, "")
+        manifest = json.loads(path.read_text())
+        assert manifest["command"] == "strata"
+        assert manifest["parameters"]["hole"] == "p"
+        assert manifest["digest"] == hashlib.sha256(out.removesuffix("\n").encode()).hexdigest()
+
     def test_json(self, capsys):
         code, out, err = run(capsys, *self.ARGV, "--json")
         assert (code, err) == (0, "")
@@ -136,6 +187,16 @@ class TestClusterCount:
         assert run(capsys, "cluster-count", "--rho", "1,0,0") == (
             0,
             "3-way agreement: 35\n",
+            "",
+        )
+
+    @pytest.mark.parametrize(
+        "rho,count", [("0", 1), ("3", 1), ("0,0", 3), ("2,1", 9), ("1,1,1", 99)]
+    )
+    def test_brute(self, capsys, rho, count):
+        assert run(capsys, "cluster-count", "--method", "brute", "--rho", rho) == (
+            0,
+            f"{count}\n",
             "",
         )
 
@@ -233,6 +294,26 @@ class TestRelation:
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[argv][1]
         payload = json.loads(out)
         assert set(payload) == {"g", "holes", "rho", "keep", "lhs", "rhs"}
+
+    def test_eight_kept_labels(self, capsys):
+        # 4,140 tails and locus terms, one per set partition of q1..q8
+        argv = ("relation", "--rho", "1,1,1,1,1,1,1,1", "--keep", "q1,q2,q3,q4,q5,q6,q7,q8")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "75d998a015a4f1aa3d729075e4a0f30223f91b94faab9948dcd6ab8b8973cc9d"
+        )
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bde8ce8e306d7ae3c7664dc9696ca259421fb8cbeebf848c7198faea60a276ba"
+        )
+
+    def test_eleven_kept_labels_are_too_large(self, capsys):
+        keep = ",".join(f"q{i}" for i in range(1, 12))
+        code, out, err = run(capsys, "relation", "--rho", ",".join(["1"] * 11), "--keep", keep)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "TooLarge"
 
     def test_negative_order_is_a_domain_error(self, capsys):
         code, out, err = run(capsys, "relation", "--rho", "-1")

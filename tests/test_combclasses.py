@@ -23,7 +23,7 @@ from ribboncalc.combclasses import (
     valency_class,
 )
 from ribboncalc.enumeration import Profile
-from ribboncalc.errors import DomainMismatch, EvenInput, InconsistentProfile
+from ribboncalc.errors import DomainMismatch, EvenInput, InconsistentProfile, TooLarge
 from ribboncalc.tautring import (
     ONE,
     TautPoly,
@@ -426,6 +426,25 @@ class TestMergeRelation:
             merge_relation(2, ["q"], {"q": 1})
         with pytest.raises(DomainMismatch):
             merge_relation(2, ["p", "p"], {"q": 1})
+
+    def test_keeping_every_label_is_bounded_before_any_walk(self, monkeypatch):
+        def walk(items):
+            raise AssertionError("the partitions were walked")
+
+        monkeypatch.setattr(combclasses, "_set_partitions", walk)
+        top = combclasses.MAX_KEPT_LABELS
+        assert top == 10
+        rho = {f"q{i}": 1 for i in range(1, top + 2)}
+        with pytest.raises(TooLarge):
+            merge_relation(ambient_genus(rho), ["p"], rho, kept=list(rho))
+        # forgetting one label sums by value and never walks the partitions
+        rel = merge_relation(ambient_genus(rho), ["p"], rho, kept=list(rho)[1:])
+        assert not rel.rhs.is_zero()
+
+    def test_everything_kept_has_one_term_per_partition(self):
+        rho = {f"q{i}": 1 for i in range(1, 7)}
+        rel = merge_relation(ambient_genus(rho), ["p"], rho, kept=list(rho))
+        assert len(rel.rhs.terms()) == 203  # Bell(6)
 
 
 def _outcome(call):

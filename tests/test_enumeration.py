@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -8,11 +9,14 @@ from ribboncalc.errors import DomainMismatch, InconsistentProfile, TooLarge
 from ribboncalc.ribbon import (
     HOLE,
     VERTEX,
+    Marking,
     RibbonGraph,
     _bfs_code,
     canonical_form,
     contract_edge,
+    from_code,
     genus,
+    graph_to_json,
 )
 
 
@@ -91,10 +95,55 @@ def classes_by_pairing_search(valencies, wanted):
         graph = RibbonGraph(sigma0, {x: partner[x] for x in sides}, sides)
         faces = graph.n_holes()
         if faces in rooted and graph.is_connected():
-            rooted[faces].setdefault(_bfs_code(graph, None, 1), graph)
+            rooted[faces].setdefault(_bfs_code(graph, 1)[0], graph)
     return {
         f: sorted({canonical_form(g) for g in reps.values()}) for f, reps in rooted.items()
     }
+
+
+def canonical_form_root_by_root(g, marking):
+    """The marked canonical form without the least-roots step.
+
+    Each root's full code (code0, code1, mark code) is compared, and the
+    least one is returned with the number of roots attaining it.
+    """
+    best, count = None, 0
+    for root in g.sides:
+        (code0, code1), relabel = _bfs_code(g, root)
+        code = (
+            code0,
+            code1,
+            tuple(
+                (label, kind, min(relabel[x] for x in orb))
+                for label, (kind, orb) in sorted(marking.targets.items())
+            ),
+        )
+        if best is None or code < best:
+            best, count = code, 1
+        elif code == best:
+            count += 1
+    return best, count
+
+
+def marked_classes_by_labelling(valencies, hole_labels, vertex_marks):
+    """The labelling loop ``_marked_classes`` replaced.
+
+    Every labelling of every unlabelled class builds its ``Marking`` and
+    runs a full marked canonical form, a traversal from every side.
+    """
+    out = {}
+    for g in en._unlabeled_classes(valencies, len(hole_labels)):
+        for assigned in permutations(g.holes()):
+            base = {l: (HOLE, frozenset(h)) for l, h in zip(hole_labels, assigned)}
+            for extra in en._vertex_assignments(vertex_marks, g.vertices()):
+                code, aut = canonical_form_root_by_root(g, Marking(g, base | extra))
+                if code not in out:
+                    out[code] = en.CellClass(*from_code(code), aut)
+    return [out[c] for c in sorted(out)]
+
+
+def as_json(classes):
+    return [(graph_to_json(c.graph, c.marking), c.aut) for c in classes]
 
 
 class TestProfile:
@@ -189,6 +238,35 @@ class TestEnumerate:
             assert cls.graph.valencies() == [3, 3, 3, 3]
             assert set(cls.marking.hole_labels()) == {"p1", "p2"}
 
+
+class TestLabellingsFromTheLeastRoots:
+    """``_marked_classes`` against a full canonical form per labelling."""
+
+    @pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1)])
+    def test_every_cell(self, g, n):
+        labels = [f"p{i}" for i in range(1, n + 1)]
+        for vals in en.valency_lists(g, n):
+            got = en._marked_classes(list(vals), labels, {})
+            assert as_json(got) == as_json(marked_classes_by_labelling(list(vals), labels, {}))
+
+    @pytest.mark.parametrize(
+        "g,labels,profile,marks",
+        [
+            (2, ["p", "q"], [3, 1], {"q": 5}),
+            (2, ["p", "q", "r"], [0, 2], {"q": 5, "r": 5}),
+            (1, ["p", "q", "r"], [1, 1], {"r": 5}),
+            (1, ["p", "q", "s"], [4], {"s": 3}),
+            (0, ["p", "q", "r", "s", "t"], [2], {"s": 3, "t": 3}),
+        ],
+    )
+    def test_vertex_marks(self, g, labels, profile, marks):
+        got = en.enumerate(g, labels, profile, vertex_marks=marks)
+        assert got
+        holes = [l for l in labels if l not in marks]
+        valencies = en.Profile(profile).valencies()
+        assert as_json(got) == as_json(marked_classes_by_labelling(valencies, holes, marks))
+
+
 class TestAllCells:
     def test_torus_one_hole_cells(self):
         cells = en.enumerate_all_cells(1, ["p1"])
@@ -265,7 +343,11 @@ class TestEuler:
     # beyond the range the pairing search finished in: 18-side top cells
     @pytest.mark.parametrize(
         "g,labels,chi",
-        [(2, ["p"], Fraction(1, 120)), (1, ["p", "q", "r"], Fraction(-1, 6))],
+        [
+            (2, ["p"], Fraction(1, 120)),
+            (1, ["p", "q", "r"], Fraction(-1, 6)),
+            (0, ["p1", "p2", "p3", "p4", "p5"], 2),
+        ],
     )
     def test_cell_sum_is_the_harer_zagier_number(self, g, labels, chi):
         total = Fraction(0)

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -302,15 +301,18 @@ class TestSingleRootLoop:
             assert canonical_form(rebuilt, rebuilt_marking) == (code, aut)
 
     def test_one_traversal_per_root_per_graph(self, monkeypatch):
-        # each rooted map and each hole labelling is canonicalized once; the
-        # maps rooted on a trivalent vertex number C_0(3, 3) * 3 * 2 / |Z(sigma0)|
+        # each rooted map is canonicalized once and each unlabelled class
+        # finds its least roots once; a hole labelling traverses nothing.
+        # The maps rooted on a trivalent vertex number
+        # C_0(3, 3) * 3 * 2 / |Z(sigma0)|
         valencies, holes = [3, 3], 3
         rooted = Fraction(
             enumeration._connected_pairings(valencies, holes) * 3 * 2,
             enumeration._centralizer_size(valencies),
         )
         assert rooted == 4
-        labellings = len(enumeration._unlabeled_classes(valencies, holes)) * factorial(holes)
+        unlabelled = len(enumeration._unlabeled_classes(valencies, holes))
+        assert unlabelled == 2
         calls = []
         original = ribbon._bfs_code
 
@@ -321,7 +323,7 @@ class TestSingleRootLoop:
         monkeypatch.setattr(ribbon, "_bfs_code", counting)
         classes = enumeration.enumerate(0, ["p", "q", "r"], [2])
         assert len(classes) == 4
-        assert len(calls) == 6 * (rooted + labellings)
+        assert len(calls) == 6 * (rooted + unlabelled) == 36
 
 
 class TestMarking:

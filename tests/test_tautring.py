@@ -125,6 +125,17 @@ class TestTextForm:
 
     @settings(max_examples=50)
     @given(polys(symbols=True))
+    def test_order_is_weight_then_the_dense_exponent_vector(self, p):
+        gens = sorted({g for m in p.terms() for g, _ in m})
+
+        def dense(mono):
+            exps = dict(mono)
+            return tt._mono_weight(mono), tuple(exps.get(g, 0) for g in gens)
+
+        assert p._sorted_monomials() == sorted(p.terms(), key=dense, reverse=True)
+
+    @settings(max_examples=50)
+    @given(polys(symbols=True))
     def test_round_trips(self, p):
         assert TautPoly.parse(p.text()) == p
         assert TautPoly.from_json(p.to_json()) == p
