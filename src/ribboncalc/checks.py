@@ -446,12 +446,9 @@ CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
 ]
 
 
-def run_all(names=None) -> list[CheckResult]:
-    wanted = None if names is None else set(names)
+def run_all() -> list[CheckResult]:
     results = []
     for name, fn in CHECKS:
-        if wanted is not None and name not in wanted:
-            continue
         try:
             ok, detail = fn()
         except Exception as err:  # a crash is a failure, not a crash of the runner

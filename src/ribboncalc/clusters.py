@@ -15,23 +15,24 @@ the root, with a side-count budget per cluster hole.  The cores are the
 labelled classes of enumeration, and the distributions are counted
 arithmetically, so the census stays exact without generating the
 subdivided graphs, whose bivalent vertices multiply the maps to search.
+The shrinking chain needs no metric: each stage is one ``stable.collapse``
+of a hole's zone, and ``stable.carry_labels`` says which holes survive it.
 """
 
-from fractions import Fraction
 from itertools import product
 
 from . import enumeration
 from .combclasses import merge_coefficient
-from .degeneration import DISK, detect_clusters, hole_topology, shrink
-from .errors import ConeViolation, DomainMismatch, TooLarge
+from .degeneration import DISK, detect_clusters, hole_topology
+from .errors import DomainMismatch, TooLarge
 from .ribbon import (
     HOLE,
     VERTEX,
     Marking,
-    MarkedMetricGraph,
     canonical_form,
     validate,
 )
+from .stable import carry_labels, collapse
 
 ROOT_LABEL = "0"
 ANCHOR_LABEL = "v"
@@ -90,34 +91,25 @@ def _fresh_side_counts(graph, orbits, q_labels):
 
 
 def _shrink_chain_ok(graph, targets, q_labels):
-    """Crush the cluster holes from the top index down.
+    """Collapse the zones of the cluster holes from the top index down.
 
-    Every stage has to leave a single positive component that still houses
-    the root hole and the not-yet-shrunk cluster holes.  Vertex markings
-    left behind by earlier stages are dropped: in the limit they all melt
-    into the one new vertex anyway.
+    Every stage has to leave a single component that still houses the root
+    hole and the not-yet-collapsed cluster holes; a hole lying inside the
+    zone leaves no remnant, so it fails the label test.  The collapsed
+    vertices stay unlabelled: in the limit they all melt into the one new
+    vertex anyway.
     """
     current = graph
     marks = dict(targets)
     for stage in range(len(q_labels) - 1, 0, -1):
-        q = q_labels[stage]
-        zone = {current.edge_of(x) for x in marks[q][1]}
-        eps = Fraction(1, 4 * len(current.sides) ** 2)
-        lengths = {
-            e: eps if e in zone else Fraction(1) for e in current.edges()
-        }
-        mg = MarkedMetricGraph(current, Marking(current, marks), lengths)
-        try:
-            result = shrink(mg, q)
-        except ConeViolation:
+        zone = {current.edge_of(x) for x in marks[q_labels[stage]][1]}
+        if len(zone) == current.n_edges():
             return False
-        if len(result.components) != 1:
+        carried = carry_labels(collapse(current, zone), marks)
+        if len(carried) != 1:
             return False
-        comp = result.components[0]
-        current = comp.graph
-        marks = {
-            l: t for l, t in comp.marking.targets.items() if t[0] == HOLE
-        }
+        ((current, marks),) = carried
+        marks = Marking(current, marks).targets
         if set(marks) != {ROOT_LABEL, *q_labels[:stage]}:
             return False
     return True

@@ -8,8 +8,9 @@ doubled edge, or a genuine surface, decides which: a disk leaves the hole
 label on a fresh vertex, anything bigger buds off a labeled bubble joined
 to the positive parts at nodes.  One ``stable.collapse`` of the zone
 computes the zone subgraph G_Z, the quotient G/G_Z and the pairing of the
-scar holes with the new vertices; the topology, the positive parts and
-the nodes are all read from it.
+scar holes with the new vertices; the topology and the nodes are read from
+it, and ``stable.carry_labels`` turns it into the positive parts with
+their labels.  Only the disk's vertex label is placed here.
 
 The module also houses the dual-graph calculus (two reduction moves whose
 fixed points are the reduced dual graphs), the per-hole and per-cluster
@@ -38,12 +39,11 @@ from .ribbon import (
     RibbonGraph,
     genus,
     graph_to_json,
-    restrict,
     side_numbering,
     smooth_bivalent,
 )
 from . import permutations as perms
-from .stable import collapse, subgraph
+from .stable import carry_labels, collapse, subgraph
 
 DISK = "disk"
 CYLINDER = "cylinder"
@@ -198,7 +198,9 @@ class HoleTopology:
 def _graph_and_marking(g):
     if isinstance(g, MarkedMetricGraph):
         return g.graph, g.marking
-    graph, marking = g
+    graph, marking = g if isinstance(g, tuple) and len(g) == 2 else (None, None)
+    if not (isinstance(graph, RibbonGraph) and isinstance(marking, Marking)):
+        raise DomainMismatch("need a marked metric graph or a (graph, marking) pair")
     return graph, marking
 
 
@@ -389,33 +391,17 @@ def shrink(g: MarkedMetricGraph, q) -> ShrinkResult:
         )
         return ShrinkResult(topo, (), (), dual)
 
-    parts = [restrict(cut.quo, s) for s in sorted(cut.quo.components(), key=min)]
+    # q's hole lies inside the zone, so it reaches no part
+    carried = carry_labels(cut, marking.targets)
     exc_verts = sorted((v for _, v in cut.pairs), key=min)
-    comp_of_side = {}
-    for i, part in enumerate(parts):
-        for x in part.sides:
-            comp_of_side[x] = i
-
-    markings = [dict() for _ in parts]
-    for label, (kind, orb) in marking.targets.items():
-        if label == q:
-            continue
-        if kind == HOLE:
-            for i, part in enumerate(parts):
-                remnant = orb & set(part.sides)
-                if remnant:
-                    markings[i][label] = (HOLE, remnant)
-        else:
-            i = comp_of_side[min(orb)]
-            markings[i][label] = (VERTEX, orb)
+    comp_of_side = {x: i for i, (part, _) in enumerate(carried) for x in part.sides}
 
     if topo.kind == DISK:
         (vert,) = exc_verts
-        i = comp_of_side[min(vert)]
-        markings[i][q] = (VERTEX, vert)
+        carried[comp_of_side[min(vert)]][1][q] = (VERTEX, vert)
 
     components = []
-    for part, marks in zip(parts, markings):
+    for part, marks in carried:
         lengths = {e: g.lengths[e] for e in part.edges()}
         components.append(MarkedMetricGraph(part, Marking(part, marks), lengths))
 
@@ -431,7 +417,7 @@ def shrink(g: MarkedMetricGraph, q) -> ShrinkResult:
         nodes = tuple((i, v) for _, _, i, v in decorated)
 
     dual_vertices = [
-        (genus(c.graph), frozenset(m), True) for c, m in zip(components, markings)
+        (genus(c.graph), frozenset(c.marking.targets), True) for c in components
     ]
     dual_edges = []
     if topo.kind != DISK:

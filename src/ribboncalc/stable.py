@@ -7,7 +7,8 @@ boundary walks become first-return maps.  Holes of G_Z that the ambient
 graph never had ("exceptional") match up, one for one, with vertices of
 G/G_Z that the ambient graph never had, and the matching is computed by an
 explicit walk, not by counting.  ``collapse`` computes G_Z, G/G_Z and that
-matching once; every collapse in the package goes through it.
+matching once; every collapse in the package goes through it, and
+``carry_labels`` is the one routine that moves labels onto G/G_Z.
 
 Iterating the construction along a permissible sequence of subsets yields a
 stable ribbon graph: components at increasing orders plus an involution
@@ -179,6 +180,28 @@ def collapse(g: RibbonGraph, Z) -> Collapse:
     return Collapse(sub, quo, pairs)
 
 
+def carry_labels(cut: Collapse, marks):
+    """[(component, labels)] for the components of G/G_Z by least side.
+
+    ``marks`` maps labels to (kind, orbit) targets of the ambient graph.  A
+    hole label keeps its remnant in every component it reaches, a vertex
+    label stays whole on its vertex, and a label inside the zone is dropped.
+    """
+    out = []
+    for sides in cut.quo.components():
+        here = {}
+        for label, (kind, orb) in marks.items():
+            remnant = orb & sides
+            if kind == VERTEX and remnant and remnant != orb:
+                raise BrokenInvariant(
+                    "an unconsumed vertex label touches the collapse zone"
+                )
+            if remnant:
+                here[label] = (kind, remnant)
+        out.append((restrict(cut.quo, sides), here))
+    return out
+
+
 # --- subset classification --------------------------------------------------------
 
 
@@ -288,21 +311,20 @@ class StableGraphData:
     """A disjoint union of marked components glued along an involution.
 
     ``components[i]`` is a ribbon graph; ``markings[i]`` maps surviving
-    labels to (kind, orbit) targets inside it.  ``special`` lists every
-    hole plus every marked or exceptional vertex as (component, kind,
-    orbit) triples, and ``iota`` is a fixed-point-free involution on the
-    unmarked ones, pairing each degenerate hole with the vertex it
-    collapsed onto (or two vertices across a discarded sphere).
+    labels to (kind, orbit) targets inside it.  ``iota`` is a
+    fixed-point-free involution on the unmarked holes and exceptional
+    vertices, as (component, kind, orbit) points, pairing each degenerate
+    hole with the vertex it collapsed onto (or two vertices across a
+    discarded sphere).
     ``lengths[i]`` is the stable metric, total 1 per component.
     """
 
-    __slots__ = ("components", "markings", "order", "special", "iota", "lengths")
+    __slots__ = ("components", "markings", "order", "iota", "lengths")
 
-    def __init__(self, components, markings, order, special, iota, lengths):
+    def __init__(self, components, markings, order, iota, lengths):
         self.components = tuple(components)
         self.markings = tuple(dict(m) for m in markings)
         self.order = tuple(order)
-        self.special = tuple(special)
         self.iota = dict(iota)
         self.lengths = tuple(dict(ls) for ls in lengths)
 
@@ -492,25 +514,11 @@ def _quotient_piece(piece: _Piece, zr, tokens):
         if vert not in demoted and vert not in vertex_token:
             raise BrokenInvariant("an exceptional vertex was left unexplained")
 
+    left = {l: t for l, t in piece.marks.items() if l not in consumed}
     finished = []
-    for comp_sides in cut.quo.components():
-        comp_graph = restrict(cut.quo, comp_sides)
+    for comp_graph, marks in carry_labels(cut, left):
+        comp_sides = set(comp_graph.sides)
         comp_verts = {frozenset(v) for v in comp_graph.vertices()}
-        marks = {}
-        for label, (kind, orb) in piece.marks.items():
-            if label in consumed:
-                continue
-            if kind == HOLE:
-                remnant = orb & comp_sides
-                if remnant:
-                    marks[label] = (HOLE, remnant)
-            else:
-                if orb & comp_sides:
-                    if orb & zr_sides:
-                        raise BrokenInvariant(
-                            "an unconsumed vertex label touches the collapse zone"
-                        )
-                    marks[label] = (VERTEX, orb)
         special = {}
         for hole, tok in piece.special_holes.items():
             if hole in consumed:
@@ -577,12 +585,10 @@ def build_stable(
     markings = [p.marks for p in final]
     order = [p.order for p in final]
 
-    special = []
     token_points = {}
     for i, piece in enumerate(final):
         for h in piece.graph.holes():
             hs = frozenset(h)
-            special.append((i, HOLE, hs))
             marked = any(
                 kind == HOLE and orb == hs for kind, orb in piece.marks.values()
             )
@@ -592,11 +598,7 @@ def build_stable(
                 token_points.setdefault(piece.special_holes[hs], []).append(
                     (i, HOLE, hs)
                 )
-        for kind, orb in piece.marks.values():
-            if kind == VERTEX:
-                special.append((i, VERTEX, orb))
         for vert, tok in piece.exc_vertices.items():
-            special.append((i, VERTEX, vert))
             token_points.setdefault(tok, []).append((i, VERTEX, vert))
 
     iota = {}
@@ -610,7 +612,7 @@ def build_stable(
         iota[b] = a
 
     lengths = _stable_metric(components, metrics)
-    data = StableGraphData(components, markings, order, special, iota, lengths)
+    data = StableGraphData(components, markings, order, iota, lengths)
     if not order_is_admissible(data):
         raise BrokenInvariant("constructed order fails admissibility")
     return data

@@ -222,7 +222,8 @@ class TautPoly:
         terms = {}
         for entry in data:
             mono = _normalize(
-                (_gen_from_json(item), item["exp"]) for item in entry["monomial"]
+                (_gen_from_json(item), _exp_from_json(item))
+                for item in entry["monomial"]
             )
             terms[mono] = terms.get(mono, Fraction(0)) + Fraction(entry["coeff"])
         return TautPoly(terms)
@@ -355,6 +356,13 @@ def _gen_from_json(item):
     if kind == "symbol":
         return (_SYM, str(item["name"]), int(item["weight"]))
     raise DomainMismatch(f"unknown generator kind {kind!r}")
+
+
+def _exp_from_json(item):
+    exp = item["exp"]
+    if type(exp) is not int or exp < 1:
+        raise DomainMismatch(f"exponent {exp!r} is not a positive integer")
+    return exp
 
 
 # --- substitution --------------------------------------------------------------------

@@ -13,6 +13,7 @@ from ribboncalc.clusters import (
 )
 from ribboncalc.combclasses import merge_coefficient
 from ribboncalc.errors import DomainMismatch, TooLarge
+from ribboncalc.ribbon import MarkedMetricGraph
 
 
 class TestSpec:
@@ -59,6 +60,16 @@ class TestBruteForce:
         # the recursion's intermediate configurations
         assert count_admissible([-1, 1]) == 3
         assert count_admissible([-1, 2, 1]) == 63
+
+    @pytest.mark.parametrize(
+        "rho, want", [((0,), 1), ((0, 0), 3), ((2, 1), 9), ((1, 1, 1), 99)]
+    )
+    def test_the_chain_collapses_zones_without_metrics(self, monkeypatch, rho, want):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the shrink chain built a metric graph")
+
+        monkeypatch.setattr(MarkedMetricGraph, "__init__", refuse)
+        assert count_admissible(rho) == want
 
     def test_accepts_spec_instances(self):
         assert count_admissible(AdmissibleClusterSpec([0, 0])) == 3

@@ -349,6 +349,23 @@ class TestShrink:
         with pytest.raises(DomainMismatch):
             shrink((THETA, m), "a")
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: hole_topology(g, "a"),
+            lambda g: y_stratum(g, "a"),
+            lambda g: detect_clusters(g, ["a", "b"]),
+        ],
+        ids=["hole_topology", "y_stratum", "detect_clusters"],
+    )
+    def test_bare_graph_input_is_refused(self, call):
+        m = mark_all_holes(THETA, ["a", "b", "c"])
+        for bad in (THETA, (THETA, m.targets), (m, THETA), (THETA, m, m), "THETA"):
+            with pytest.raises(DomainMismatch, match="marked metric graph"):
+                call(bad)
+        call((THETA, m))
+        call(theta_metric())
+
     @given(st.data())
     @settings(max_examples=50, deadline=None)
     def test_shrink_bookkeeping_on_random_graphs(self, data):

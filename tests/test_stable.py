@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ribboncalc import permutations as perms
 from ribboncalc.errors import (
     BadMetric,
+    BrokenInvariant,
     DisconnectedSubset,
     DomainMismatch,
     EmptySubset,
@@ -31,6 +32,7 @@ from ribboncalc.stable import (
     STABLE_BEARING,
     SubsetClass,
     build_stable,
+    carry_labels,
     classify_subset,
     collapse,
     order_is_admissible,
@@ -155,6 +157,47 @@ class TestExceptionalCorrespondence:
         e = data.draw(st.sampled_from(non_loops), label="edge")
         quo, _ = quotient(g, [e])
         assert canonical_form(quo) == canonical_form(contract_edge(g, e))
+
+
+# a five-valent vertex with two loops and a tail; holes (1,3), (2), (4,6,5).
+# Collapsing the loop (3,6) splits the quotient: the loop (1,2) on one side,
+# the tail (4,5) on the other.
+SPLIT = validate([(2, 1, 6, 5, 3), (4,)], [(1, 2), (4, 5), (3, 6)])
+
+
+class TestCarryLabels:
+    def test_two_components_by_least_side(self):
+        cut = collapse(SPLIT, [(3, 6)])
+        marks = dict(
+            mark_all_holes(SPLIT, ["a", "b", "c"]).targets, v=(VERTEX, frozenset({4}))
+        )
+        carried = carry_labels(cut, marks)
+        assert [sorted(c.sides) for c, _ in carried] == [[1, 2], [4, 5]]
+        (left, left_marks), (right, right_marks) = carried
+        # a keeps the remnant of (1,3), b is untouched, c loses its zone side 6
+        assert left_marks == {
+            "a": (HOLE, frozenset({1})),
+            "b": (HOLE, frozenset({2})),
+        }
+        assert right_marks == {
+            "c": (HOLE, frozenset({4, 5})),
+            "v": (VERTEX, frozenset({4})),
+        }
+        for comp, comp_marks in carried:
+            assert Marking(comp, comp_marks).targets == comp_marks
+
+    def test_a_label_inside_the_zone_reaches_no_component(self):
+        g = DUMBBELL
+        marks = mark_all_holes(g, ["a", "b", "c"]).targets
+        carried = carry_labels(collapse(g, [(1, 2)]), marks)
+        assert [sorted(m) for _, m in carried] == [["b", "c"]]
+        assert carried[0][1]["b"] == (HOLE, frozenset({3, 6, 4}))
+
+    def test_a_vertex_label_straddling_the_zone_is_refused(self):
+        cut = collapse(SPLIT, [(3, 6)])
+        marks = {"w": (VERTEX, frozenset({1, 2, 3, 5, 6}))}
+        with pytest.raises(BrokenInvariant, match="touches the collapse zone"):
+            carry_labels(cut, marks)
 
 
 def _is_loop(g, e):

@@ -140,6 +140,23 @@ class TestTextForm:
         assert TautPoly.parse(p.text()) == p
         assert TautPoly.from_json(p.to_json()) == p
 
+    @pytest.mark.parametrize("exp", [-1, 0, 1.0, "1", True])
+    def test_from_json_refuses_a_nonpositive_or_non_integer_exponent(self, exp):
+        data = [
+            {"coeff": "1/1", "monomial": [{"kind": "kappa", "index": 2, "exp": 1}]},
+            {
+                "coeff": "1/1",
+                "monomial": [
+                    {"kind": "kappa", "index": 1, "exp": exp},
+                    {"kind": "kappa", "index": 3, "exp": 1},
+                ],
+            },
+        ]
+        with pytest.raises(DomainMismatch, match="not a positive integer"):
+            TautPoly.from_json(data)
+        data[1]["monomial"][0]["exp"] = 2
+        assert TautPoly.from_json(data) == kappa(2) + kappa(1) ** 2 * kappa(3)
+
 
 class TestFaber:
     def test_single_point_formula(self):
