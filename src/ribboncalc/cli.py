@@ -3,8 +3,9 @@
 Each subcommand parses flags, calls the owning module, and formats what
 comes back; every number is an exact Fraction rendered as ``p/q``.  Library
 errors exit 2 with a one-line JSON object ``{"error": code, "message": ...}``
-on stderr, malformed flags exit 64, and ``ribboncalc --repro`` replays the
-golden-value registry from :mod:`ribboncalc.checks` as a pass/fail table.
+on stderr, malformed flags and unwritable output files exit 64, and
+``ribboncalc --repro`` replays the golden-value registry from
+:mod:`ribboncalc.checks` as a pass/fail table.
 
 ``--manifest FILE`` records a run manifest (command, parameters, library
 version, sha256 of the output) next to any command; identical manifests
@@ -78,6 +79,13 @@ def _labels(text):
     if not out:
         raise UsageError(f"expected at least one label in {text!r}")
     return out
+
+
+def _rational(text):
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError) as err:
+        raise UsageError(f"expected a rational p/q, got {text!r}") from err
 
 
 def _vertex_marks(items):
@@ -232,7 +240,7 @@ def _cmd_cluster_count(args):
 
 
 def _cmd_fiber(args):
-    eps = parse_rational(args.eps)
+    eps = _rational(args.eps)
     if args.kind == "disk":
         if args.r is None:
             raise UsageError("--kind disk needs --r")
@@ -464,18 +472,23 @@ def _manifest_parameters(args) -> dict:
     return params
 
 
+def _write(path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as err:
+        raise UsageError(f"cannot write {path}: {err}") from err
+
+
 def _emit(args, text: str) -> None:
     destination = getattr(args, "out", "-")
     if destination and destination != "-":
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(destination, text)
     else:
         print(text)
     if args.manifest:
         manifest = build_manifest(args.command, _manifest_parameters(args), text)
-        with open(args.manifest, "w", encoding="utf-8") as fh:
-            json.dump(manifest.to_json(), fh, sort_keys=True)
-            fh.write("\n")
+        _write(args.manifest, json.dumps(manifest.to_json(), sort_keys=True))
 
 
 def run(argv) -> int:
@@ -496,6 +509,8 @@ def run(argv) -> int:
         return EX_USAGE
     try:
         out = args.func(args)
+        text, code = out if isinstance(out, tuple) else (out, EX_OK)
+        _emit(args, text)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EX_USAGE
@@ -503,8 +518,6 @@ def run(argv) -> int:
         payload = {"error": err.code, "message": str(err)}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return EX_DOMAIN
-    text, code = out if isinstance(out, tuple) else (out, EX_OK)
-    _emit(args, text)
     return code
 
 

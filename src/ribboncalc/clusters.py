@@ -121,8 +121,7 @@ def _admissible_core(rep, orbits, q_labels):
     pair = (rep, Marking(rep, targets))
     if any(hole_topology(pair, l).kind != DISK for l in orbits):
         return False
-    blocks, _ = detect_clusters(pair, q_labels)
-    if len(blocks) != 1:
+    if len(detect_clusters(pair, q_labels)) != 1:
         return False
     return _shrink_chain_ok(rep, targets, q_labels)
 
@@ -162,11 +161,11 @@ def _count_subdivisions(core, orbits, q_labels, deficits, n_points, aut):
     anchor can mark any point; a rigid trivalent core makes every choice
     distinct, otherwise the subdivided graphs are told apart canonically.
     """
-    label_of = {x: l for l, orbit in orbits.items() for x in orbit}
+    hole_of = {x: l for l, orbit in orbits.items() for x in orbit}
     slots = {l: [] for l in orbits}
     for e in sorted(core.edges()):
         x, y = e
-        lx, ly = label_of[x], label_of[y]
+        lx, ly = hole_of[x], hole_of[y]
         if lx == ROOT_LABEL:
             slots[ly].append(e)
         elif ly == ROOT_LABEL:

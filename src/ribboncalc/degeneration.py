@@ -12,11 +12,10 @@ scar holes with the new vertices; the topology and the nodes are read from
 it, and ``stable.carry_labels`` turns it into the positive parts with
 their labels.  Only the disk's vertex label is placed here.
 
-The module also houses the dual-graph calculus (two reduction moves whose
-fixed points are the reduced dual graphs), the per-hole and per-cluster
-zone classification used for stratum censuses, the forgetful map that
-erases a vertex marking, and the inventory of cylinder configurations the
-fiber integrals sum over.
+The module also houses the dual graph a shrink records, the per-hole zone
+classification used for stratum censuses, the adjacency clusters of a set
+of holes, and the inventory of cylinder configurations the fiber integrals
+sum over.
 """
 
 from __future__ import annotations
@@ -25,9 +24,7 @@ from .errors import (
     BrokenInvariant,
     ConeViolation,
     DomainMismatch,
-    HoleMark,
     InconsistentLabels,
-    UnivalentVertex,
     VertexMark,
     ZeroPerimeter,
 )
@@ -40,7 +37,6 @@ from .ribbon import (
     genus,
     graph_to_json,
     side_numbering,
-    smooth_bivalent,
 )
 from . import permutations as perms
 from .stable import carry_labels, collapse, subgraph
@@ -56,8 +52,9 @@ SURFACE = "surface"
 class DualGraph:
     """Vertices labeled (genus, labels, positive flag); edges are nodes.
 
-    Loops are allowed.  Labels must be disjoint across vertices.  The
-    quantity genus + cycle rank is what the reduction moves preserve.
+    Loops are allowed.  Labels must be disjoint across vertices.  A shrink
+    builds one with at most one nonpositive vertex, the bubble, and every
+    edge joins the bubble to a positive component.
     """
 
     __slots__ = ("vertices", "edges")
@@ -82,23 +79,6 @@ class DualGraph:
         self.vertices = tuple(norm_v)
         self.edges = tuple(sorted(norm_e))
 
-    def total_genus(self) -> int:
-        """Sum of vertex genera plus the cycle rank of the underlying graph."""
-        n = len(self.vertices)
-        comps = len(perms.blocks(range(n), self.edges))
-        rank = len(self.edges) - n + comps
-        return sum(g for g, _, _ in self.vertices) + rank
-
-    def is_reduced(self) -> bool:
-        for i, j in self.edges:
-            pos_i = self.vertices[i][2]
-            pos_j = self.vertices[j][2]
-            if i == j and not pos_i:
-                return False
-            if i != j and not pos_i and not pos_j:
-                return False
-        return True
-
     def __eq__(self, other):
         return (
             isinstance(other, DualGraph)
@@ -112,51 +92,6 @@ class DualGraph:
             for g, ls, pos in self.vertices
         )
         return f"DualGraph([{vs}], {list(self.edges)})"
-
-
-def reduce_dual_graph(gamma: DualGraph) -> DualGraph:
-    """Apply the two reduction moves until neither fires.
-
-    Move 1 melds the endpoints of an edge joining two nonpositive vertices
-    (genera and labels add, the vertex stays nonpositive); move 2 deletes a
-    loop at a nonpositive vertex and raises its genus by one.  Total genus
-    plus cycle rank never changes.
-    """
-    vertices = list(gamma.vertices)
-    edges = list(gamma.edges)
-    while True:
-        fired = False
-        for k, (i, j) in enumerate(edges):
-            pos_i = vertices[i][2]
-            pos_j = vertices[j][2]
-            if i == j and not pos_i:
-                g, ls, _ = vertices[i]
-                vertices[i] = (g + 1, ls, False)
-                del edges[k]
-                fired = True
-                break
-            if i != j and not pos_i and not pos_j:
-                gi, li, _ = vertices[i]
-                gj, lj, _ = vertices[j]
-                vertices[i] = (gi + gj, li | lj, False)
-                del vertices[j]
-
-                def shift(v):
-                    return v - 1 if v > j else (i if v == j else v)
-
-                edges = [
-                    (min(shift(a), shift(b)), max(shift(a), shift(b)))
-                    for a, b in edges[:k] + edges[k + 1 :]
-                ]
-                fired = True
-                break
-        if not fired:
-            out = DualGraph(vertices, edges)
-            if not out.is_reduced():
-                raise BrokenInvariant("a reduction move still fires after reduction")
-            if out.total_genus() != gamma.total_genus():
-                raise BrokenInvariant("reduction changed the total genus")
-            return out
 
 
 # --- zone topology ----------------------------------------------------------------
@@ -222,28 +157,19 @@ def _zone_cut(graph: RibbonGraph, zone):
     return collapse(graph, zone) if len(zone) < graph.n_edges() else None
 
 
-def _zone_boundary(graph: RibbonGraph, zone, covered, cut):
-    """Genus of the zone subgraph and its non-covered boundary circles.
+def _zone_boundary(graph: RibbonGraph, zone, orbit, cut):
+    """Genus of the zone subgraph and the valencies of its other boundary circles.
 
-    Each circle comes back as (orbit, valency): valency is the size of the
-    collapsed vertex the circle wraps (0 for a circle that is already a
-    hole of the ambient graph).  ``cut`` is the zone's collapse.
+    A circle's valency is the size of the collapsed vertex it wraps (0 for
+    a circle that is already a hole of the ambient graph).  ``cut`` is the
+    zone's collapse.
     """
     sub = subgraph(graph, zone)[0] if cut is None else cut.sub
     partner = {} if cut is None else {h: len(v) for h, v in cut.pairs}
-    boundary = []
-    for h in sub.holes():
-        hs = frozenset(h)
-        if hs not in covered:
-            boundary.append((hs, partner.get(hs, 0)))
+    boundary = [
+        partner.get(hs, 0) for hs in map(frozenset, sub.holes()) if hs != orbit
+    ]
     return genus(sub), boundary
-
-
-def y_stratum(g, q) -> int:
-    """Number of distinct edges the q hole runs along."""
-    graph, marking = _graph_and_marking(g)
-    orbit = _hole_orbit(marking, q)
-    return len(_zone_edges(graph, orbit))
 
 
 def _cycle_of_hole(graph: RibbonGraph, orbit):
@@ -281,7 +207,7 @@ def hole_topology(g, q) -> HoleTopology:
 
 def _hole_zone_topology(graph, orbit, zone, cut):
     """``hole_topology`` on a zone whose collapse ``cut`` is already known."""
-    h, boundary = _zone_boundary(graph, zone, {orbit}, cut)
+    h, boundary = _zone_boundary(graph, zone, orbit, cut)
     doubled = [e for e in sorted(zone) if e[0] in orbit and e[1] in orbit]
     if h == 0 and len(boundary) == 1 and not doubled:
         return HoleTopology(DISK)
@@ -289,8 +215,7 @@ def _hole_zone_topology(graph, orbit, zone, cut):
         v1, v2 = _cylinder_split(graph, orbit, doubled[0])
         if v1 >= 0 and v2 >= 0:
             return HoleTopology(CYLINDER, 0, tuple(sorted((v1, v2))))
-    vs = tuple(sorted(v for _, v in boundary))
-    topo = HoleTopology(SURFACE, h, vs, closed_complement=not boundary)
+    topo = HoleTopology(SURFACE, h, tuple(sorted(boundary)), closed_complement=not boundary)
     _check_surface_count(graph, zone, topo)
     return topo
 
@@ -323,8 +248,8 @@ class ShrinkResult:
     marking inside a component and there is no bubble; otherwise q names a
     nonpositive bubble recorded only through ``topology`` (genus and node
     valencies), and ``nodes`` lists, per boundary circle, the component
-    and vertex orbit the bubble is glued to.  ``dual`` is the reduced
-    dual graph of the whole configuration.
+    and vertex orbit the bubble is glued to.  ``dual`` is the dual graph
+    of the whole configuration.
     """
 
     __slots__ = ("topology", "components", "nodes", "dual")
@@ -386,9 +311,7 @@ def shrink(g: MarkedMetricGraph, q) -> ShrinkResult:
     if cut is None:
         # the zone already swallows everything; the cone checks above make
         # sure q was the only marking, so only the bubble survives
-        dual = reduce_dual_graph(
-            DualGraph([(topo.genus, frozenset({q}), False)], [])
-        )
+        dual = DualGraph([(topo.genus, frozenset({q}), False)], [])
         return ShrinkResult(topo, (), (), dual)
 
     # q's hole lies inside the zone, so it reaches no part
@@ -424,53 +347,8 @@ def shrink(g: MarkedMetricGraph, q) -> ShrinkResult:
         dual_vertices.append((topo.genus, frozenset({q}), False))
         bubble = len(dual_vertices) - 1
         dual_edges = [(i, bubble) for i, _ in nodes]
-    dual = reduce_dual_graph(DualGraph(dual_vertices, dual_edges))
+    dual = DualGraph(dual_vertices, dual_edges)
     return ShrinkResult(topo, components, nodes, dual)
-
-
-# --- forgetting a vertex marking --------------------------------------------------
-
-
-def forget_vertex_marking(g: MarkedMetricGraph, q) -> MarkedMetricGraph:
-    """Erase the q vertex marking, restoring reducedness if it was bivalent.
-
-    A bivalent vertex disappears entirely: its two edges merge and their
-    lengths add.  A univalent vertex cannot be forgotten (the graph would
-    stop being critical), and valency >= 3 just drops the label.
-    """
-    marking = g.marking
-    if q not in marking.targets:
-        raise DomainMismatch(f"no marking named {q!r}")
-    kind, orb = marking.targets[q]
-    if kind == HOLE:
-        raise HoleMark(f"{q!r} marks a hole; only vertex markings can be forgotten")
-    rest = {l: t for l, t in marking.targets.items() if l != q}
-    if len(orb) == 1:
-        raise UnivalentVertex(f"{q!r} marks a univalent vertex")
-    if len(orb) >= 3:
-        return MarkedMetricGraph(g.graph, Marking(g.graph, rest), g.lengths)
-
-    a, b = sorted(orb)
-    graph = g.graph
-    x, y = graph.sigma1[a], graph.sigma1[b]
-    if x == b:
-        raise DomainMismatch("cannot forget the only vertex of a circle")
-    merged = smooth_bivalent(graph, a, b)
-    lengths = {
-        e: g.lengths[e]
-        for e in graph.edges()
-        if a not in e and b not in e
-    }
-    lengths[tuple(sorted((x, y)))] = (
-        g.lengths[graph.edge_of(a)] + g.lengths[graph.edge_of(b)]
-    )
-    targets = {}
-    for label, (k, o) in rest.items():
-        cut = o - {a, b}
-        if not cut:
-            raise BrokenInvariant("an orbit vanished while smoothing a bivalent vertex")
-        targets[label] = (k, cut if k == HOLE else o)
-    return MarkedMetricGraph(merged, Marking(merged, targets), lengths)
 
 
 # --- clusters ---------------------------------------------------------------------
@@ -480,44 +358,21 @@ def detect_clusters(g, labels):
     """Partition the given hole labels into adjacency clusters.
 
     Two holes are adjacent when they touch a common vertex; clusters are
-    the chains of that relation.  Returns (blocks, topologies): per block
-    the zone of the union of its holes, classified disk, cylinder, or
-    surface by genus and boundary count alone.
+    the chains of that relation, returned as sorted blocks.
     """
     graph, marking = _graph_and_marking(g)
     labels = sorted(str(l) for l in labels)
-    orbits = {}
-    touched = {}
-    for q in labels:
-        orbit = _hole_orbit(marking, q)
-        orbits[q] = orbit
-        touched[q] = {frozenset(perms.orbit_of(graph.sigma0, x)) for x in orbit}
-
+    touched = {
+        q: {frozenset(perms.orbit_of(graph.sigma0, x)) for x in _hole_orbit(marking, q)}
+        for q in labels
+    }
     links = [
         (q1, q2)
         for i, q1 in enumerate(labels)
         for q2 in labels[i + 1 :]
         if touched[q1] & touched[q2]
     ]
-    out_blocks = sorted(perms.blocks(labels, links))
-
-    topologies = []
-    for block in out_blocks:
-        zone = set()
-        for q in block:
-            zone |= _zone_edges(graph, orbits[q])
-        covered = {orbits[q] for q in block}
-        h, boundary = _zone_boundary(graph, zone, covered, _zone_cut(graph, zone))
-        vs = tuple(sorted(v for _, v in boundary))
-        if h == 0 and len(boundary) == 1:
-            topologies.append(HoleTopology(DISK))
-        elif h == 0 and len(boundary) == 2:
-            topologies.append(HoleTopology(CYLINDER, 0, vs))
-        else:
-            topologies.append(
-                HoleTopology(SURFACE, h, vs, closed_complement=not boundary)
-            )
-    return out_blocks, topologies
+    return sorted(perms.blocks(labels, links))
 
 
 # --- cylinder configurations ------------------------------------------------------

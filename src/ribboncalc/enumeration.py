@@ -433,14 +433,6 @@ def enumerate_all_cells(g, P, max_excess=None, max_sides=None):
     return out
 
 
-def dimension_counts(cells) -> dict:
-    """Number of classes per cell dimension (= edge count) from enumerate_all_cells."""
-    out = Counter()
-    for vals, classes in cells.items():
-        out[sum(vals) // 2] += len(classes)
-    return dict(sorted(out.items()))
-
-
 # --- Euler characteristics --------------------------------------------------------
 
 def _centralizer_size(valencies) -> int:

@@ -56,20 +56,6 @@ class TooLarge(RibbonError):
     """Requested enumeration exceeds the configured size bound."""
 
 
-# --- tautological ring -------------------------------------------------------
-
-class UnforgettableMonomial(RibbonError):
-    """A psi-exponent-zero factor survives string-equation normalization."""
-
-
-class NotReducible(RibbonError):
-    """String equation applied to the all-zero-exponent monomial."""
-
-
-class WrongExponent(RibbonError):
-    """Dilaton substitution requires the forgotten psi to appear linearly."""
-
-
 # --- arithmetic --------------------------------------------------------------
 
 class EvenInput(RibbonError):
@@ -102,14 +88,6 @@ class NotTopCell(RibbonError):
 
 class ConeViolation(RibbonError):
     """Shrinking would squeeze another hole (perimeter cone violated)."""
-
-
-class UnivalentVertex(RibbonError):
-    """Cannot forget the marking of a univalent vertex."""
-
-
-class HoleMark(RibbonError):
-    """Label marks a hole where a vertex was required."""
 
 
 class InconsistentLabels(RibbonError):

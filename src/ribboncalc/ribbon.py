@@ -270,13 +270,6 @@ class Marking:
     def vertex_labels(self):
         return [l for l in self.labels() if self.kind(l) == VERTEX]
 
-    def label_of(self, kind, orbit):
-        orb = frozenset(orbit)
-        for label, (k, o) in self.targets.items():
-            if k == kind and o == orb:
-                return label
-        return None
-
     def relabel_sides(self, side_map):
         """The same marking after renaming sides by ``side_map`` (plain dict out)."""
         return {
@@ -301,16 +294,6 @@ def mark_all_holes(graph: RibbonGraph, labels) -> Marking:
     if len(labels) != len(holes):
         raise DomainMismatch(f"need {len(holes)} labels, got {len(labels)}")
     return Marking(graph, {l: (HOLE, frozenset(h)) for l, h in zip(labels, holes)})
-
-
-def is_reduced(graph: RibbonGraph, marking: Marking | None) -> bool:
-    """Every unmarked vertex has valency >= 3."""
-    marked = set()
-    if marking is not None:
-        marked = {orb for kind, orb in marking.targets.values() if kind == VERTEX}
-    return all(
-        len(v) >= 3 or frozenset(v) in marked for v in graph.vertices()
-    )
 
 
 # --- metric -------------------------------------------------------------------
@@ -347,9 +330,6 @@ class MarkedMetricGraph:
         if kind == VERTEX:
             return Fraction(0)
         return sum(self.side_length(x) for x in orbit)
-
-    def total_length(self) -> Fraction:
-        return sum(self.lengths.values())
 
 
 # --- canonical form -----------------------------------------------------------
@@ -509,17 +489,28 @@ def graph_to_json(g: RibbonGraph, marking: Marking | None = None, lengths=None) 
 
 def graph_from_json(data):
     """Inverse of graph_to_json; returns (graph, marking-or-None, lengths-or-None)."""
+    if not (isinstance(data, dict) and {"sigma0", "sigma1", "sides"} <= data.keys()):
+        raise DomainMismatch("a graph document is an object with sigma0, sigma1 and sides")
     g = validate(data["sigma0"], data["sigma1"], sides=data["sides"])
     marking = None
-    if data.get("marking"):
+    marks = data.get("marking")
+    if marks:
+        if not (
+            isinstance(marks, dict)
+            and all(isinstance(e, dict) and {"kind", "orbit"} <= e.keys() for e in marks.values())
+        ):
+            raise DomainMismatch("the marking must give each label a kind and an orbit")
         marking = Marking(
             g,
             {
                 label: (entry["kind"], frozenset(entry["orbit"]))
-                for label, entry in data["marking"].items()
+                for label, entry in marks.items()
             },
         )
     lengths = None
     if data.get("lengths"):
-        lengths = {parse_edge_id(k): parse_rational(v) for k, v in data["lengths"].items()}
+        try:
+            lengths = {parse_edge_id(k): parse_rational(v) for k, v in data["lengths"].items()}
+        except (AttributeError, TypeError, ValueError, ZeroDivisionError) as err:
+            raise DomainMismatch(f"the lengths must map edge ids to rationals: {err}") from err
     return g, marking, lengths

@@ -10,17 +10,16 @@ A TautPoly maps monomials to nonzero Fractions; everything is immutable.
     >>> TautPoly.parse(p.text()) == p
     True
 
-The pushforward that forgets a set Q of marked points sends each monomial
-with psi exponents b_q + 1 at the forgotten points to the permutation sum
+Forgetting marked points turns psi powers into the permutation sum
 
     K(b_1, ..., b_m) = sum over sigma in S_m of
                        product over cycles c of sigma of kappa(sum of b in c)
 
-times the untouched psi factors; exponent-0 forgotten points are first
-removed by the string equation.  This is Faber's formula (A conjectural
-description of the tautological ring, 1999).  ``kappa_cycle_sum`` does not
-walk the m! permutations: choosing the other members S of the cycle through
-b_1, in one of |S|! cyclic orders, leaves the same sum on the rest,
+(Faber, A conjectural description of the tautological ring, 1999), and
+the merge relations of combclasses multiply by it.  ``kappa_cycle_sum``
+does not walk the m! permutations: choosing the other members S of the
+cycle through b_1, in one of |S|! cyclic orders, leaves the same sum on
+the rest,
 
     K(b_1, ..., b_m) = sum over subsets S of {2, ..., m} of
                        |S|! * kappa(b_1 + sum of b_j, j in S)
@@ -37,12 +36,7 @@ import re
 from fractions import Fraction
 from math import factorial
 
-from .errors import (
-    DomainMismatch,
-    NotReducible,
-    UnforgettableMonomial,
-    WrongExponent,
-)
+from .errors import DomainMismatch
 from .permutations import _partition_sums
 
 _KAPPA = "k"
@@ -381,21 +375,7 @@ def map_generators(poly: TautPoly, mapping) -> TautPoly:
     return out
 
 
-# --- the forgetful-map calculus --------------------------------------------------------
-
-def _psi_exponents(mono) -> dict:
-    exps = {}
-    for g, e in mono:
-        if g[0] != _PSI:
-            raise DomainMismatch(f"expected a pure psi monomial, found {g}")
-        exps[g[1]] = e
-    return exps
-
-
-def _psi_monomial(exps) -> TautPoly:
-    mono = _normalize(((_PSI, l), e) for l, e in exps.items())
-    return TautPoly({mono: Fraction(1)})
-
+# --- permutation cycle sums --------------------------------------------------------------
 
 def kappa_cycle_sum(values) -> TautPoly:
     """Sum over permutations of kappa products, one factor per cycle.
@@ -409,79 +389,3 @@ def kappa_cycle_sum(values) -> TautPoly:
     return TautPoly(
         {_normalize(((_KAPPA, i), 1) for i in sums): c for sums, c in counts.items()}
     )
-
-
-def _push_monomial(exps: dict, forget: frozenset) -> TautPoly:
-    zeros = sorted(q for q in forget if exps.get(q, 0) == 0)
-    if zeros:
-        positives = [l for l, e in exps.items() if e > 0]
-        if not positives:
-            raise UnforgettableMonomial(
-                "constant monomial cannot be pushed forward symbolically"
-            )
-        q = zeros[0]
-        rest = forget - {q}
-        total = TautPoly()
-        for l in positives:
-            lowered = dict(exps)
-            lowered[l] -= 1
-            total = total + _push_monomial(lowered, rest)
-        return total
-    bs = [exps[q] - 1 for q in sorted(forget)]
-    kept = {l: e for l, e in exps.items() if l not in forget and e > 0}
-    return _psi_monomial(kept) * kappa_cycle_sum(bs)
-
-
-def faber_pushforward(poly: TautPoly, Q) -> TautPoly:
-    """Forget the points in Q at once, landing in psi-and-kappa classes."""
-    forget = frozenset(str(q) for q in Q)
-    out = TautPoly()
-    for mono, coeff in poly.terms().items():
-        out = out + coeff * _push_monomial(_psi_exponents(mono), forget)
-    return out
-
-
-def string_reduce(poly: TautPoly, q) -> TautPoly:
-    """Pushforward along a point the polynomial never mentions."""
-    q = str(q)
-    out = TautPoly()
-    for mono, coeff in poly.terms().items():
-        exps = _psi_exponents(mono)
-        if exps.get(q, 0) != 0:
-            raise DomainMismatch(f"psi({q}) occurs; use faber_pushforward")
-        positives = [l for l, e in exps.items() if e > 0]
-        if not positives:
-            raise NotReducible("the constant monomial does not reduce")
-        for l in positives:
-            lowered = dict(exps)
-            lowered[l] -= 1
-            out = out + coeff * _psi_monomial(lowered)
-    return out
-
-
-def dilaton_value(poly: TautPoly, q, g=None, n=None) -> TautPoly:
-    """Replace an exact psi(q)^1 factor by kappa(0), or by 2g-2+n if given."""
-    if (g is None) != (n is None):
-        raise DomainMismatch("supply both of g and n, or neither")
-    q = str(q)
-    factor = TautPoly.constant(2 * g - 2 + n) if g is not None else kappa(0)
-    out = TautPoly()
-    for mono, coeff in poly.terms().items():
-        exps = _psi_exponents(mono)
-        if exps.get(q, 0) != 1:
-            raise WrongExponent(f"psi({q}) exponent is not exactly 1")
-        kept = {l: e for l, e in exps.items() if l != q}
-        out = out + coeff * _psi_monomial(kept) * factor
-    return out
-
-
-def pullback_kappa(poly: TautPoly, q) -> TautPoly:
-    """Rewrite each kappa(b) as kappa(b) + psi(q)^b, multiplicatively."""
-    q = str(q)
-    mapping = {}
-    for mono in poly.terms():
-        for g, _ in mono:
-            if g[0] != _KAPPA:
-                raise DomainMismatch(f"expected a pure kappa polynomial, found {g}")
-            mapping[g] = kappa(g[1]) + psi(q) ** g[1]
-    return map_generators(poly, mapping)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ribboncalc import cli, enumeration, plforms
+from ribboncalc import checks, cli, enumeration, plforms
 from ribboncalc.ribbon import MarkedMetricGraph, graph_from_json, graph_to_json
 
 
@@ -138,6 +138,14 @@ class TestEnumerate:
         assert manifest["command"] == "enumerate"
         assert manifest["parameters"]["profile"] == "4"
         assert manifest["digest"] == hashlib.sha256(out.removesuffix("\n").encode()).hexdigest()
+
+    @pytest.mark.parametrize("flag", ["--out", "--manifest"])
+    def test_unwritable_file_is_a_usage_error(self, capsys, tmp_path, flag):
+        path = tmp_path / "missing" / "cells.json"
+        code, _, err = run(capsys, *self.ARGV, flag, str(path))
+        assert code == 64
+        assert err.startswith(f"usage error: cannot write {path}: ")
+        assert err.count("\n") == 1
 
     def test_genus_two_top_cells(self, capsys):
         # 3,061,800 labelled pairings / (3^6 6!) = 35/6
@@ -385,6 +393,14 @@ class TestFiber:
             "usage error: --kind disk needs --r\n",
         )
 
+    @pytest.mark.parametrize("eps", ["abc", "1/0"])
+    def test_malformed_eps_is_a_usage_error(self, capsys, eps):
+        assert run(capsys, "fiber", "--kind", "disk", "--r", "1", "--eps", eps) == (
+            64,
+            "",
+            f"usage error: expected a rational p/q, got {eps!r}\n",
+        )
+
     def test_odd_split_is_a_parity_mismatch(self, capsys):
         code, out, err = run(capsys, "fiber", "--kind", "cyl", "--v1", "1", "--v2", "2")
         assert (code, out) == (2, "")
@@ -526,6 +542,25 @@ class TestShrink:
         assert all(tuple(n["vertex"]) in graph.vertices() for n in payload["nodes"])
 
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [CYLINDER_FILE],
+            {k: v for k, v in CYLINDER_FILE.items() if k != "sigma0"},
+            {k: v for k, v in CYLINDER_FILE.items() if k != "sigma1"},
+            dict(CYLINDER_FILE, marking={"q": {"orbit": [1, 3, 4, 7, 9, 10]}}),
+            dict(CYLINDER_FILE, marking={"q": {"kind": "hole"}}),
+            dict(CYLINDER_FILE, lengths={"1-7": "x"}),
+        ],
+        ids=["list", "no-sigma0", "no-sigma1", "no-kind", "no-orbit", "bad-length"],
+    )
+    def test_malformed_graph_file_is_a_domain_error(self, capsys, tmp_path, doc):
+        path = _write(tmp_path, "bad.json", doc)
+        code, out, err = run(capsys, "shrink", "--graph", path, "--hole", "q")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "DomainMismatch"
+
+
 class TestStable:
     def test_json_reads_back(self, capsys, tmp_path):
         path = _write(tmp_path, "three.json", THREE_HOLES_FILE)
@@ -554,3 +589,38 @@ class TestStable:
         code, out, err = run(capsys, "stable", "--graph", path, "--zseq", "[[1, 4]")
         assert (code, out) == (64, "")
         assert err.startswith("usage error: ")
+
+
+def _boom():
+    raise ZeroDivisionError("division by zero")
+
+
+class TestRepro:
+    """The table and exit code of ``--repro`` on a stand-in registry."""
+
+    def test_every_check_passes(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            checks, "CHECKS", [("one", lambda: (True, "fine")), ("second-check", lambda: (True, "ok"))]
+        )
+        assert run(capsys, "--repro") == (
+            0,
+            "one           PASS  fine\n"
+            "second-check  PASS  ok\n"
+            "2/2 checks passed\n",
+            "",
+        )
+
+    def test_a_failing_or_raising_check_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            checks,
+            "CHECKS",
+            [("one", lambda: (True, "fine")), ("off", lambda: (False, "7 != 8")), ("boom", _boom)],
+        )
+        assert run(capsys, "--repro") == (
+            1,
+            "one   PASS  fine\n"
+            "off   FAIL  7 != 8\n"
+            "boom  FAIL  ZeroDivisionError: division by zero\n"
+            "1/3 checks passed\n",
+            "",
+        )

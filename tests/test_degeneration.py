@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ribboncalc import degeneration, enumeration, stable
+from ribboncalc import permutations as perms
 from ribboncalc.degeneration import (
     CYLINDER,
     DISK,
@@ -14,19 +15,14 @@ from ribboncalc.degeneration import (
     ShrinkResult,
     cylinder_configurations,
     detect_clusters,
-    forget_vertex_marking,
     hole_topology,
-    reduce_dual_graph,
     shrink,
     shrink_to_json,
-    y_stratum,
 )
 from ribboncalc.errors import (
     ConeViolation,
     DomainMismatch,
-    HoleMark,
     InconsistentLabels,
-    UnivalentVertex,
     VertexMark,
     ZeroPerimeter,
 )
@@ -59,8 +55,6 @@ TADPOLE = validate(
     [(1, 2, 3, 7), (4, 5, 6, 8, 9), (10,)],
     [(1, 4), (2, 5), (3, 6), (7, 8), (9, 10)],
 )
-# circle of two edges, for the bivalent-forget golden
-SUBCIRCLE = validate([(1, 2), (3, 4)], [(2, 3), (1, 4)])
 # one 4-valent vertex carrying two bigons; holes (1,6) and (3,8) share
 # only that vertex
 CROSS = validate(
@@ -100,6 +94,21 @@ def component_key(comp):
     return code, tuple(sorted(comp.lengths.items()))
 
 
+def total_genus(dual):
+    """Vertex genera plus the cycle rank of a dual graph."""
+    n = len(dual.vertices)
+    rank = len(dual.edges) - n + len(perms.blocks(range(n), dual.edges))
+    return sum(g for g, _, _ in dual.vertices) + rank
+
+
+def is_bubble_star(dual):
+    """At most one nonpositive vertex, and each edge joins it to a positive one."""
+    bubbles = [v for v in dual.vertices if not v[2]]
+    return len(bubbles) <= 1 and all(
+        dual.vertices[i][2] != dual.vertices[j][2] for i, j in dual.edges
+    )
+
+
 def random_graph(data, max_edges=4):
     n_edges = data.draw(st.integers(1, max_edges), label="edges")
     n = 2 * n_edges
@@ -116,40 +125,6 @@ def random_graph(data, max_edges=4):
 
 
 class TestDualGraph:
-    def test_two_positive_legs_on_a_nonpositive_triangle(self):
-        gamma = DualGraph(
-            [
-                (2, {"p1"}, True),
-                (3, {"p2"}, True),
-                (0, {"q1"}, False),
-                (1, {"q2"}, False),
-                (0, {"q3"}, False),
-            ],
-            [(0, 2), (1, 3), (2, 3), (3, 4), (2, 4)],
-        )
-        red = reduce_dual_graph(gamma)
-        assert red == DualGraph(
-            [(2, {"p1"}, True), (3, {"p2"}, True), (2, {"q1", "q2", "q3"}, False)],
-            [(0, 2), (1, 2)],
-        )
-        assert red.total_genus() == gamma.total_genus() == 7
-
-    def test_reduced_graph_is_a_fixed_point(self):
-        gamma = DualGraph(
-            [(1, {"p"}, True), (0, {"q"}, False)], [(0, 1), (0, 1)]
-        )
-        assert gamma.is_reduced()
-        assert reduce_dual_graph(gamma) == gamma
-
-    def test_nonpositive_loop_trades_for_genus(self):
-        gamma = DualGraph([(1, {"q"}, False)], [(0, 0)])
-        assert not gamma.is_reduced()
-        assert reduce_dual_graph(gamma) == DualGraph([(2, {"q"}, False)], [])
-
-    def test_positive_loops_are_left_alone(self):
-        gamma = DualGraph([(0, {"p"}, True)], [(0, 0)])
-        assert reduce_dual_graph(gamma) == gamma
-
     def test_duplicate_labels_are_rejected(self):
         with pytest.raises(InconsistentLabels):
             DualGraph([(0, {"q"}, True), (1, {"q"}, False)], [])
@@ -157,59 +132,6 @@ class TestDualGraph:
     def test_edges_must_point_at_vertices(self):
         with pytest.raises(InconsistentLabels):
             DualGraph([(0, {"q"}, True)], [(0, 1)])
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_reduction_preserves_totals_and_positives(self, data):
-        n = data.draw(st.integers(1, 5), label="vertices")
-        vertices = [
-            (
-                data.draw(st.integers(0, 3)),
-                {f"l{i}"},
-                data.draw(st.booleans()),
-            )
-            for i in range(n)
-        ]
-        n_edges = data.draw(st.integers(0, 7), label="edges")
-        edges = [
-            (data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
-            for _ in range(n_edges)
-        ]
-        gamma = DualGraph(vertices, edges)
-        red = reduce_dual_graph(gamma)
-        assert red.is_reduced()
-        assert red.total_genus() == gamma.total_genus()
-        before = sorted((g, ls) for g, ls, pos in gamma.vertices if pos)
-        after = sorted((g, ls) for g, ls, pos in red.vertices if pos)
-        assert before == after
-
-
-class TestYStratum:
-    def test_torus_cell_hole_spans_three_edges(self):
-        m = mark_all_holes(TORUS_CELL, ["p"])
-        assert y_stratum((TORUS_CELL, m), "p") == 3
-
-    def test_theta_holes_span_two_edges(self):
-        m = mark_all_holes(THETA, ["a", "b", "c"])
-        assert [y_stratum((THETA, m), q) for q in "abc"] == [2, 2, 2]
-
-    def test_circle_hole_spans_one_edge(self):
-        m = mark_all_holes(CIRCLE, ["a", "b"])
-        assert y_stratum((CIRCLE, m), "a") == 1
-
-    def test_metric_graph_input_and_vertex_mark(self):
-        g = theta_metric()
-        assert y_stratum(g, "b") == 2
-        m = Marking(
-            THETA,
-            dict(g.marking.targets, z=(VERTEX, frozenset({1, 2, 3}))),
-        )
-        with pytest.raises(VertexMark):
-            y_stratum((THETA, m), "z")
-
-    def test_unknown_label(self):
-        with pytest.raises(DomainMismatch):
-            y_stratum(theta_metric(), "nope")
 
 
 class TestHoleTopology:
@@ -296,7 +218,7 @@ class TestShrink:
         assert res.dual == DualGraph(
             [(0, {"p"}, True), (0, {"q"}, False)], [(0, 1), (0, 1)]
         )
-        assert res.dual.total_genus() == genus(CYL) == 1
+        assert total_genus(res.dual) == genus(CYL) == 1
 
     def test_surface_hole_buds_a_genus_bubble(self):
         m = mark_all_holes(TADPOLE, ["p", "q"])
@@ -311,7 +233,7 @@ class TestShrink:
         assert res.dual == DualGraph(
             [(0, {"p"}, True), (1, {"q"}, False)], [(0, 1)]
         )
-        assert res.dual.total_genus() == genus(TADPOLE) == 1
+        assert total_genus(res.dual) == genus(TADPOLE) == 1
 
     def test_untouched_vertex_mark_rides_along(self):
         m = mark_all_holes(TADPOLE, ["p", "q"])
@@ -353,10 +275,9 @@ class TestShrink:
         "call",
         [
             lambda g: hole_topology(g, "a"),
-            lambda g: y_stratum(g, "a"),
             lambda g: detect_clusters(g, ["a", "b"]),
         ],
-        ids=["hole_topology", "y_stratum", "detect_clusters"],
+        ids=["hole_topology", "detect_clusters"],
     )
     def test_bare_graph_input_is_refused(self, call):
         m = mark_all_holes(THETA, ["a", "b", "c"])
@@ -379,8 +300,8 @@ class TestShrink:
                 shrink(metric, q)
             return
         res = shrink(metric, q)
-        assert res.dual.is_reduced()
-        assert res.dual.total_genus() == genus(g)
+        assert is_bubble_star(res.dual)
+        assert total_genus(res.dual) == genus(g)
         kept = set()
         for comp in res.components:
             assert genus(comp.graph) >= 0
@@ -467,8 +388,8 @@ class TestStratumCensus:
                         continue
                     res = shrink(metric, q)
                     assert res.topology == topo
-                    assert res.dual.is_reduced()
-                    assert res.dual.total_genus() == g
+                    assert is_bubble_star(res.dual)
+                    assert total_genus(res.dual) == g
                     if topo.kind == DISK:
                         homes = [
                             c
@@ -646,107 +567,28 @@ class TestIteratedShrink:
         assert runs[0] == runs[1]
 
 
-class TestForgetVertexMarking:
-    def marked_subcircle(self):
-        m = mark_all_holes(SUBCIRCLE, ["a", "b"])
-        m = Marking(SUBCIRCLE, dict(m.targets, q=(VERTEX, frozenset({1, 2}))))
-        lengths = {(2, 3): Fraction(1, 3), (1, 4): Fraction(1, 2)}
-        return MarkedMetricGraph(SUBCIRCLE, m, lengths)
-
-    def test_bivalent_vertex_merges_its_edges(self):
-        out = forget_vertex_marking(self.marked_subcircle(), "q")
-        assert out.graph.n_vertices() == 1
-        assert out.graph.n_edges() == 1
-        assert out.lengths == {(3, 4): Fraction(5, 6)}
-        assert out.marking.targets == {
-            "a": (HOLE, frozenset({3})),
-            "b": (HOLE, frozenset({4})),
-        }
-
-    def test_higher_valency_just_drops_the_label(self):
-        m = mark_all_holes(TADPOLE, ["p", "q"])
-        m = Marking(TADPOLE, dict(m.targets, z=(VERTEX, frozenset({1, 2, 3, 7}))))
-        lengths = {e: Fraction(1, 5) for e in TADPOLE.edges()}
-        g = MarkedMetricGraph(TADPOLE, m, lengths)
-        out = forget_vertex_marking(g, "z")
-        assert out.graph is TADPOLE
-        assert out.lengths == lengths
-        assert "z" not in out.marking.labels()
-        assert out.marking.targets == mark_all_holes(TADPOLE, ["p", "q"]).targets
-
-    def test_remarking_the_unique_valency_recovers_the_input(self):
-        m = mark_all_holes(TADPOLE, ["p", "q"])
-        m = Marking(TADPOLE, dict(m.targets, z=(VERTEX, frozenset({1, 2, 3, 7}))))
-        lengths = {e: Fraction(1, 5) for e in TADPOLE.edges()}
-        g = MarkedMetricGraph(TADPOLE, m, lengths)
-        out = forget_vertex_marking(g, "z")
-        four_valent = [v for v in out.graph.vertices() if len(v) == 4]
-        assert len(four_valent) == 1
-        back = Marking(
-            out.graph,
-            dict(out.marking.targets, z=(VERTEX, frozenset(four_valent[0]))),
-        )
-        assert back == g.marking
-
-    def test_univalent_vertex_is_refused(self):
-        m = mark_all_holes(TADPOLE, ["p", "q"])
-        m = Marking(TADPOLE, dict(m.targets, w=(VERTEX, frozenset({10}))))
-        lengths = {e: Fraction(1, 5) for e in TADPOLE.edges()}
-        with pytest.raises(UnivalentVertex):
-            forget_vertex_marking(MarkedMetricGraph(TADPOLE, m, lengths), "w")
-
-    def test_hole_marks_cannot_be_forgotten(self):
-        with pytest.raises(HoleMark):
-            forget_vertex_marking(theta_metric(), "a")
-
-    def test_the_last_vertex_of_a_circle_stays(self):
-        res = shrink(theta_metric(), "a")
-        with pytest.raises(DomainMismatch):
-            forget_vertex_marking(res.components[0], "a")
-
-    def test_unknown_label(self):
-        with pytest.raises(DomainMismatch):
-            forget_vertex_marking(theta_metric(), "nope")
-
-
 class TestDetectClusters:
     def test_loops_of_the_dumbbell_stay_apart(self):
         m = mark_all_holes(DUMBBELL, ["a", "b", "c"])
-        blocks, topos = detect_clusters((DUMBBELL, m), ["a", "c"])
+        blocks = detect_clusters((DUMBBELL, m), ["a", "c"])
         assert blocks == [frozenset({"a"}), frozenset({"c"})]
-        assert [t.kind for t in topos] == [DISK, DISK]
 
     def test_holes_sharing_an_edge_cluster_together(self):
         m = mark_all_holes(THETA, ["a", "b", "c"])
-        blocks, topos = detect_clusters((THETA, m), ["a", "b"])
-        assert blocks == [frozenset({"a", "b"})]
-        assert topos[0].kind == DISK
+        assert detect_clusters((THETA, m), ["a", "b"]) == [frozenset({"a", "b"})]
+        assert detect_clusters((THETA, m), ["a", "b", "c"]) == [frozenset({"a", "b", "c"})]
 
     def test_holes_sharing_only_a_vertex_cluster_together(self):
         m = mark_all_holes(CROSS, ["x", "y", "z"])
         x_edges = {CROSS.edge_of(s) for s in m.orbit("x")}
         z_edges = {CROSS.edge_of(s) for s in m.orbit("z")}
         assert not x_edges & z_edges
-        blocks, topos = detect_clusters((CROSS, m), ["x", "z"])
-        assert blocks == [frozenset({"x", "z"})]
-        assert topos[0].kind == DISK
-
-    def test_the_whole_marking_of_theta_swallows_the_sphere(self):
-        m = mark_all_holes(THETA, ["a", "b", "c"])
-        blocks, topos = detect_clusters((THETA, m), ["a", "b", "c"])
-        assert blocks == [frozenset({"a", "b", "c"})]
-        assert topos[0].kind == SURFACE
-        assert topos[0].closed_complement
+        assert detect_clusters((CROSS, m), ["x", "z"]) == [frozenset({"x", "z"})]
 
     def test_blocks_are_maximal(self):
         m = mark_all_holes(DUMBBELL, ["a", "b", "c"])
-        blocks, _ = detect_clusters((DUMBBELL, m), ["a", "b", "c"])
+        blocks = detect_clusters((DUMBBELL, m), ["a", "b", "c"])
         assert blocks == [frozenset({"a", "b", "c"})]
-
-    def test_singleton_matches_hole_topology(self):
-        m = mark_all_holes(THETA, ["a", "b", "c"])
-        _, topos = detect_clusters((THETA, m), ["b"])
-        assert topos[0].kind == hole_topology((THETA, m), "b").kind
 
     def test_order_of_labels_is_irrelevant(self):
         m = mark_all_holes(CROSS, ["x", "y", "z"])

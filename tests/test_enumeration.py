@@ -43,6 +43,14 @@ def valency_lists_by_sides(sides, smallest):
     return [p for p in en._partitions(sides) if p[-1] >= smallest]
 
 
+def classes_per_dimension(cells):
+    """Number of classes per cell dimension, the edge count."""
+    out = Counter()
+    for vals, classes in cells.items():
+        out[sum(vals) // 2] += len(classes)
+    return dict(sorted(out.items()))
+
+
 def face_counts(valencies):
     """Face counts F >= 1 with 2 - V + E - F even and nonnegative."""
     v, e = len(valencies), sum(valencies) // 2
@@ -273,7 +281,7 @@ class TestAllCells:
         assert set(cells) == {(3, 3), (4,)}
         assert [c.aut for c in cells[(3, 3)]] == [6]
         assert [c.aut for c in cells[(4,)]] == [4]
-        assert en.dimension_counts(cells) == {2: 1, 3: 1}
+        assert classes_per_dimension(cells) == {2: 1, 3: 1}
 
     def test_max_excess_zero_is_trivalent_only(self):
         cells = en.enumerate_all_cells(1, ["p1"], max_excess=0)
@@ -281,12 +289,12 @@ class TestAllCells:
 
     def test_three_hole_sphere_cells(self):
         cells = en.enumerate_all_cells(0, ["p1", "p2", "p3"])
-        assert en.dimension_counts(cells) == {2: 3, 3: 4}
+        assert classes_per_dimension(cells) == {2: 3, 3: 4}
         assert [c.aut for c in cells[(4,)]] == [1, 1, 1]
 
     def test_torus_two_hole_dimension_counts(self):
         cells = en.enumerate_all_cells(1, ["p1", "p2"])
-        assert en.dimension_counts(cells) == {3: 5, 4: 14, 5: 15, 6: 9}
+        assert classes_per_dimension(cells) == {3: 5, 4: 14, 5: 15, 6: 9}
 
     def test_too_large(self):
         with pytest.raises(TooLarge):

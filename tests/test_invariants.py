@@ -7,7 +7,7 @@ import pathlib
 import pytest
 
 import ribboncalc
-from ribboncalc import combclasses, stable
+from ribboncalc import combclasses, errors, stable
 from ribboncalc.errors import BrokenInvariant, RibbonError
 from ribboncalc.ribbon import mark_all_holes, validate
 
@@ -52,6 +52,25 @@ def test_all_names_resolve(name):
     module = importlib.import_module("ribboncalc" if stem == "__init__" else f"ribboncalc.{stem}")
     dangling = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert dangling == [], f"{name} exports names it does not define: {dangling}"
+
+
+def test_every_error_class_is_raised():
+    defined = [
+        cls.__name__
+        for cls in vars(errors).values()
+        if isinstance(cls, type)
+        and issubclass(cls, RibbonError)
+        and cls is not RibbonError
+        and cls.__module__ == errors.__name__
+    ]
+    source = "".join(
+        (PACKAGE / name).read_text(encoding="utf-8")
+        for name in GUARDED
+        if name != "errors.py"
+    )
+    dead = [name for name in defined if f"raise {name}(" not in source]
+    assert "TooLarge" in defined
+    assert dead == [], f"errors.py defines classes no module raises: {dead}"
 
 
 def test_broken_invariant_is_a_domain_error():

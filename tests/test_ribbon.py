@@ -29,7 +29,6 @@ from ribboncalc.ribbon import (
     genus,
     graph_from_json,
     graph_to_json,
-    is_reduced,
     mark_all_holes,
     validate,
 )
@@ -342,7 +341,6 @@ class TestMarking:
             },
         )
         assert m.vertex_labels() == ["q"]
-        assert m.label_of(HOLE, (2, 5)) == "b"
 
     def test_not_injective(self):
         with pytest.raises(DomainMismatch):
@@ -350,22 +348,6 @@ class TestMarking:
                 CIRCLE,
                 {"p": (HOLE, frozenset({1})), "q": (HOLE, frozenset({1}))},
             )
-
-    def test_reduced(self):
-        assert is_reduced(THETA, None)
-        # a segment: two univalent vertices, one hole around the edge
-        seg = validate([(1,), (2,)], [(1, 2)])
-        assert seg.n_holes() == 1
-        assert not is_reduced(seg, None)
-        marked = Marking(
-            seg,
-            {
-                "p": (HOLE, frozenset({1, 2})),
-                "q1": (VERTEX, frozenset({1})),
-                "q2": (VERTEX, frozenset({2})),
-            },
-        )
-        assert is_reduced(seg, marked)
 
 
 class TestMetric:
@@ -378,7 +360,7 @@ class TestMetric:
         )
         assert mg.circumference("a") == Fraction(1, 2) + Fraction(1, 3)
         total = sum(mg.circumference(l) for l in ("a", "b", "c"))
-        assert total == 2 * mg.total_length()
+        assert total == 2 * sum(mg.lengths.values())
 
     def test_positive_lengths_required(self):
         m = mark_all_holes(CIRCLE, ["p1", "p2"])
@@ -397,7 +379,7 @@ class TestMetric:
             den = data.draw(st.integers(1, 9))
             lengths[e] = Fraction(num, den)
         mg = MarkedMetricGraph(g, m, lengths)
-        assert sum(mg.circumference(l) for l in labels) == 2 * mg.total_length()
+        assert sum(mg.circumference(l) for l in labels) == 2 * sum(mg.lengths.values())
 
 
 class TestJson:

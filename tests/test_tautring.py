@@ -8,24 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ribboncalc.tautring as tt
-from ribboncalc.errors import (
-    DomainMismatch,
-    NotReducible,
-    UnforgettableMonomial,
-    WrongExponent,
-)
+from ribboncalc.errors import DomainMismatch
 from ribboncalc.tautring import (
     ONE,
     ZERO,
     TautPoly,
-    dilaton_value,
-    faber_pushforward,
     kappa,
     kappa_cycle_sum,
-    map_generators,
     psi,
-    pullback_kappa,
-    string_reduce,
     symbol,
 )
 
@@ -159,52 +149,21 @@ class TestTextForm:
 
 
 class TestFaber:
+    """Closed forms of Faber's K(b_1, ..., b_m) for one, two and three points."""
+
     def test_single_point_formula(self):
         for b in range(7):
-            got = faber_pushforward(psi("q") ** (b + 1), ["q"])
-            assert got == kappa(b)
-            fuller = faber_pushforward(psi("p") ** 2 * psi("q") ** (b + 1), ["q"])
-            assert fuller == psi("p") ** 2 * kappa(b)
+            assert kappa_cycle_sum([b]) == kappa(b)
 
     def test_two_points(self):
         for a in range(3):
             for b in range(3):
-                got = faber_pushforward(
-                    psi("q1") ** (a + 1) * psi("q2") ** (b + 1), ["q1", "q2"]
-                )
+                got = kappa_cycle_sum([a, b])
                 assert got == kappa(a) * kappa(b) + kappa(a + b)
 
     def test_three_points(self):
-        got = faber_pushforward(
-            psi("q1") ** 2 * psi("q2") ** 2 * psi("q3") ** 2, ["q1", "q2", "q3"]
-        )
         want = kappa(1) ** 3 + 3 * kappa(1) * kappa(2) + 2 * kappa(3)
-        assert got == want
-
-    def test_string_normalization_inside(self):
-        # exponent-0 forgotten point handled by the string equation first
-        got = faber_pushforward(psi("p") ** 2 * psi("q2") ** 3, ["q1", "q2"])
-        assert got == psi("p") * kappa(2) + psi("p") ** 2 * kappa(1)
-
-    def test_unforgettable(self):
-        with pytest.raises(UnforgettableMonomial):
-            faber_pushforward(psi("q1"), ["q1", "q2"])
-        with pytest.raises(UnforgettableMonomial):
-            faber_pushforward(ONE, ["q"])
-
-    def test_rejects_kappa_input(self):
-        with pytest.raises(DomainMismatch):
-            faber_pushforward(kappa(1) * psi("q"), ["q"])
-
-    def test_degree_drop(self):
-        p = psi("q1") ** 3 * psi("q2") ** 2 + 4 * psi("p") ** 3 * psi("q1") * psi("q2")
-        out = faber_pushforward(p, ["q1", "q2"])
-        assert out.weights() == {3}  # 5 - 2
-
-    def test_symmetry(self):
-        a = faber_pushforward(psi("q1") ** 2 * psi("q2") ** 4, ["q1", "q2"])
-        b = faber_pushforward(psi("q1") ** 4 * psi("q2") ** 2, ["q1", "q2"])
-        assert a == b
+        assert kappa_cycle_sum([1, 1, 1]) == want
 
     def test_kappa_cycle_sum_small(self):
         assert kappa_cycle_sum([]) == 1
@@ -296,105 +255,3 @@ class TestCycleSum:
         monkeypatch.setattr(tt, "kappa_cycle_sum", counted)
         tt.kappa_cycle_sum([1, 2, 3, 4])
         assert len(calls) == 1
-
-
-class TestString:
-    def test_example(self):
-        got = string_reduce(psi("p1") ** 2 * psi("p2"), "q")
-        assert got == psi("p1") * psi("p2") + psi("p1") ** 2
-
-    def test_single(self):
-        assert string_reduce(psi("p1"), "q") == 1
-
-    def test_constant_fails(self):
-        with pytest.raises(NotReducible):
-            string_reduce(ONE, "q")
-
-    def test_present_point_rejected(self):
-        with pytest.raises(DomainMismatch):
-            string_reduce(psi("q") * psi("p"), "q")
-
-
-class TestDilaton:
-    def test_evaluated(self):
-        assert dilaton_value(psi("q"), "q", 1, 1) == 1
-        assert dilaton_value(psi("q"), "q", 0, 5) == 3
-
-    def test_formal(self):
-        assert dilaton_value(psi("p") * psi("q"), "q") == psi("p") * kappa(0)
-
-    def test_wrong_exponent(self):
-        with pytest.raises(WrongExponent):
-            dilaton_value(psi("q") ** 2, "q")
-        with pytest.raises(WrongExponent):
-            dilaton_value(psi("p"), "q")
-
-    def test_half_supplied(self):
-        with pytest.raises(DomainMismatch):
-            dilaton_value(psi("q"), "q", g=1)
-
-
-class TestPullback:
-    def test_displayed_relation(self):
-        assert pullback_kappa(kappa(1), "q") == kappa(1) + psi("q")
-
-    def test_square(self):
-        got = pullback_kappa(kappa(1) ** 2, "q")
-        assert got == kappa(1) ** 2 + 2 * kappa(1) * psi("q") + psi("q") ** 2
-
-    def test_constant(self):
-        assert pullback_kappa(ONE, "q") == 1
-
-    def test_kappa0(self):
-        assert pullback_kappa(kappa(0), "q") == kappa(0) + 1
-
-    def test_weight_preserved(self):
-        p = kappa(3) * kappa(1) + 2 * kappa(4)
-        assert pullback_kappa(p, "q").weights() == {4}
-
-    def test_rejects_psi(self):
-        with pytest.raises(DomainMismatch):
-            pullback_kappa(psi("q"), "q")
-
-
-def _push_mixed(poly, q):
-    """Push a kappa-and-psi polynomial along one forgotten point."""
-    out = ZERO
-    for mono, coeff in poly.terms().items():
-        kmono = tuple((g, e) for g, e in mono if g[0] == "k")
-        ppoly = TautPoly.constant(coeff)
-        for g, e in mono:
-            if g[0] == "psi":
-                ppoly = ppoly * psi(g[1]) ** e
-        out = out + TautPoly({kmono: Fraction(1)}) * faber_pushforward(ppoly, [q])
-    return out
-
-
-def _forget_iterated(poly, q_first, q_second):
-    mid = faber_pushforward(poly, [q_first])
-    mapping = {}
-    for mono in mid.terms():
-        for g, _ in mono:
-            if g[0] == "k":
-                mapping[g] = kappa(g[1]) + psi(q_second) ** g[1]
-    return _push_mixed(map_generators(mid, mapping), q_second)
-
-
-class TestComposition:
-    def test_all_monomials_up_to_weight_five(self):
-        for total in range(2, 6):
-            for b in range(1, total):
-                for c in range(1, total - b + 1):
-                    a = total - b - c
-                    if a < 0:
-                        continue
-                    mono = psi("p") ** a * psi("q1") ** b * psi("q2") ** c
-                    at_once = faber_pushforward(mono, ["q1", "q2"])
-                    iterated = _forget_iterated(mono, "q2", "q1")
-                    assert at_once == iterated, (a, b, c)
-
-    def test_with_string_step(self):
-        mono = psi("p") ** 2 * psi("q2") ** 3  # q1 absent entirely
-        at_once = faber_pushforward(mono, ["q1", "q2"])
-        iterated = _forget_iterated(mono, "q2", "q1")
-        assert at_once == iterated
