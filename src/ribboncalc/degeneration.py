@@ -15,7 +15,10 @@ their labels.  Only the disk's vertex label is placed here.
 The module also houses the dual graph a shrink records, the per-hole zone
 classification used for stratum censuses, the adjacency clusters of a set
 of holes, and the inventory of cylinder configurations the fiber integrals
-sum over.
+sum over.  A zone's classification depends on the graph and the hole
+only, so ``hole_topology`` classifies each hole of a graph once and keeps
+the answer on the graph, for every labelling that shares it; ``shrink``
+collapses the zone itself, since it needs the collapse too.
 """
 
 from __future__ import annotations
@@ -197,12 +200,19 @@ def hole_topology(g, q) -> HoleTopology:
     genus 0, two circles, exactly one edge traversed twice by the hole;
     its boundary pair counts the hole's other sides on each arc, minus
     one.  Everything else is a surface whose boundary entries are the
-    valencies of the vertices the circles collapse onto.
+    valencies of the vertices the circles collapse onto.  The answer is
+    kept per hole orbit in the graph's ``_zones``.
     """
     graph, marking = _graph_and_marking(g)
     orbit = _hole_orbit(marking, q)
-    zone = _zone_edges(graph, orbit)
-    return _hole_zone_topology(graph, orbit, zone, _zone_cut(graph, zone))
+    if graph._zones is None:
+        graph._zones = {}
+    topo = graph._zones.get(orbit)
+    if topo is None:
+        zone = _zone_edges(graph, orbit)
+        topo = _hole_zone_topology(graph, orbit, zone, _zone_cut(graph, zone))
+        graph._zones[orbit] = topo
+    return topo
 
 
 def _hole_zone_topology(graph, orbit, zone, cut):

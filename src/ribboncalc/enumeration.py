@@ -15,6 +15,9 @@ Isomorphism classes, the rooted maps up to moving the root, are collected
 by canonical form.  A labelled class's code extends the unlabelled one, so
 each class's least-code roots are found once and every labelling of its
 holes and marked vertices only compares mark codes over those roots.
+Every labelled class of one unlabelled class is built on that class's
+canonical graph, one shared object, so what the graph determines (its
+orbits, the zone of each hole) is worked out once for all labellings.
 
 The Euler sum does not need the classes themselves: with sigma0 fixed, the
 isomorphism classes with a given valency list are the orbits of the
@@ -60,6 +63,7 @@ from .ribbon import (
     VERTEX,
     Marking,
     RibbonGraph,
+    _code_marking,
     _least_roots,
     _marked_code,
     canonical_form,
@@ -336,7 +340,11 @@ def _vertex_assignments(vertex_marks, vertices):
 
 
 def _marked_classes(valencies, hole_labels, vertex_marks):
-    """Labelled classes by code; a labelling only breaks ties among least roots."""
+    """Labelled classes by code; a labelling only breaks ties among least roots.
+
+    ``g`` is canonical, so its code is ``best`` and ``from_code`` of any of
+    its labelled codes would rebuild ``g`` itself; they all share it.
+    """
     out = {}
     for g in _unlabeled_classes(valencies, len(hole_labels)):
         best, relabels = _least_roots(g)
@@ -347,7 +355,7 @@ def _marked_classes(valencies, hole_labels, vertex_marks):
             for extra in _vertex_assignments(vertex_marks, vertices):
                 code, aut = _marked_code(best, relabels, base | extra)
                 if code not in out:
-                    out[code] = CellClass(*from_code(code), aut)
+                    out[code] = CellClass(g, _code_marking(g, code[2]), aut)
     return [out[c] for c in sorted(out)]
 
 

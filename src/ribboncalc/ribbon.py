@@ -8,7 +8,10 @@ involution).  The third permutation sigma_inf, defined by
     sigma_inf o sigma1 o sigma0 = identity,
 
 traverses the boundary cycles.  Orbits: vertices = sigma0-orbits, edges =
-sigma1-orbits, holes = sigma_inf-orbits.
+sigma1-orbits, holes = sigma_inf-orbits.  No graph changes once built, so
+each graph object works out sigma_inf and its vertex and hole cycles on
+first use and keeps them; ``vertices()`` and ``holes()`` still return a
+fresh list per call.
 
 Worked example (two trivalent vertices, three parallel edges)::
 
@@ -58,15 +61,21 @@ def _mentioned(spec):
 
 
 class RibbonGraph:
-    """Immutable-by-convention pair of permutations on a common side set."""
+    """Immutable-by-convention pair of permutations on a common side set.
 
-    __slots__ = ("sides", "sigma0", "sigma1", "_sigma_inf")
+    The caches start as None; ``_zones`` is ``degeneration.hole_topology``'s.
+    """
+
+    __slots__ = ("sides", "sigma0", "sigma1", "_sigma_inf", "_vertices", "_holes", "_zones")
 
     def __init__(self, sigma0, sigma1, sides):
         self.sides = tuple(sorted(sides))
         self.sigma0 = sigma0
         self.sigma1 = sigma1
         self._sigma_inf = None
+        self._vertices = None
+        self._holes = None
+        self._zones = None
 
     # -- derived permutations -------------------------------------------------
 
@@ -81,14 +90,18 @@ class RibbonGraph:
     # -- orbits ----------------------------------------------------------------
 
     def vertices(self):
-        return perms.cycles(self.sigma0)
+        if self._vertices is None:
+            self._vertices = perms.cycles(self.sigma0)
+        return list(self._vertices)
 
     def edges(self):
         """Edges as sorted 2-tuples (a, b) with sigma1(a) = b."""
         return [tuple(sorted(c)) for c in perms.cycles(self.sigma1)]
 
     def holes(self):
-        return perms.cycles(self.sigma_inf)
+        if self._holes is None:
+            self._holes = perms.cycles(self.sigma_inf)
+        return list(self._holes)
 
     def n_vertices(self):
         return len(self.vertices())
@@ -403,14 +416,17 @@ def from_code(code):
     code0, code1, mark_code = code
     sides = range(1, len(code0) + 1)
     g = RibbonGraph(dict(zip(sides, code0)), dict(zip(sides, code1)), sides)
-    if not mark_code:
-        return g, None
+    return g, _code_marking(g, mark_code) if mark_code else None
+
+
+def _code_marking(g: RibbonGraph, mark_code) -> Marking:
+    """The marking a mark code puts on ``g``, a graph ``from_code`` built."""
     perm = {HOLE: g.sigma_inf, VERTEX: g.sigma0}
     targets = {
         label: (kind, frozenset(perms.orbit_of(perm[kind], side)))
         for label, kind, side in mark_code
     }
-    return g, Marking(g, targets)
+    return Marking(g, targets)
 
 
 def canonicalize(g: RibbonGraph, marking: Marking | None = None):
@@ -491,7 +507,10 @@ def graph_from_json(data):
     """Inverse of graph_to_json; returns (graph, marking-or-None, lengths-or-None)."""
     if not (isinstance(data, dict) and {"sigma0", "sigma1", "sides"} <= data.keys()):
         raise DomainMismatch("a graph document is an object with sigma0, sigma1 and sides")
-    g = validate(data["sigma0"], data["sigma1"], sides=data["sides"])
+    try:
+        g = validate(data["sigma0"], data["sigma1"], sides=data["sides"])
+    except TypeError as err:
+        raise DomainMismatch(f"sides, sigma0 and sigma1 must list integer sides: {err}") from err
     marking = None
     marks = data.get("marking")
     if marks:
@@ -500,13 +519,16 @@ def graph_from_json(data):
             and all(isinstance(e, dict) and {"kind", "orbit"} <= e.keys() for e in marks.values())
         ):
             raise DomainMismatch("the marking must give each label a kind and an orbit")
-        marking = Marking(
-            g,
-            {
-                label: (entry["kind"], frozenset(entry["orbit"]))
-                for label, entry in marks.items()
-            },
-        )
+        try:
+            marking = Marking(
+                g,
+                {
+                    label: (entry["kind"], frozenset(entry["orbit"]))
+                    for label, entry in marks.items()
+                },
+            )
+        except TypeError as err:
+            raise DomainMismatch(f"each orbit must be a list of integer sides: {err}") from err
     lengths = None
     if data.get("lengths"):
         try:

@@ -168,6 +168,18 @@ class TestStrata:
             "",
         )
 
+    @pytest.mark.parametrize(
+        "genus,labels,hole,text",
+        [
+            (0, "p,q,r,s", "p", "cylinder: 36\ndisk: 227\nsurface: 64\ncells: 327\n"),
+            (1, "p,q,r", "q", "cylinder: 306\ndisk: 2212\nsurface: 1700\ncells: 4218\n"),
+        ],
+        ids=["genus0-four-holes", "genus1-three-holes"],
+    )
+    def test_text_goldens(self, capsys, genus, labels, hole, text):
+        argv = ("strata", "--genus", str(genus), "--labels", labels, "--hole", hole)
+        assert run(capsys, *argv) == (0, text, "")
+
     def test_manifest_records_the_output_digest(self, capsys, tmp_path):
         path = tmp_path / "run.json"
         code, out, err = run(capsys, *self.ARGV, "--json", "--manifest", str(path))
@@ -589,6 +601,60 @@ class TestStable:
         code, out, err = run(capsys, "stable", "--graph", path, "--zseq", "[[1, 4]")
         assert (code, out) == (64, "")
         assert err.startswith("usage error: ")
+
+
+GRAPH_COMMANDS = {
+    "shrink": ("--hole", "q"),
+    "omega": ("--hole", "q"),
+    "stable": ("--zseq", ZSEQ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GRAPH_COMMANDS))
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(CYLINDER_FILE, sigma0=5),
+        dict(CYLINDER_FILE, sigma1=[1, 7]),
+        dict(CYLINDER_FILE, sides=[[12]]),
+        dict(CYLINDER_FILE, marking={"q": {"kind": "hole", "orbit": 5}}),
+    ],
+    ids=["sigma0-int", "sigma1-flat", "sides-nested", "orbit-int"],
+)
+def test_ill_typed_graph_file_is_a_domain_error(capsys, tmp_path, command, doc):
+    path = _write(tmp_path, "bad.json", doc)
+    code, out, err = run(capsys, command, "--graph", path, *GRAPH_COMMANDS[command])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "DomainMismatch"
+
+
+MANIFEST_RUNS = {
+    "fpoly": ("fpoly", "--profile", "0,3"),
+    "relation": ("relation", "--rho", "1,1", "--keep", "q1"),
+    "check": ("check", "two-vertex", "--a", "5", "--b", "6"),
+    "cluster-count": ("cluster-count", "--rho", "1,0,0"),
+    "fiber": ("fiber", "--kind", "cyl", "--v1", "3", "--v2", "5"),
+    "omega": ("omega", "--graph", TORUS_FILE, "--hole", "p", "--pfaffian"),
+    "shrink": ("shrink", "--graph", CYLINDER_FILE, "--hole", "q"),
+    "stable": ("stable", "--graph", THREE_HOLES_FILE, "--zseq", ZSEQ),
+}
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize("command", sorted(MANIFEST_RUNS))
+def test_manifest_digest_is_the_sha256_of_stdout(capsys, tmp_path, command, json_flag):
+    argv = [
+        _write(tmp_path, "graph.json", arg) if isinstance(arg, dict) else arg
+        for arg in MANIFEST_RUNS[command]
+    ]
+    path = tmp_path / "run.json"
+    code, out, err = run(capsys, *argv, *json_flag, "--manifest", str(path))
+    assert (code, err) == (0, "")
+    manifest = json.loads(path.read_text())
+    assert manifest["command"] == command
+    assert manifest["version"] == cli.__version__
+    assert manifest["digest"] == hashlib.sha256(out.removesuffix("\n").encode()).hexdigest()
+    assert run(capsys, *argv, *json_flag) == (0, out, "")
 
 
 def _boom():

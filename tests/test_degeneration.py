@@ -31,6 +31,7 @@ from ribboncalc.ribbon import (
     VERTEX,
     Marking,
     MarkedMetricGraph,
+    RibbonGraph,
     canonical_form,
     contract_edge,
     genus,
@@ -422,6 +423,63 @@ class TestStratumCensus:
             for cell in classes:
                 topo = hole_topology((cell.graph, cell.marking), "p")
                 assert topo.closed_complement
+
+
+def fresh_copy(graph):
+    """The same graph as a new object, with none of its caches filled."""
+    return RibbonGraph(dict(graph.sigma0), dict(graph.sigma1), graph.sides)
+
+
+class TestZoneMemo:
+    """``hole_topology`` keeps one topology per hole orbit on the graph."""
+
+    @pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1), (1, 3)])
+    def test_memo_matches_the_uncached_classification(self, g, n):
+        labels = [f"p{i}" for i in range(1, n + 1)]
+        cells = enumeration.enumerate_all_cells(g, labels)
+        classified = set()
+        for classes in cells.values():
+            for cell in classes:
+                for q in labels:
+                    got = hole_topology((cell.graph, cell.marking), q)
+                    orbit = cell.marking.orbit(q)
+                    graph = fresh_copy(cell.graph)
+                    zone = degeneration._zone_edges(graph, orbit)
+                    cut = degeneration._zone_cut(graph, zone)
+                    assert got == degeneration._hole_zone_topology(graph, orbit, zone, cut)
+                    assert cell.graph._zones[orbit] is got
+                    classified.add((id(cell.graph), orbit))
+        # one classification per hole of each distinct graph, whatever the labelling
+        graphs = {id(cell.graph) for classes in cells.values() for cell in classes}
+        assert len(classified) == n * len(graphs)
+
+    def test_second_call_reads_the_memo(self, monkeypatch):
+        graph = fresh_copy(CYL)
+        m = mark_all_holes(graph, ["p", "q"])
+        first = hole_topology((graph, m), "q")
+        monkeypatch.setattr(degeneration, "collapse", None)
+        assert hole_topology((graph, m), "q") is first
+        relabelled = Marking(graph, {"x": m.targets["q"], "y": m.targets["p"]})
+        assert hole_topology((graph, relabelled), "x") is first
+
+    def test_unqueried_graph_holds_no_zone_dict(self):
+        graph = fresh_copy(CYL)
+        m = mark_all_holes(graph, ["p", "q"])
+        shrink(zone_metric(graph, m, "q"), "q")
+        detect_clusters((graph, m), ["p", "q"])
+        assert graph._zones is None
+        hole_topology((graph, m), "p")
+        assert list(graph._zones) == [m.orbit("p")]
+
+    def test_errors_are_not_memoized(self):
+        graph = fresh_copy(THETA)
+        targets = {l: (HOLE, frozenset(h)) for l, h in zip("abc", graph.holes())}
+        m = Marking(graph, targets | {"v": (VERTEX, frozenset({1, 2, 3}))})
+        with pytest.raises(VertexMark):
+            hole_topology((graph, m), "v")
+        with pytest.raises(DomainMismatch):
+            hole_topology((graph, m), "z")
+        assert graph._zones is None
 
 
 class TestMetricPath:

@@ -275,6 +275,36 @@ class TestLabellingsFromTheLeastRoots:
         assert as_json(got) == as_json(marked_classes_by_labelling(valencies, holes, marks))
 
 
+class TestSharedClassGraph:
+    """Every labelled class of one unlabelled class sits on its canonical graph."""
+
+    @staticmethod
+    def check(classes):
+        shared = {}
+        for cell in classes:
+            code, aut = canonical_form(cell.graph, cell.marking)
+            graph, marking = from_code(code)
+            assert (cell.graph.sides, cell.graph.sigma0, cell.graph.sigma1) == (
+                graph.sides,
+                graph.sigma0,
+                graph.sigma1,
+            )
+            assert (cell.marking, cell.aut) == (marking, aut)
+            assert shared.setdefault(canonical_form(cell.graph)[0], cell.graph) is cell.graph
+        return shared
+
+    @pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1)])
+    def test_every_cell(self, g, n):
+        labels = [f"p{i}" for i in range(1, n + 1)]
+        for vals in en.valency_lists(g, n):
+            shared = self.check(en._marked_classes(list(vals), labels, {}))
+            assert len(shared) == len(en._unlabeled_classes(list(vals), n))
+
+    def test_vertex_marks(self):
+        classes = en.enumerate(1, ["p", "q", "r"], [1, 1], vertex_marks={"r": 5})
+        assert len(classes) > len(self.check(classes))
+
+
 class TestAllCells:
     def test_torus_one_hole_cells(self):
         cells = en.enumerate_all_cells(1, ["p1"])

@@ -46,6 +46,82 @@ def test_no_unused_import(name):
     assert unused == [], f"{name} imports names it never uses: {unused}"
 
 
+# a RibbonGraph caches what these determine (orbits, sigma_inf, zone
+# topologies), which is sound only while no graph changes after __init__
+GRAPH_FIELDS = {"sides", "sigma0", "sigma1", "sigma_inf"}
+MUTATORS = {"update", "pop", "popitem", "clear", "setdefault"}
+
+
+def _written(node):
+    """The expressions a statement or call writes to, tuples unpacked."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        stack = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For, ast.comprehension)):
+        stack = [node.target]
+    elif isinstance(node, ast.withitem) and node.optional_vars is not None:
+        stack = [node.optional_vars]
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        stack = [node.func.value] if node.func.attr in MUTATORS else []
+    else:
+        return []
+    out = []
+    while stack:
+        target = stack.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            stack.extend(target.elts)
+        elif isinstance(target, ast.Starred):
+            stack.append(target.value)
+        else:
+            out.append(target)
+    return out
+
+
+def graph_field_writes(tree):
+    """Lines writing a graph field, or an entry of one, outside RibbonGraph.__init__."""
+    lines = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if scope[-2:] != ("RibbonGraph", "__init__"):
+            for target in _written(node):
+                while isinstance(target, ast.Subscript):
+                    target = target.value
+                if isinstance(target, ast.Attribute) and target.attr in GRAPH_FIELDS:
+                    lines.append(node.lineno if hasattr(node, "lineno") else target.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("name", GUARDED)
+def test_no_graph_is_changed_after_construction(name):
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"), filename=name)
+    lines = graph_field_writes(tree)
+    assert lines == [], f"{name} writes a graph's permutations on lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "source,flagged",
+    [
+        ("g.sigma0[1] = 2", True),
+        ("g.sigma1 = {}", True),
+        ("g.sides += (7,)", True),
+        ("a, g.sigma0[x] = 1, 2", True),
+        ("del g.sigma1[3]", True),
+        ("g.sigma_inf.update(p)", True),
+        ("for g.sigma0[0] in xs: pass", True),
+        ("class RibbonGraph:\n    def swap(self):\n        self.sigma1 = {}", True),
+        ("s0 = dict(g.sigma0)\ns0[x] = 1", False),
+        ("class RibbonGraph:\n    def __init__(self, s):\n        self.sigma0 = s", False),
+    ],
+)
+def test_the_graph_write_check_sees_writes(source, flagged):
+    assert bool(graph_field_writes(ast.parse(source))) == flagged
+
+
 @pytest.mark.parametrize("name", GUARDED)
 def test_all_names_resolve(name):
     stem = pathlib.Path(name).stem

@@ -84,6 +84,30 @@ class TestValidate:
             validate([], [])
 
 
+class TestOrbitCache:
+    @pytest.mark.parametrize("method", ["vertices", "holes"])
+    def test_mutating_a_returned_list_leaves_the_next_call_unchanged(self, method):
+        g = validate([(1, 2, 3), (4, 5, 6)], [(1, 4), (2, 6), (3, 5)])
+        first = getattr(g, method)()
+        want = list(first)
+        first.append((99,))
+        first.reverse()
+        assert getattr(g, method)() == want
+        assert getattr(g, method)() is not getattr(g, method)()
+
+    def test_counts_and_orbits_match_the_permutations(self):
+        for g in (CIRCLE, TORUS_CELL, THETA):
+            assert g.vertices() == perms.cycles(g.sigma0)
+            assert g.holes() == perms.cycles(g.sigma_inf)
+            assert (g.n_vertices(), g.n_holes()) == (len(g.vertices()), len(g.holes()))
+
+    def test_a_fresh_graph_holds_no_cache(self):
+        g = validate([(1, 2, 3), (4, 5, 6)], [(1, 4), (2, 6), (3, 5)])
+        assert (g._vertices, g._holes, g._zones) == (None, None, None)
+        g.n_holes()
+        assert g._vertices is None and len(g._holes) == 3
+
+
 class TestGenus:
     def test_circle_genus_zero(self):
         assert genus(CIRCLE) == 0
@@ -392,6 +416,41 @@ class TestJson:
         g2, m2, l2 = graph_from_json(data)
         assert canonical_form(g2, m2) == canonical_form(THETA, m)
         assert l2 == lengths
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"sides": 2, "sigma0": 5, "sigma1": [[1, 2]]},
+            {"sides": 2, "sigma0": [1, 2], "sigma1": [[1, 2]]},
+            {"sides": 2, "sigma0": [[1, 2]], "sigma1": [[[1], 2]]},
+            {"sides": [[2]], "sigma0": [[1, 2]], "sigma1": [[1, 2]]},
+            {"sides": 2.5, "sigma0": [[1, 2]], "sigma1": [[1, 2]]},
+            {
+                "sides": 2,
+                "sigma0": [[1, 2]],
+                "sigma1": [[1, 2]],
+                "marking": {"p": {"kind": "hole", "orbit": 5}},
+            },
+            {
+                "sides": 2,
+                "sigma0": [[1, 2]],
+                "sigma1": [[1, 2]],
+                "marking": {"p": {"kind": "hole", "orbit": [[1]]}},
+            },
+        ],
+        ids=[
+            "sigma0-int",
+            "sigma0-flat",
+            "sigma1-nested",
+            "sides-nested",
+            "sides-float",
+            "orbit-int",
+            "orbit-nested",
+        ],
+    )
+    def test_ill_typed_document_is_a_domain_error(self, doc):
+        with pytest.raises(DomainMismatch):
+            graph_from_json(doc)
 
     def test_non_contiguous_sides_renumbered(self):
         g = validate({3: 7, 7: 3}, {3: 7, 7: 3})
