@@ -12,9 +12,18 @@ once, connected by construction; this inverts the root-edge decomposition
 of Walsh and Lehman cited below.  Faces are counted as boundary walks
 close, and a branch that can no longer end with n faces is cut.
 Isomorphism classes, the rooted maps up to moving the root, are collected
-by canonical form.  A labelled class's code extends the unlabelled one, so
-each class's least-code roots are found once and every labelling of its
-holes and marked vertices only compares mark codes over those roots.
+by canonical augmentation (McKay, Isomorph-free exhaustive generation,
+J. Algorithms 26, 1998): a rooted map is kept only if its root attains
+the least traversal code (code0, code1) among all roots on vertices of
+valency mu_1.  The generator yields each class once per Aut-orbit of such
+roots, and the roots attaining the least code form one Aut-orbit, since
+two roots with equal codes differ by an automorphism; so exactly one map
+per class passes, and nothing is deduplicated.  A rival root's code is
+built one traversal step at a time and dropped at the first entry that
+differs, and only a kept map gets a full canonical form.  A labelled
+class's code extends the unlabelled one, so each class's least-code roots
+are found once, with their first side of every hole (and marked vertex),
+and every labelling only compares mark codes over those roots.
 Every labelled class of one unlabelled class is built on that class's
 canonical graph, one shared object, so what the graph determines (its
 orbits, the zone of each hole) is worked out once for all labellings.
@@ -63,9 +72,11 @@ from .ribbon import (
     VERTEX,
     Marking,
     RibbonGraph,
+    _bfs_code,
     _code_marking,
-    _least_roots,
+    _first_sides,
     _marked_code,
+    _tied_roots,
     canonical_form,
     from_code,
 )
@@ -322,11 +333,19 @@ class CellClass(NamedTuple):
 
 
 def _unlabeled_classes(valencies, n_holes):
-    """Canonical representatives (sorted by code) of unlabeled classes."""
+    """Canonical representatives (sorted by code) of unlabeled classes.
+
+    A rooted map is kept only if its root, side 1, attains the least code
+    among the roots on vertices of valency ``valencies[0]``; the module
+    docstring says why exactly one map per class passes.  Rival roots are
+    compared lazily, and only a kept map gets ``canonical_form``.
+    """
     reps = {}
     for graph in _rooted_map_graphs(valencies, n_holes):
-        code, _ = canonical_form(graph)
-        if code not in reps:
+        rooted, _ = _bfs_code(graph, 1)
+        rivals = [x for v in graph.vertices() if len(v) == valencies[0] for x in v if x != 1]
+        if _tied_roots(graph, rooted, rivals) is not None:
+            code, _ = canonical_form(graph)
             reps[code] = from_code(code)[0]
     return [reps[c] for c in sorted(reps)]
 
@@ -342,18 +361,27 @@ def _vertex_assignments(vertex_marks, vertices):
 def _marked_classes(valencies, hole_labels, vertex_marks):
     """Labelled classes by code; a labelling only breaks ties among least roots.
 
-    ``g`` is canonical, so its code is ``best`` and ``from_code`` of any of
-    its labelled codes would rebuild ``g`` itself; they all share it.
+    ``g`` is canonical, so root 1 attains its least code ``best``, and
+    ``from_code`` of any of its labelled codes would rebuild ``g`` itself;
+    they all share it.  The other least roots are found by comparing every
+    root lazily against ``best``, and each one's first side of every hole
+    (and vertex, when vertices are marked) is read once per class.
     """
     out = {}
     for g in _unlabeled_classes(valencies, len(hole_labels)):
-        best, relabels = _least_roots(g)
+        best, relabel = _bfs_code(g, 1)
+        relabels = [relabel, *_tied_roots(g, best, g.sides[1:])]
         holes = [(HOLE, frozenset(h)) for h in g.holes()]
         vertices = g.vertices()
+        orbits = [orb for _, orb in holes]
+        if vertex_marks:
+            orbits += [frozenset(v) for v in vertices]
+        firsts = _first_sides(relabels, orbits)
+        extras = list(_vertex_assignments(vertex_marks, vertices))
         for assigned_holes in _perm_iter(holes):
             base = dict(zip(hole_labels, assigned_holes))
-            for extra in _vertex_assignments(vertex_marks, vertices):
-                code, aut = _marked_code(best, relabels, base | extra)
+            for extra in extras:
+                code, aut = _marked_code(best, firsts, base | extra)
                 if code not in out:
                     out[code] = CellClass(g, _code_marking(g, code[2]), aut)
     return [out[c] for c in sorted(out)]

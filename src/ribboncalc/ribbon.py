@@ -363,26 +363,83 @@ def _bfs_code(g: RibbonGraph, root):
     return (code0, code1), relabel
 
 
+def _code_against(g: RibbonGraph, root, best):
+    """Compare the code rooted at ``root`` with ``best``, building it lazily.
+
+    Returns (sign, relabel): sign is negative, zero or positive as the code
+    is below, equal to or above ``best``.  Each BFS step fixes one more
+    code0 entry, so a rival root is dropped at the first entry that
+    differs; code1 is compared only when code0 ties.  The relabeling is
+    returned on a tie only, else None.
+    """
+    code0, code1 = best
+    sigma0, sigma1 = g.sigma0, g.sigma1
+    relabel = {root: 1}
+    order = [root]
+    for i, x in enumerate(order):  # appending while iterating = BFS
+        y, z = sigma0[x], sigma1[x]
+        if y not in relabel:
+            relabel[y] = len(order) + 1
+            order.append(y)
+        if z not in relabel:
+            relabel[z] = len(order) + 1
+            order.append(z)
+        sign = relabel[y] - code0[i]
+        if sign:
+            return sign, None
+    for i, x in enumerate(order):
+        sign = relabel[sigma1[x]] - code1[i]
+        if sign:
+            return sign, None
+    return 0, relabel
+
+
+def _tied_roots(g: RibbonGraph, best, roots):
+    """Relabelings of the roots whose code equals ``best``; None if one is below."""
+    tied = []
+    for root in roots:
+        sign, relabel = _code_against(g, root, best)
+        if sign < 0:
+            return None
+        if sign == 0:
+            tied.append(relabel)
+    return tied
+
+
 def _least_roots(g: RibbonGraph):
-    """The least unmarked code and the relabelings of the roots attaining it."""
+    """The least unmarked code and the relabelings of the roots attaining it.
+
+    Only the first root, and a root whose code falls below the least so
+    far, is traversed in full; every other root is compared lazily
+    (``_code_against``).
+    """
     best, relabels = None, []
     for root in g.sides:
-        code, relabel = _bfs_code(g, root)
-        if best is None or code < best:
-            best, relabels = code, [relabel]
-        elif code == best:
+        sign, relabel = (-1, None) if best is None else _code_against(g, root, best)
+        if sign < 0:
+            best, relabel = _bfs_code(g, root)
+            relabels = [relabel]
+        elif sign == 0:
             relabels.append(relabel)
     return best, relabels
 
 
-def _marked_code(best, relabels, targets):
-    """The least code (*best, mark code) over these roots, and how many attain it."""
+def _first_sides(relabels, orbits):
+    """Per root relabeling, the first (least relabeled) side of each orbit."""
+    return [{orb: min(relabel[x] for x in orb) for orb in orbits} for relabel in relabels]
+
+
+def _marked_code(best, firsts, targets):
+    """The least code (*best, mark code) over these roots, and how many attain it.
+
+    ``firsts`` holds one ``_first_sides`` entry per least root, covering
+    every target orbit, so comparing roots reads first sides and traverses
+    nothing.
+    """
+    marks = sorted(targets.items())
     least, count = None, 0
-    for relabel in relabels:
-        mark_code = tuple(
-            (label, kind, min(relabel[x] for x in orb))
-            for label, (kind, orb) in sorted(targets.items())
-        )
+    for first in firsts:
+        mark_code = tuple((label, kind, first[orb]) for label, (kind, orb) in marks)
         if least is None or mark_code < least:
             least, count = mark_code, 1
         elif mark_code == least:
@@ -399,11 +456,17 @@ def canonical_form(g: RibbonGraph, marking: Marking | None = None):
     automorphism is determined by the image of one side, so these roots form
     a single free orbit.  The code is (code0, code1, mark code), the last a
     (label, kind, first side) per target, so only the roots attaining the
-    least unmarked code (``_least_roots``) compete on the mark code
-    (``_marked_code``).  The code determines the canonical graph itself:
+    least unmarked code (``_least_roots``) compete on the mark code, read
+    from each root's first side of every target orbit (``_first_sides``,
+    ``_marked_code``).  ``enumeration._marked_classes`` precomputes those
+    first sides once per class and reuses ``_marked_code`` for every
+    labelling.  The code determines the canonical graph itself:
     ``from_code`` rebuilds it.
     """
-    return _marked_code(*_least_roots(g), {} if marking is None else marking.targets)
+    targets = {} if marking is None else marking.targets
+    best, relabels = _least_roots(g)
+    firsts = _first_sides(relabels, {orb for _, orb in targets.values()})
+    return _marked_code(best, firsts, targets)
 
 
 def from_code(code):

@@ -5,6 +5,8 @@ from itertools import permutations
 import pytest
 
 from ribboncalc import enumeration as en
+from ribboncalc import ribbon
+from ribboncalc.clusters import count_admissible
 from ribboncalc.errors import DomainMismatch, InconsistentProfile, TooLarge
 from ribboncalc.ribbon import (
     HOLE,
@@ -107,6 +109,20 @@ def classes_by_pairing_search(valencies, wanted):
     return {
         f: sorted({canonical_form(g) for g in reps.values()}) for f, reps in rooted.items()
     }
+
+
+def unlabeled_classes_by_canonical_form(valencies, n_holes):
+    """The dedupe canonical augmentation replaced, as sorted (code, |Aut|).
+
+    Every rooted map is traversed from every root; its least code names
+    its class, and the number of roots attaining it is |Aut|.
+    """
+    reps = {}
+    for graph in en._rooted_map_graphs(valencies, n_holes):
+        codes = [_bfs_code(graph, root)[0] for root in graph.sides]
+        best = min(codes)
+        reps.setdefault(best, codes.count(best))
+    return sorted(reps.items())
 
 
 def canonical_form_root_by_root(g, marking):
@@ -464,6 +480,60 @@ class TestRootedMapGenerator:
         # sum over unlabelled classes of 2E/|Aut| counts the rooted maps
         classes = en._unlabeled_classes([3] * 6, 1)
         assert sum(Fraction(18, canonical_form(g)[1]) for g in classes) == 105
+
+
+class TestCanonicalAugmentation:
+    """One rooted map per class survives: its root has the least code among
+    the roots on vertices of valency ``valencies[0]``."""
+
+    @pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1), (0, 5), (1, 3)])
+    def test_matches_a_canonical_form_per_rooted_map(self, g, n):
+        for vals in en.valency_lists(g, n):
+            got = []
+            for rep in en._unlabeled_classes(list(vals), n):
+                (code0, code1, _), aut = canonical_form(rep)
+                assert _bfs_code(rep, 1)[0] == (code0, code1)  # canonical sides
+                got.append(((code0, code1), aut))
+            assert got == unlabeled_classes_by_canonical_form(list(vals), n), vals
+
+    @pytest.mark.parametrize(
+        "rho,count",
+        [((0, 0, 0), 15), ((1, 0, 0), 35), ((1, 1, 1), 99), ((2, 1, 0), 99), ((0, 0, 0, 0), 105)],
+    )
+    def test_cluster_census(self, rho, count):
+        assert count_admissible(list(rho)) == count
+
+    @pytest.mark.parametrize("faces,classes", [(2, 368), (4, 669), (6, 191)])
+    def test_orbit_stabilizer_on_eight_trivalent_vertices(self, faces, classes):
+        # sum over classes of 1/|Aut| = (#valid pairings) / |Z(sigma0)|
+        vals = [3] * 8
+        reps = en._unlabeled_classes(vals, faces)
+        assert len(reps) == classes
+        assert sum(Fraction(1, canonical_form(g)[1]) for g in reps) == Fraction(
+            en._connected_pairings(vals, faces), en._centralizer_size(vals)
+        )
+
+    @pytest.mark.parametrize(
+        "vals,labels,marks",
+        [([3, 3, 3, 3], ["p", "q", "r", "s"], {}), ([5, 3], ["p", "q", "r"], {"r": 5})],
+    )
+    def test_one_canonical_form_per_class(self, monkeypatch, vals, labels, marks):
+        holes = [l for l in labels if l not in marks]
+        unlabelled = len(en._unlabeled_classes(vals, len(holes)))
+        calls = {"canonical_form": 0, "_least_roots": 0}
+
+        def counting(name, original):
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return counted
+
+        monkeypatch.setattr(en, "canonical_form", counting("canonical_form", en.canonical_form))
+        monkeypatch.setattr(ribbon, "_least_roots", counting("_least_roots", ribbon._least_roots))
+        assert en._marked_classes(vals, holes, marks)
+        # every _least_roots call is canonical_form's: none per class or labelling
+        assert calls == {"canonical_form": unlabelled, "_least_roots": unlabelled}
 
 
 class TestRootedMaps:

@@ -324,10 +324,10 @@ class TestSingleRootLoop:
             assert canonical_form(rebuilt, rebuilt_marking) == (code, aut)
 
     def test_one_traversal_per_root_per_graph(self, monkeypatch):
-        # each rooted map is canonicalized once and each unlabelled class
-        # finds its least roots once; a hole labelling traverses nothing.
-        # The maps rooted on a trivalent vertex number
-        # C_0(3, 3) * 3 * 2 / |Z(sigma0)|
+        # each rooted map's root is traversed in full once, and each
+        # unlabelled class's graph once from root 1 and lazily from each
+        # other root; a hole labelling traverses nothing.  The maps rooted
+        # on a trivalent vertex number C_0(3, 3) * 3 * 2 / |Z(sigma0)|
         valencies, holes = [3, 3], 3
         rooted = Fraction(
             enumeration._connected_pairings(valencies, holes) * 3 * 2,
@@ -336,17 +336,25 @@ class TestSingleRootLoop:
         assert rooted == 4
         unlabelled = len(enumeration._unlabeled_classes(valencies, holes))
         assert unlabelled == 2
-        calls = []
-        original = ribbon._bfs_code
+        full, lazy = [], []
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(calls, original):
+            def counted(*args):
+                calls.append(args)
+                return original(*args)
 
-        monkeypatch.setattr(ribbon, "_bfs_code", counting)
+            return counted
+
+        monkeypatch.setattr(enumeration, "_bfs_code", counting(full, ribbon._bfs_code))
+        monkeypatch.setattr(ribbon, "_code_against", counting(lazy, ribbon._code_against))
         classes = enumeration.enumerate(0, ["p", "q", "r"], [2])
         assert len(classes) == 4
-        assert len(calls) == 6 * (rooted + unlabelled) == 36
+        assert len(full) == rooted + unlabelled == 6
+        graphs = {id(cell.graph): cell.graph for cell in classes}
+        assert len(graphs) == unlabelled
+        assert [root for g, root in full if id(g) in graphs] == [1, 1]
+        on_classes = sorted((id(g), root) for g, root, _ in lazy if id(g) in graphs)
+        assert on_classes == sorted((key, root) for key in graphs for root in range(2, 7))
 
 
 class TestMarking:
