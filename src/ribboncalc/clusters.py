@@ -5,7 +5,8 @@ the other.  ``count_admissible`` finds every genus-zero realization of
 the run by exhaustive search and filters; ``count_by_recurrence`` evaluates
 the two-case recursion on the excess values alone.  Both must agree with
 the double-factorial closed form in combclasses, and the tests insist on
-exactly that.
+exactly that.  Each census takes ``rho``, the excess values of the
+cluster's holes in hole-index order.
 
 The search splits the realizations at their bivalent vertices.  Those all
 carry the root hole, so smoothing them leaves a trivalent core whose
@@ -38,42 +39,17 @@ ROOT_LABEL = "0"
 ANCHOR_LABEL = "v"
 
 
-class AdmissibleClusterSpec:
-    """Excess values of the cluster's holes, in hole-index order.
+def _excesses(rho) -> tuple:
+    """``rho`` as a tuple of ints, each >= 0 except possibly the first.
 
-    Every entry is >= 0 except possibly the first, which may be -1 to
-    express the recursion's internal loop step.
+    A first entry of -1 expresses the recursion's internal loop step.
     """
-
-    __slots__ = ("rho",)
-
-    def __init__(self, rho):
-        vals = tuple(int(r) for r in rho)
-        if not vals:
-            raise DomainMismatch("a cluster holds at least one hole")
-        if vals[0] < -1 or any(r < 0 for r in vals[1:]):
-            raise DomainMismatch(f"bad excess values {vals}")
-        self.rho = vals
-
-    @property
-    def size(self) -> int:
-        return len(self.rho)
-
-    @property
-    def excess(self) -> int:
-        return sum(self.rho)
-
-    def __eq__(self, other):
-        return isinstance(other, AdmissibleClusterSpec) and self.rho == other.rho
-
-    def __repr__(self):
-        return f"AdmissibleClusterSpec({list(self.rho)})"
-
-
-def _coerce(spec) -> AdmissibleClusterSpec:
-    if isinstance(spec, AdmissibleClusterSpec):
-        return spec
-    return AdmissibleClusterSpec(spec)
+    vals = tuple(int(r) for r in rho)
+    if not vals:
+        raise DomainMismatch("a cluster holds at least one hole")
+    if vals[0] < -1 or any(r < 0 for r in vals[1:]):
+        raise DomainMismatch(f"bad excess values {vals}")
+    return vals
 
 
 # --- exhaustive search ------------------------------------------------------------
@@ -190,7 +166,6 @@ def _count_subdivisions(core, orbits, q_labels, deficits, n_points, aut):
             count *= len(combos)
         return count * n_points
 
-    targets = {l: (HOLE, o) for l, o in orbits.items()}
     codes = set()
     for picks in product(*(combos for _, combos in per_label)):
         points = {}
@@ -217,7 +192,7 @@ def _count_subdivisions(core, orbits, q_labels, deficits, n_points, aut):
     return len(codes)
 
 
-def count_admissible(spec, max_sides=None) -> int:
+def count_admissible(rho, max_sides=None) -> int:
     """Isomorphism classes of cluster realizations, by brute force.
 
     A realization is a connected genus-zero graph on h + 1 holes whose
@@ -227,9 +202,9 @@ def count_admissible(spec, max_sides=None) -> int:
     in one positive piece.  Classes are isomorphism classes of the fully
     labeled graph, anchor included.
     """
-    spec = _coerce(spec)
-    h = spec.size
-    total_sides = 6 * h + 4 * spec.excess
+    rho = _excesses(rho)
+    h = len(rho)
+    total_sides = 6 * h + 4 * sum(rho)
     budget = enumeration.max_sides_limit(max_sides)
     if total_sides > budget:
         raise TooLarge(f"{total_sides} sides exceeds the limit {budget}")
@@ -237,12 +212,12 @@ def count_admissible(spec, max_sides=None) -> int:
     q_labels = [f"q{j}" for j in range(1, h + 1)]
     # the one-hole seed is the one-vertex circle; it already spends a bivalent
     valencies = [2] if h == 1 else [3] * (2 * h - 2)
-    n_points = 2 * spec.excess + (2 if h == 1 else 3)
+    n_points = 2 * sum(rho) + (2 if h == 1 else 3)
     total = 0
     for rep, marking, aut in enumeration._marked_classes(valencies, [ROOT_LABEL, *q_labels], {}):
         orbits = {l: orbit for l, (_, orbit) in marking.targets.items()}
         fresh = _fresh_side_counts(rep, orbits, q_labels)
-        deficits = {q: 2 * r + 3 - fresh[q] for q, r in zip(q_labels, spec.rho)}
+        deficits = {q: 2 * r + 3 - fresh[q] for q, r in zip(q_labels, rho)}
         if any(d < 0 for d in deficits.values()):
             continue
         if not _admissible_core(rep, orbits, q_labels):
@@ -291,7 +266,7 @@ def _evaluate(rho) -> int:
     return edge_case + vertex_case
 
 
-def count_by_recurrence(spec) -> int:
+def count_by_recurrence(rho) -> int:
     """The same census, evaluated by the case recursion on excesses only.
 
     A leading -1 is a loop around the first hole: it contributes the
@@ -299,14 +274,14 @@ def count_by_recurrence(spec) -> int:
     holes either share an edge or share a vertex, and both cases reduce
     to distributions of the remaining holes over slots.
     """
-    return _evaluate(_coerce(spec).rho)
+    return _evaluate(_excesses(rho))
 
 
-def closed_count(spec) -> int:
+def closed_count(rho) -> int:
     """The double-factorial ratio both censuses collapse to.
 
     Depends only on the total excess and the number of holes; needs a
     nonnegative total (the loop degeneration has no closed form here).
     """
-    spec = _coerce(spec)
-    return merge_coefficient(sum(spec.rho), len(spec.rho))
+    rho = _excesses(rho)
+    return merge_coefficient(sum(rho), len(rho))

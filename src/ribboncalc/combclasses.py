@@ -114,7 +114,7 @@ def _set_partitions(items):
 
 # --- opaque class symbols -------------------------------------------------------
 
-def valency_class(valencies, tau=None, weight=None) -> TautPoly:
+def valency_class(valencies, tau=None) -> TautPoly:
     """The locus of graphs with the given odd non-generic valencies.
 
     ``tau`` maps labels to marking orders and pins that many of the vertices
@@ -139,12 +139,10 @@ def valency_class(valencies, tau=None, weight=None) -> TautPoly:
         name += "_" + ",".join(str(v) for v in high)
     if tau:
         name += ";" + ",".join(f"{q}={tau[q]}" for q in sorted(tau))
-    if weight is None:
-        weight = sum(i * mi for i, mi in enumerate(prof.m)) + len(tau)
-    return symbol(name, weight)
+    return symbol(name, sum(i * mi for i, mi in enumerate(prof.m)) + len(tau))
 
 
-def tails_class(blocks, rho, weight=None) -> TautPoly:
+def tails_class(blocks, rho) -> TautPoly:
     """Locus where each block's labels sit on a bubble at one merged vertex.
 
     ``blocks`` partition the marked labels; the name lists each block sorted,
@@ -155,12 +153,10 @@ def tails_class(blocks, rho, weight=None) -> TautPoly:
     if not all(blocks) or sorted(q for b in blocks for q in b) != sorted(rho):
         raise DomainMismatch("blocks do not partition the marked labels")
     parts = [".".join(b) + "=" + str(sum(rho[q] for q in b)) for b in blocks]
-    if weight is None:
-        weight = sum(v + 1 for v in rho.values())
-    return symbol("tails;" + "/".join(parts), weight)
+    return symbol("tails;" + "/".join(parts), sum(v + 1 for v in rho.values()))
 
 
-def node_class(v1, v2, label=None, weight=None) -> TautPoly:
+def node_class(v1, v2, label=None) -> TautPoly:
     """Nodal locus joining a valency-v1 vertex to a valency-v2 vertex.
 
     With ``label`` the node carries a labeled sphere component between the
@@ -173,9 +169,7 @@ def node_class(v1, v2, label=None, weight=None) -> TautPoly:
     name = f"node_{v1},{v2}"
     if label is not None:
         name += f";{label}"
-    if weight is None:
-        weight = r + 1 if label is not None else r
-    return symbol(name, weight)
+    return symbol(name, r + 1 if label is not None else r)
 
 
 def delta_class(tag, weight, label=None) -> TautPoly:
@@ -191,9 +185,6 @@ def delta_class(tag, weight, label=None) -> TautPoly:
 class Relation(NamedTuple):
     lhs: TautPoly
     rhs: TautPoly
-
-    def difference(self) -> TautPoly:
-        return self.lhs - self.rhs
 
 
 class OneVertexRelation(NamedTuple):

@@ -42,7 +42,7 @@ from .ribbon import (
     side_numbering,
 )
 from . import permutations as perms
-from .stable import carry_labels, collapse, subgraph
+from .stable import carry_labels, collapse
 
 DISK = "disk"
 CYLINDER = "cylinder"
@@ -134,11 +134,9 @@ class HoleTopology:
 
 
 def _graph_and_marking(g):
-    if isinstance(g, MarkedMetricGraph):
-        return g.graph, g.marking
     graph, marking = g if isinstance(g, tuple) and len(g) == 2 else (None, None)
     if not (isinstance(graph, RibbonGraph) and isinstance(marking, Marking)):
-        raise DomainMismatch("need a marked metric graph or a (graph, marking) pair")
+        raise DomainMismatch("need a (graph, marking) pair")
     return graph, marking
 
 
@@ -165,9 +163,10 @@ def _zone_boundary(graph: RibbonGraph, zone, orbit, cut):
 
     A circle's valency is the size of the collapsed vertex it wraps (0 for
     a circle that is already a hole of the ambient graph).  ``cut`` is the
-    zone's collapse.
+    zone's collapse, None for a zone of every edge, whose G_Z is the graph
+    itself.
     """
-    sub = subgraph(graph, zone)[0] if cut is None else cut.sub
+    sub = graph if cut is None else cut.sub
     partner = {} if cut is None else {h: len(v) for h, v in cut.pairs}
     boundary = [
         partner.get(hs, 0) for hs in map(frozenset, sub.holes()) if hs != orbit
@@ -196,11 +195,12 @@ def _cylinder_split(graph: RibbonGraph, orbit, doubled_edge):
 def hole_topology(g, q) -> HoleTopology:
     """Classify the thickened zone spanned by the edges bordering hole q.
 
-    Disk: genus 0 with one boundary circle and no doubled edge.  Cylinder:
-    genus 0, two circles, exactly one edge traversed twice by the hole;
-    its boundary pair counts the hole's other sides on each arc, minus
-    one.  Everything else is a surface whose boundary entries are the
-    valencies of the vertices the circles collapse onto.  The answer is
+    ``g`` is a (graph, marking) pair.  Disk: genus 0 with one boundary
+    circle and no doubled edge.  Cylinder: genus 0, two circles, exactly
+    one edge traversed twice by the hole; its boundary pair counts the
+    hole's other sides on each arc, minus one.  Everything else is a
+    surface whose boundary entries are the valencies of the vertices the
+    circles collapse onto.  The answer is
     kept per hole orbit in the graph's ``_zones``.
     """
     graph, marking = _graph_and_marking(g)
@@ -367,8 +367,9 @@ def shrink(g: MarkedMetricGraph, q) -> ShrinkResult:
 def detect_clusters(g, labels):
     """Partition the given hole labels into adjacency clusters.
 
-    Two holes are adjacent when they touch a common vertex; clusters are
-    the chains of that relation, returned as sorted blocks.
+    ``g`` is a (graph, marking) pair.  Two holes are adjacent when they
+    touch a common vertex; clusters are the chains of that relation,
+    returned as sorted blocks.
     """
     graph, marking = _graph_and_marking(g)
     labels = sorted(str(l) for l in labels)

@@ -111,6 +111,3 @@ class DisconnectedSubset(RibbonError):
 class NotPermissible(RibbonError):
     """Sequence of edge subsets violates the permissibility rules."""
 
-
-class BadMetric(RibbonError):
-    """Stable metric must be positive with total length 1 per component."""

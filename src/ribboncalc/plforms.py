@@ -18,11 +18,13 @@ from math import factorial
 
 from . import exact_linalg
 from .degeneration import cylinder_configurations
+from .enumeration import DEFAULT_MAX_SIDES
 from .errors import (
     DomainMismatch,
     NotTopCell,
     OddDimension,
     ParityMismatch,
+    TooLarge,
     VertexMark,
     ZeroPerimeter,
 )
@@ -112,6 +114,12 @@ def _chart_pfaffian(cycle, weight):
     return exact_linalg.pfaffian(restricted)
 
 
+def _check_walk_size(sides):
+    """Refuse a hole walk longer than ``DEFAULT_MAX_SIDES`` sides."""
+    if sides > DEFAULT_MAX_SIDES:
+        raise TooLarge(f"a hole walk of {sides} sides exceeds the limit {DEFAULT_MAX_SIDES}")
+
+
 def fiber_integral_disk(r, epsilon=Fraction(1)) -> Fraction:
     """Integral of the hole form's (r+1)-st power over the disk fiber.
 
@@ -119,12 +127,14 @@ def fiber_integral_disk(r, epsilon=Fraction(1)) -> Fraction:
     lengths of the hole sum to 2*epsilon.  The form's 1/(2 epsilon)^2 per
     factor cancels the simplex volume (2 epsilon)^(2r+2), so the value is
     (r+1)! |Pf| / (2r+2)! with Pf the integer chart Pfaffian; epsilon is
-    checked but does not enter.
+    checked but does not enter.  The Pfaffian costs O(r^3), so a hole walk
+    of more than ``DEFAULT_MAX_SIDES`` sides raises ``TooLarge``.
     """
     if r < 0:
         raise DomainMismatch(f"negative excess {r}")
     if Fraction(epsilon) <= 0:
         raise DomainMismatch("epsilon must be positive")
+    _check_walk_size(2 * r + 3)
     pf = _chart_pfaffian(range(2 * r + 3), 1)
     return factorial(r + 1) * abs(pf) / factorial(2 * r + 2)
 
@@ -137,7 +147,10 @@ def fiber_integral_cyl(v1, v2, epsilon=Fraction(1)) -> Fraction:
     from the stratum inventory, and the integrals add.  Models that share a
     side sequence have the same form, so each distinct sequence is
     integrated once and counted with its multiplicity.  As on the disk,
-    epsilon cancels; the chart weight 2 leaves a further 1/2^(r+1).
+    epsilon cancels; the chart weight 2 leaves a further 1/2^(r+1).  The
+    inventory holds v1*v2 models, so a hole walk of more than
+    ``DEFAULT_MAX_SIDES`` sides (v1 + v2 + 4) raises ``TooLarge`` before it
+    is built.
     """
     if v1 < 1 or v2 < 1:
         raise DomainMismatch("cylinder arcs need v1, v2 >= 1")
@@ -145,6 +158,7 @@ def fiber_integral_cyl(v1, v2, epsilon=Fraction(1)) -> Fraction:
         raise ParityMismatch(f"split ({v1}, {v2}) has odd total")
     if Fraction(epsilon) <= 0:
         raise DomainMismatch("epsilon must be positive")
+    _check_walk_size(v1 + v2 + 4)
     r = (v1 + v2) // 2
     scale = Fraction(factorial(r + 1), 2 ** (r + 1) * factorial(2 * r + 2))
     cycles = Counter(config["cycle"] for config in cylinder_configurations(v1, v2))

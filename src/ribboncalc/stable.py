@@ -28,7 +28,6 @@ from typing import NamedTuple
 
 from . import permutations as perms
 from .errors import (
-    BadMetric,
     BrokenInvariant,
     DisconnectedSubset,
     DomainMismatch,
@@ -315,8 +314,9 @@ class StableGraphData:
     fixed-point-free involution on the unmarked holes and exceptional
     vertices, as (component, kind, orbit) points, pairing each degenerate
     hole with the vertex it collapsed onto (or two vertices across a
-    discarded sphere).
-    ``lengths[i]`` is the stable metric, total 1 per component.
+    discarded sphere).  ``order[i]`` is the stage at which component i
+    was spawned.  ``lengths[i]`` is the uniform stable metric, 1/E on each
+    of the component's E edges.
     """
 
     __slots__ = ("components", "markings", "order", "iota", "lengths")
@@ -327,29 +327,6 @@ class StableGraphData:
         self.order = tuple(order)
         self.iota = dict(iota)
         self.lengths = tuple(dict(ls) for ls in lengths)
-
-    def labels(self):
-        out = set()
-        for marks in self.markings:
-            out |= set(marks)
-        return sorted(out)
-
-    def component_of(self, label) -> int:
-        for i, marks in enumerate(self.markings):
-            if label in marks:
-                return i
-        raise DomainMismatch(f"no marking named {label!r}")
-
-    def perimeter(self, label) -> Fraction:
-        """Total length around a label's hole; zero for vertex labels."""
-        i = self.component_of(label)
-        kind, orb = self.markings[i][label]
-        if kind == VERTEX:
-            return Fraction(0)
-        graph = self.components[i]
-        return sum(
-            (self.lengths[i][graph.edge_of(x)] for x in orb), Fraction(0)
-        )
 
     def __repr__(self):
         sizes = ", ".join(
@@ -534,16 +511,13 @@ def _quotient_piece(piece: _Piece, zr, tokens):
     return finished, spawned
 
 
-def build_stable(
-    g: RibbonGraph, marking: Marking, zseq, metrics=None
-) -> StableGraphData:
+def build_stable(g: RibbonGraph, marking: Marking, zseq) -> StableGraphData:
     """Assemble the stable graph determined by a collapse sequence.
 
     ``zseq[0]`` must be the full edge set; each later entry lives inside
     the components spawned by the previous stage and may not swallow one
-    whole.  ``metrics``, if given, maps every edge of every output
-    component to a positive length, summing to 1 per component; omitted,
-    each component gets the uniform metric.
+    whole.  Each component gets the uniform metric, 1/E on each of its E
+    edges.
     """
     if not zseq:
         raise NotPermissible("the sequence must start with the full edge set")
@@ -611,55 +585,25 @@ def build_stable(
         iota[a] = b
         iota[b] = a
 
-    lengths = _stable_metric(components, metrics)
+    lengths = [
+        {e: Fraction(1, len(edges)) for e in edges}
+        for edges in (graph.edges() for graph in components)
+    ]
     data = StableGraphData(components, markings, order, iota, lengths)
     if not order_is_admissible(data):
         raise BrokenInvariant("constructed order fails admissibility")
     return data
 
 
-def _stable_metric(components, metrics):
-    lengths = []
-    if metrics is None:
-        for graph in components:
-            edges = graph.edges()
-            lengths.append({e: Fraction(1, len(edges)) for e in edges})
-        return lengths
-    pool = {tuple(sorted(e)): Fraction(v) for e, v in dict(metrics).items()}
-    claimed = set()
-    for graph in components:
-        here = {}
-        for e in graph.edges():
-            if e not in pool:
-                raise BadMetric(f"no length given for edge {e!r}")
-            value = pool[e]
-            if value <= 0:
-                raise BadMetric(f"edge {e!r} has nonpositive length")
-            here[e] = value
-            claimed.add(e)
-        total = sum(here.values(), Fraction(0))
-        if total != 1:
-            raise BadMetric(f"component lengths sum to {total}, not 1")
-        lengths.append(here)
-    unknown = set(pool) - claimed
-    if unknown:
-        raise BadMetric(f"{sorted(unknown)[0]!r} is not an edge of any component")
-    return lengths
-
-
-def order_is_admissible(data: StableGraphData, order=None) -> bool:
-    """Check a candidate order function against the three admissibility rules.
+def order_is_admissible(data: StableGraphData) -> bool:
+    """Check ``data.order`` against the three admissibility rules.
 
     Order-0 components must contain a marked hole; a component whose
     exceptional points all point at components of order <= k must itself
     have order <= k+1 (and order 0 if it has none); every unmarked hole
     must sit at positive order with its partner a vertex strictly below.
     """
-    order = data.order if order is None else tuple(order)
-    comp_of = {}
-    for point in data.iota:
-        comp_of[point] = point[0]
-
+    order = data.order
     for i, marks in enumerate(data.markings):
         has_marked_hole = any(kind == HOLE for kind, _ in marks.values())
         if order[i] == 0 and not has_marked_hole:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ribboncalc import checks, cli, enumeration, plforms
+from ribboncalc import checks, cli, clusters, enumeration, plforms
 from ribboncalc.ribbon import MarkedMetricGraph, graph_from_json, graph_to_json
 
 
@@ -230,6 +230,22 @@ class TestClusterCount:
         }
 
 
+    @pytest.mark.parametrize(
+        "extra, out",
+        [
+            ([], "DISAGREEMENT: brute=35, closed=35, recurrence=36\n"),
+            (
+                ["--json"],
+                '{"agree": false, "counts": {"brute": 35, "closed": 35, "recurrence": 36}, '
+                '"rho": [1, 0, 0]}\n',
+            ),
+        ],
+    )
+    def test_a_disagreement_exits_one(self, capsys, monkeypatch, extra, out):
+        monkeypatch.setattr(clusters, "count_by_recurrence", lambda rho: 36)
+        assert run(capsys, "cluster-count", "--rho", "1,0,0", *extra) == (1, out, "")
+
+
 class TestKappa:
     def test_fpoly_text(self, capsys):
         assert run(capsys, "fpoly", "--profile", "0,3") == (
@@ -420,6 +436,30 @@ class TestFiber:
             "error": "ParityMismatch",
             "message": "split (1, 2) has odd total",
         }
+
+
+    @pytest.mark.parametrize(
+        "argv, sides",
+        [
+            (["--kind", "disk", "--r", "14"], 31),
+            (["--kind", "cyl", "--v1", "13", "--v2", "15"], 32),
+        ],
+    )
+    def test_an_oversized_hole_walk_is_too_large(self, capsys, argv, sides):
+        code, out, err = run(capsys, "fiber", *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "TooLarge",
+            "message": f"a hole walk of {sides} sides exceeds the limit 30",
+        }
+
+    @pytest.mark.parametrize(
+        "argv", [["--kind", "disk", "--r", "13"], ["--kind", "cyl", "--v1", "13", "--v2", "13"]]
+    )
+    def test_a_walk_of_thirty_sides_still_answers(self, capsys, argv):
+        code, out, err = run(capsys, "fiber", *argv)
+        assert (code, err) == (0, "")
+        assert Fraction(out.strip()) > 0
 
 
 TORUS_FILE = {
@@ -655,6 +695,37 @@ def test_manifest_digest_is_the_sha256_of_stdout(capsys, tmp_path, command, json
     assert manifest["version"] == cli.__version__
     assert manifest["digest"] == hashlib.sha256(out.removesuffix("\n").encode()).hexdigest()
     assert run(capsys, *argv, *json_flag) == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (["fpoly", "--profile", "x"], 64, None),
+        (["check", "two-vertex", "--a", "x", "--b", "1"], 64, None),
+        (["cluster-count", "--rho", "1,x"], 64, None),
+        (["omega", "--hole", "p"], 64, None),
+        (["strata", "--genus", "1", "--labels", "p"], 64, None),
+        (["check", "two-vertex", "--a", "0", "--b", "1"], 2, "DomainMismatch"),
+        (["cluster-count", "--rho="], 2, "DomainMismatch"),
+        (["strata", "--genus", "0", "--labels", "p", "--hole", "p"], 2, "InconsistentProfile"),
+        (["fpoly", "--profile", "0,1", "--g", "0", "--n", "1"], 2, "InconsistentProfile"),
+    ],
+)
+def test_exit_codes(capsys, argv, code, error):
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    if error is None:
+        assert err.startswith("usage error: ")
+    else:
+        assert json.loads(err)["error"] == error
+
+
+def test_an_empty_rho_reports_the_cluster_message(capsys):
+    assert run(capsys, "cluster-count", "--rho=") == (
+        2,
+        "",
+        '{"error": "DomainMismatch", "message": "a cluster holds at least one hole"}\n',
+    )
 
 
 def _boom():

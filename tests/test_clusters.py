@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ribboncalc.clusters import (
-    AdmissibleClusterSpec,
     _case_counts,
     closed_count,
     count_admissible,
@@ -17,27 +16,32 @@ from ribboncalc.ribbon import MarkedMetricGraph
 
 
 class TestSpec:
+    """A cluster is specified by its excess values rho; every census checks them."""
+
+    CENSUSES = [count_admissible, count_by_recurrence, closed_count]
+
     def test_accepts_plain_values(self):
-        spec = AdmissibleClusterSpec([0, 2, 1])
-        assert spec.rho == (0, 2, 1)
-        assert spec.size == 3
-        assert spec.excess == 3
+        assert [census([0, 2, 1]) for census in self.CENSUSES] == [99, 99, 99]
 
     def test_leading_loop_value_allowed(self):
-        assert AdmissibleClusterSpec([-1, 2]).excess == 1
+        assert count_admissible([-1, 2]) == count_by_recurrence((-1, 2)) == 5
 
     def test_rejects_empty(self):
-        with pytest.raises(DomainMismatch):
-            AdmissibleClusterSpec([])
+        for census in self.CENSUSES:
+            with pytest.raises(DomainMismatch, match="^a cluster holds at least one hole$"):
+                census([])
 
     @pytest.mark.parametrize("rho", [[-2, 1], [0, -1], [1, 0, -1]])
     def test_rejects_bad_excess(self, rho):
-        with pytest.raises(DomainMismatch):
-            AdmissibleClusterSpec(rho)
+        for census in self.CENSUSES:
+            with pytest.raises(DomainMismatch, match=r"^bad excess values \("):
+                census(rho)
 
     def test_equality(self):
-        assert AdmissibleClusterSpec([1, 1]) == AdmissibleClusterSpec((1, 1))
-        assert AdmissibleClusterSpec([1]) != AdmissibleClusterSpec([2])
+        # lists, tuples and integer strings name the same cluster
+        for census in self.CENSUSES:
+            assert census([1, 1]) == census((1, 1)) == census(["1", "1"])
+            assert census([1, 1]) != census([1, 2])
 
 
 class TestBruteForce:
@@ -70,9 +74,6 @@ class TestBruteForce:
 
         monkeypatch.setattr(MarkedMetricGraph, "__init__", refuse)
         assert count_admissible(rho) == want
-
-    def test_accepts_spec_instances(self):
-        assert count_admissible(AdmissibleClusterSpec([0, 0])) == 3
 
     def test_side_budget_enforced(self):
         with pytest.raises(TooLarge):

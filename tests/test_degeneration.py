@@ -282,11 +282,18 @@ class TestShrink:
     )
     def test_bare_graph_input_is_refused(self, call):
         m = mark_all_holes(THETA, ["a", "b", "c"])
-        for bad in (THETA, (THETA, m.targets), (m, THETA), (THETA, m, m), "THETA"):
-            with pytest.raises(DomainMismatch, match="marked metric graph"):
+        bad_inputs = (
+            THETA,
+            (THETA, m.targets),
+            (m, THETA),
+            (THETA, m, m),
+            "THETA",
+            theta_metric(),
+        )
+        for bad in bad_inputs:
+            with pytest.raises(DomainMismatch, match=r"need a \(graph, marking\) pair"):
                 call(bad)
         call((THETA, m))
-        call(theta_metric())
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)

@@ -122,6 +122,53 @@ def test_the_graph_write_check_sees_writes(source, flagged):
     assert bool(graph_field_writes(ast.parse(source))) == flagged
 
 
+def unused_locals(tree):
+    """Lines of a plain ``name = ...`` in a function that never reads ``name``."""
+    lines = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = set()
+        shared = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                shared.update(node.names)
+        lines.extend(
+            node.lineno
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign)
+            for t in node.targets
+            if isinstance(t, ast.Name) and t.id not in read | shared | {"_"}
+        )
+    return sorted(set(lines))
+
+
+@pytest.mark.parametrize("name", GUARDED)
+def test_no_unused_local(name):
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"), filename=name)
+    lines = unused_locals(tree)
+    assert lines == [], f"{name} assigns locals it never reads on lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "source,flagged",
+    [
+        ("def f():\n    x = 1\n    return 2", True),
+        ("def f(xs):\n    for x in xs:\n        y = x\n    return xs", True),
+        ("def f():\n    x = 1\n    return x", False),
+        ("def f():\n    x = 1\n    return lambda: x", False),
+        ("def f():\n    d = {}\n    d[1] = 2", False),
+        ("def f():\n    global x\n    x = 1", False),
+        ("def f():\n    _ = 1", False),
+        ("x = 1", False),
+    ],
+)
+def test_the_unused_local_check_sees_them(source, flagged):
+    assert bool(unused_locals(ast.parse(source))) == flagged
+
+
 @pytest.mark.parametrize("name", GUARDED)
 def test_all_names_resolve(name):
     stem = pathlib.Path(name).stem

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from ribboncalc import permutations as perms
 from ribboncalc.errors import (
-    BadMetric,
     BrokenInvariant,
     DisconnectedSubset,
     DomainMismatch,
@@ -30,6 +29,7 @@ from ribboncalc.stable import (
     CONTRACTIBLE,
     SEMISTABLE,
     STABLE_BEARING,
+    StableGraphData,
     SubsetClass,
     build_stable,
     carry_labels,
@@ -358,7 +358,6 @@ class TestBuildStable:
             "c": (HOLE, frozenset({5})),
         }
         assert data.iota == {}
-        assert data.perimeter("a") == 0
 
     def test_collapse_zone_tail_is_pruned_and_bivalents_smoothed(self):
         g = validate(
@@ -404,48 +403,17 @@ class TestBuildStable:
         assert len(vertex_ends) == 2
         assert _total_genus(data) == 1
 
-    def test_custom_metric_on_composite_edges(self):
+    def test_every_component_gets_the_uniform_metric(self):
         g = validate(
             [(1, 2, 3, 7), (4, 5, 6, 8), (9, 10)],
             [(1, 4), (2, 5), (3, 9), (10, 6), (7, 8)],
         )
         m = mark_all_holes(g, ["p", "q"])
-        zseq = [g.edges(), [(1, 4), (2, 5), (3, 9), (10, 6)]]
-        metrics = {
-            (7, 8): 1,
-            (1, 4): Fraction(1, 2),
-            (2, 5): Fraction(1, 4),
-            (3, 6): "1/4",
-        }
-        data = build_stable(g, m, zseq, metrics=metrics)
-        assert data.lengths[1][(3, 6)] == Fraction(1, 4)
-
-    def test_metric_must_sum_to_one_per_component(self):
-        m = mark_all_holes(HANDLE, ["p", "q"])
-        zseq = [HANDLE.edges(), TORUS_BLOCK]
-        bad = {(7, 8): 1, (1, 4): 1, (2, 5): 1, (3, 6): 1}
-        with pytest.raises(BadMetric):
-            build_stable(HANDLE, m, zseq, metrics=bad)
-
-    def test_metric_rejects_nonpositive_and_stray_edges(self):
-        m = mark_all_holes(HANDLE, ["p", "q"])
-        zseq = [HANDLE.edges(), TORUS_BLOCK]
-        with pytest.raises(BadMetric):
-            build_stable(
-                HANDLE, m, zseq,
-                metrics={(7, 8): 1, (1, 4): 0, (2, 5): 0, (3, 6): 1},
-            )
-        with pytest.raises(BadMetric):
-            build_stable(
-                HANDLE, m, zseq,
-                metrics={
-                    (7, 8): 1,
-                    (1, 4): Fraction(1, 3),
-                    (2, 5): Fraction(1, 3),
-                    (3, 6): Fraction(1, 3),
-                    (9, 9): 1,
-                },
-            )
+        data = build_stable(g, m, [g.edges(), [(1, 4), (2, 5), (3, 9), (10, 6)]])
+        assert data.lengths == (
+            {(7, 8): Fraction(1)},
+            {e: Fraction(1, 3) for e in [(1, 4), (2, 5), (3, 6)]},
+        )
 
     def test_sequence_must_start_with_everything(self):
         m = mark_all_holes(HANDLE, ["p", "q"])
@@ -513,6 +481,10 @@ class TestBuildStable:
         assert stable.order.count(1) == len(cores)
 
 
+def _with_order(data, order):
+    return StableGraphData(data.components, data.markings, order, data.iota, data.lengths)
+
+
 class TestOrderAdmissibility:
     def test_constructed_orders_pass(self):
         m = mark_all_holes(HANDLE, ["p", "q"])
@@ -522,19 +494,19 @@ class TestOrderAdmissibility:
     def test_unmarked_hole_needs_a_lower_partner(self):
         m = mark_all_holes(HANDLE, ["p", "q"])
         data = build_stable(HANDLE, m, [HANDLE.edges(), TORUS_BLOCK])
-        assert not order_is_admissible(data, (0, 0))
-        assert not order_is_admissible(data, (1, 0))
+        assert not order_is_admissible(_with_order(data, (0, 0)))
+        assert not order_is_admissible(_with_order(data, (1, 0)))
 
     def test_orders_cannot_outrun_their_partners(self):
         m = mark_all_holes(HANDLE, ["p", "q"])
         data = build_stable(HANDLE, m, [HANDLE.edges(), TORUS_BLOCK])
-        assert not order_is_admissible(data, (0, 2))
+        assert not order_is_admissible(_with_order(data, (0, 2)))
 
     def test_isolated_components_sit_at_order_zero(self):
         m = mark_all_holes(THETA, ["a", "b", "c"])
         data = build_stable(THETA, m, [THETA.edges()])
         assert order_is_admissible(data)
-        assert not order_is_admissible(data, (1,))
+        assert not order_is_admissible(_with_order(data, (1,)))
 
 
 def assert_json_consistent(data):
