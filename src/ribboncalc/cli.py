@@ -202,6 +202,7 @@ def _cmd_relation(args):
 
 def _cmd_check(args):
     res = combclasses.two_vertex_check(args.a, args.b)
+    code = EX_OK if res.agree else 1
     if args.json:
         payload = {
             "a": args.a,
@@ -210,9 +211,10 @@ def _cmd_check(args):
             "formula": res.formula.to_json(),
             "agree": res.agree,
         }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(payload, sort_keys=True), code
     verdict = "yes" if res.agree else "NO"
-    return f"solved  = {res.solved.text()}\nformula = {res.formula.text()}\nagree: {verdict}"
+    text = f"solved  = {res.solved.text()}\nformula = {res.formula.text()}\nagree: {verdict}"
+    return text, code
 
 
 def _cmd_cluster_count(args):

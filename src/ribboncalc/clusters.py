@@ -37,6 +37,8 @@ from .stable import carry_labels, collapse
 
 ROOT_LABEL = "0"
 ANCHOR_LABEL = "v"
+# the recursion's top-level walk over slot assignments refuses past this
+MAX_SLOT_ASSIGNMENTS = 100_000
 
 
 def _excesses(rho) -> tuple:
@@ -71,7 +73,8 @@ def _shrink_chain_ok(graph, targets, q_labels):
 
     Every stage has to leave a single component that still houses the root
     hole and the not-yet-collapsed cluster holes; a hole lying inside the
-    zone leaves no remnant, so it fails the label test.  The collapsed
+    zone leaves no remnant, so it fails the label test, and a zone of every
+    edge leaves no component at all.  The collapsed
     vertices stay unlabelled: in the limit they all melt into the one new
     vertex anyway.
     """
@@ -79,8 +82,6 @@ def _shrink_chain_ok(graph, targets, q_labels):
     marks = dict(targets)
     for stage in range(len(q_labels) - 1, 0, -1):
         zone = {current.edge_of(x) for x in marks[q_labels[stage]][1]}
-        if len(zone) == current.n_edges():
-            return False
         carried = carry_labels(collapse(current, zone), marks)
         if len(carried) != 1:
             return False
@@ -148,15 +149,12 @@ def _count_subdivisions(core, orbits, q_labels, deficits, n_points, aut):
             slots[lx].append(e)
     demand = dict(deficits)
     demand[ROOT_LABEL] = n_points - sum(deficits.values())
-    if demand[ROOT_LABEL] < 0:
-        return 0
 
-    per_label = []
-    for l in [ROOT_LABEL, *q_labels]:
-        combos = list(_compositions(demand[l], len(slots[l])))
-        if not combos:
-            return 0
-        per_label.append((slots[l], combos))
+    # a demand no composition meets empties both the product and the code set
+    per_label = [
+        (slots[l], list(_compositions(demand[l], len(slots[l]))))
+        for l in [ROOT_LABEL, *q_labels]
+    ]
 
     # smoothing inverts subdivision only when the core itself has no
     # bivalent vertices, so the shortcut is off for the one-hole seed
@@ -272,9 +270,20 @@ def count_by_recurrence(rho) -> int:
     A leading -1 is a loop around the first hole: it contributes the
     anchor factor and reduces the size by one.  Otherwise the first two
     holes either share an edge or share a vertex, and both cases reduce
-    to distributions of the remaining holes over slots.
+    to distributions of the remaining holes over slots.  The top level
+    walks t^(h-2) assignments of the h holes left after a leading -1,
+    with t = 2 (rho_1 + rho_2) + 5, and the time tracks that count, so
+    past ``MAX_SLOT_ASSIGNMENTS`` it raises ``TooLarge`` before walking.
     """
-    return _evaluate(_excesses(rho))
+    rho = _excesses(rho)
+    top = rho[1:] if rho[0] == -1 else rho
+    if len(top) > 2:
+        walk = (2 * (top[0] + top[1]) + 5) ** (len(top) - 2)
+        if walk > MAX_SLOT_ASSIGNMENTS:
+            raise TooLarge(
+                f"{walk} slot assignments exceeds the limit {MAX_SLOT_ASSIGNMENTS}"
+            )
+    return _evaluate(rho)
 
 
 def closed_count(rho) -> int:

@@ -122,7 +122,7 @@ def valency_class(valencies, tau=None) -> TautPoly:
     available).  The all-trivalent unmarked locus is the whole space, so it
     comes back as the constant 1.
     """
-    prof = valencies if isinstance(valencies, Profile) else Profile.from_valencies(valencies)
+    prof = Profile.from_valencies(valencies)
     tau = {str(q): int(v) for q, v in dict(tau or {}).items()}
     if any(v < 0 for v in tau.values()):
         raise DomainMismatch("marking orders are nonnegative")

@@ -10,7 +10,8 @@ to the positive parts at nodes.  One ``stable.collapse`` of the zone
 computes the zone subgraph G_Z, the quotient G/G_Z and the pairing of the
 scar holes with the new vertices; the topology and the nodes are read from
 it, and ``stable.carry_labels`` turns it into the positive parts with
-their labels.  Only the disk's vertex label is placed here.
+their labels.  Only the disk's vertex label is placed here.  A zone of
+every edge is no exception: it leaves no part, only the bubble.
 
 The module also houses the dual graph a shrink records, the per-hole zone
 classification used for stratum censuses, the adjacency clusters of a set
@@ -153,25 +154,18 @@ def _zone_edges(graph: RibbonGraph, orbit):
     return {graph.edge_of(x) for x in orbit}
 
 
-def _zone_cut(graph: RibbonGraph, zone):
-    """The collapse of a zone, or None for a zone of every edge."""
-    return collapse(graph, zone) if len(zone) < graph.n_edges() else None
-
-
-def _zone_boundary(graph: RibbonGraph, zone, orbit, cut):
+def _zone_boundary(cut, orbit):
     """Genus of the zone subgraph and the valencies of its other boundary circles.
 
-    A circle's valency is the size of the collapsed vertex it wraps (0 for
-    a circle that is already a hole of the ambient graph).  ``cut`` is the
-    zone's collapse, None for a zone of every edge, whose G_Z is the graph
-    itself.
+    ``cut`` is the zone's collapse.  A circle's valency is the size of the
+    collapsed vertex it wraps (0 for a circle that is already a hole of the
+    ambient graph, as every circle is for a zone of every edge).
     """
-    sub = graph if cut is None else cut.sub
-    partner = {} if cut is None else {h: len(v) for h, v in cut.pairs}
+    partner = {h: len(v) for h, v in cut.pairs}
     boundary = [
-        partner.get(hs, 0) for hs in map(frozenset, sub.holes()) if hs != orbit
+        partner.get(hs, 0) for hs in map(frozenset, cut.sub.holes()) if hs != orbit
     ]
-    return genus(sub), boundary
+    return genus(cut.sub), boundary
 
 
 def _cycle_of_hole(graph: RibbonGraph, orbit):
@@ -210,14 +204,14 @@ def hole_topology(g, q) -> HoleTopology:
     topo = graph._zones.get(orbit)
     if topo is None:
         zone = _zone_edges(graph, orbit)
-        topo = _hole_zone_topology(graph, orbit, zone, _zone_cut(graph, zone))
+        topo = _hole_zone_topology(graph, orbit, zone, collapse(graph, zone))
         graph._zones[orbit] = topo
     return topo
 
 
 def _hole_zone_topology(graph, orbit, zone, cut):
     """``hole_topology`` on a zone whose collapse ``cut`` is already known."""
-    h, boundary = _zone_boundary(graph, zone, orbit, cut)
+    h, boundary = _zone_boundary(cut, orbit)
     doubled = [e for e in sorted(zone) if e[0] in orbit and e[1] in orbit]
     if h == 0 and len(boundary) == 1 and not doubled:
         return HoleTopology(DISK)
@@ -315,16 +309,11 @@ def shrink(g: MarkedMetricGraph, q) -> ShrinkResult:
                     f"the marked vertex {p!r} borders the collapse zone"
                 )
 
-    cut = _zone_cut(g.graph, zone)
+    cut = collapse(g.graph, zone)
     topo = _hole_zone_topology(g.graph, orbit, zone, cut)
 
-    if cut is None:
-        # the zone already swallows everything; the cone checks above make
-        # sure q was the only marking, so only the bubble survives
-        dual = DualGraph([(topo.genus, frozenset({q}), False)], [])
-        return ShrinkResult(topo, (), (), dual)
-
-    # q's hole lies inside the zone, so it reaches no part
+    # q's hole lies inside the zone, so it reaches no part; a zone of every
+    # edge leaves no part at all, and the cone checks made q the only label
     carried = carry_labels(cut, marking.targets)
     exc_verts = sorted((v for _, v in cut.pairs), key=min)
     comp_of_side = {x: i for i, (part, _) in enumerate(carried) for x in part.sides}
@@ -338,26 +327,20 @@ def shrink(g: MarkedMetricGraph, q) -> ShrinkResult:
         lengths = {e: g.lengths[e] for e in part.edges()}
         components.append(MarkedMetricGraph(part, Marking(part, marks), lengths))
 
-    nodes = ()
-    if topo.kind != DISK:
-        decorated = sorted(
-            (len(v), min(v), comp_of_side[min(v)], v) for v in exc_verts
-        )
-        if topo.kind == SURFACE:
-            # the cylinder boundary is measured along the hole walk instead
-            if tuple(d[0] for d in decorated) != topo.boundary:
-                raise BrokenInvariant("node valencies differ from the zone boundary")
-        nodes = tuple((i, v) for _, _, i, v in decorated)
-
     dual_vertices = [
         (genus(c.graph), frozenset(c.marking.targets), True) for c in components
     ]
-    dual_edges = []
-    if topo.kind != DISK:
-        dual_vertices.append((topo.genus, frozenset({q}), False))
-        bubble = len(dual_vertices) - 1
-        dual_edges = [(i, bubble) for i, _ in nodes]
-    dual = DualGraph(dual_vertices, dual_edges)
+    if topo.kind == DISK:
+        return ShrinkResult(topo, components, (), DualGraph(dual_vertices, []))
+
+    decorated = sorted((len(v), min(v), comp_of_side[min(v)], v) for v in exc_verts)
+    # the cylinder boundary is measured along the hole walk instead
+    if topo.kind == SURFACE and tuple(d[0] for d in decorated) != topo.boundary:
+        raise BrokenInvariant("node valencies differ from the zone boundary")
+    nodes = tuple((i, v) for _, _, i, v in decorated)
+    bubble = len(dual_vertices)
+    dual_vertices.append((topo.genus, frozenset({q}), False))
+    dual = DualGraph(dual_vertices, [(i, bubble) for i, _ in nodes])
     return ShrinkResult(topo, components, nodes, dual)
 
 

@@ -100,10 +100,6 @@ class EmptySubset(RibbonError):
     """Subgraph of an empty edge subset requested."""
 
 
-class FullSubset(RibbonError):
-    """Quotient by the full edge set requested."""
-
-
 class DisconnectedSubset(RibbonError):
     """Edge subset must span a connected subgraph."""
 

@@ -105,7 +105,7 @@ def pfaffian(matrix) -> Fraction:
     the trailing block by its Schur complement
     a[i][j] += (a[i][k] a[k+1][j] - a[i][k+1] a[k][j]) / p, which has the
     remaining Pfaffian.  A row k with no nonzero entry right of the
-    diagonal makes the Pfaffian 0.
+    diagonal makes the Pfaffian 0; the last row of an odd matrix is one.
     """
     a = [[Fraction(x) for x in row] for row in matrix]
     n = len(a)
@@ -115,8 +115,6 @@ def pfaffian(matrix) -> Fraction:
         for j in range(i, n):
             if a[i][j] != -a[j][i]:
                 raise DomainMismatch("matrix is not antisymmetric")
-    if n % 2 == 1:
-        return Fraction(0)
 
     result = Fraction(1)
     for k in range(0, n, 2):

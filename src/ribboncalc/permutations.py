@@ -110,11 +110,6 @@ def orbit_of(perm, start):
     return tuple(orbit)
 
 
-def conjugate(perm, relabel):
-    """relabel o perm o relabel^{-1}, i.e. the same permutation on renamed points."""
-    return {relabel[x]: relabel[y] for x, y in perm.items()}
-
-
 def blocks(items, links):
     """Connected components of the graph on ``items`` with edges ``links``.
 

@@ -26,7 +26,6 @@ from .errors import (
     ParityMismatch,
     TooLarge,
     VertexMark,
-    ZeroPerimeter,
 )
 from .ribbon import MarkedMetricGraph, VERTEX
 
@@ -88,8 +87,6 @@ def omega_on_cell(g: MarkedMetricGraph, p) -> CellForm:
     if kind == VERTEX:
         raise VertexMark(f"{p!r} marks a vertex, not a hole")
     perimeter = g.circumference(p)
-    if perimeter == 0:
-        raise ZeroPerimeter(f"hole {p!r} has zero perimeter")
     edges = sorted(g.graph.edges())
     index = {e: i for i, e in enumerate(edges)}
     walk = next(h for h in g.graph.holes() if frozenset(h) == orbit)

@@ -283,13 +283,6 @@ class Marking:
     def vertex_labels(self):
         return [l for l in self.labels() if self.kind(l) == VERTEX]
 
-    def relabel_sides(self, side_map):
-        """The same marking after renaming sides by ``side_map`` (plain dict out)."""
-        return {
-            label: (kind, frozenset(side_map[x] for x in orb))
-            for label, (kind, orb) in self.targets.items()
-        }
-
     def __eq__(self, other):
         return isinstance(other, Marking) and self.targets == other.targets
 
@@ -534,35 +527,27 @@ def side_numbering(g: RibbonGraph) -> dict:
 
 
 def graph_to_json(g: RibbonGraph, marking: Marking | None = None, lengths=None) -> dict:
-    """Serialize; sides are renumbered by ``side_numbering`` if not already 1..n."""
-    n = len(g.sides)
-    if g.sides != tuple(range(1, n + 1)):
-        side_map = side_numbering(g)
-        g2 = RibbonGraph(
-            perms.conjugate(g.sigma0, side_map),
-            perms.conjugate(g.sigma1, side_map),
-            range(1, n + 1),
-        )
-        m2 = Marking(g2, marking.relabel_sides(side_map)) if marking else None
-        l2 = None
-        if lengths is not None:
-            l2 = {
-                tuple(sorted((side_map[a], side_map[b]))): v
-                for (a, b), v in lengths.items()
-            }
-        return graph_to_json(g2, m2, l2)
+    """Serialize with every side written through ``side_numbering``.
+
+    The numbering keeps the order of the sides, so each cycle still starts
+    at its least side, the cycles stay sorted, and so do orbits and edges.
+    """
+    num = side_numbering(g)
     data = {
-        "sides": n,
-        "sigma0": [list(c) for c in g.vertices()],
-        "sigma1": [list(c) for c in perms.cycles(g.sigma1)],
+        "sides": len(num),
+        "sigma0": [[num[x] for x in c] for c in g.vertices()],
+        "sigma1": [[num[x] for x in c] for c in perms.cycles(g.sigma1)],
     }
     if marking is not None:
         data["marking"] = {
-            label: {"kind": kind, "orbit": sorted(orb)}
+            label: {"kind": kind, "orbit": sorted(num[x] for x in orb)}
             for label, (kind, orb) in sorted(marking.targets.items())
         }
     if lengths is not None:
-        data["lengths"] = {edge_id(e): rational_str(v) for e, v in sorted(lengths.items())}
+        data["lengths"] = {
+            edge_id((num[a], num[b])): rational_str(v)
+            for (a, b), v in sorted(lengths.items())
+        }
     return data
 
 

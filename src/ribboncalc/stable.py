@@ -32,7 +32,6 @@ from .errors import (
     DisconnectedSubset,
     DomainMismatch,
     EmptySubset,
-    FullSubset,
     NoSuchEdge,
     NotPermissible,
 )
@@ -97,14 +96,13 @@ def quotient(g: RibbonGraph, Z):
     from sigma0 = sigma1 o sigma_inf^{-1}.  Returns (graph, vertices), where
     ``vertices`` lists the rotations of G/G_Z that are not rotations of
     ``g`` - one for each boundary circle of the collapsed zone, sorted by
-    smallest side.  Z may be empty (identity) but not everything.
+    smallest side.  An empty Z returns ``g`` itself; a Z of every edge
+    leaves the graph with no sides and no exceptional vertices.
     """
     zz = _normalize_edges(g, Z)
     if not zz:
         return g, []
     remaining = set(g.sides) - _zone_sides(zz)
-    if not remaining:
-        raise FullSubset("cannot quotient a graph by all of its edges")
     s1 = {x: g.sigma1[x] for x in remaining}
     s_inf = perms.restrict_first_return(g.sigma_inf, remaining)
     inv_inf = perms.inverse(s_inf)
@@ -130,13 +128,14 @@ class Collapse(NamedTuple):
 
 
 def collapse(g: RibbonGraph, Z) -> Collapse:
-    """Collapse a proper nonempty subset Z: G_Z and G/G_Z once, scars paired.
+    """Collapse a nonempty subset Z: G_Z and G/G_Z once, scars paired.
 
     From a side of a truncated hole, walking the ambient rotation until the
     edge involution re-enters the hole sweeps out exactly the sides of the
     matching collapsed vertex; walking boundary links from a collapsed
     vertex sweeps the hole back out.  Both walks are performed and checked
-    against each other.
+    against each other.  A Z of every edge leaves a quotient with no sides
+    and no pairs: the whole surface becomes one point.
     """
     sub, exc_holes = subgraph(g, Z)
     quo, exc_verts = quotient(g, Z)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ribboncalc import checks, cli, clusters, enumeration, plforms
+from ribboncalc import checks, cli, clusters, combclasses, enumeration, plforms
 from ribboncalc.ribbon import MarkedMetricGraph, graph_from_json, graph_to_json
 
 
@@ -275,6 +275,29 @@ class TestKappa:
         code, out, err = run(capsys, "check", "two-vertex", "--a", "5", "--b", "6")
         assert (code, err) == (0, "")
         assert out.endswith("agree: yes\n")
+
+    @pytest.mark.parametrize(
+        "extra, out",
+        [
+            ([], "solved  = 72*k1^2 - 348*k2\nformula = 72*k1^2 - 348*k2\nagree: NO\n"),
+            (
+                ["--json"],
+                '{"a": 1, "agree": false, "b": 1, "formula": [{"coeff": "72/1", '
+                '"monomial": [{"exp": 2, "index": 1, "kind": "kappa"}]}, {"coeff": '
+                '"-348/1", "monomial": [{"exp": 1, "index": 2, "kind": "kappa"}]}], '
+                '"solved": [{"coeff": "72/1", "monomial": [{"exp": 2, "index": 1, '
+                '"kind": "kappa"}]}, {"coeff": "-348/1", "monomial": [{"exp": 1, '
+                '"index": 2, "kind": "kappa"}]}]}\n',
+            ),
+        ],
+    )
+    def test_a_two_vertex_disagreement_exits_one(self, capsys, monkeypatch, extra, out):
+        real = combclasses.two_vertex_check
+        monkeypatch.setattr(
+            combclasses, "two_vertex_check", lambda a, b: real(a, b)._replace(agree=False)
+        )
+        argv = ("check", "two-vertex", "--a", "1", "--b", "1", *extra)
+        assert run(capsys, *argv) == (1, out, "")
 
     def test_relation_keep(self, capsys):
         assert run(capsys, "relation", "--rho", "1,1", "--keep", "q1") == (
@@ -709,6 +732,11 @@ def test_manifest_digest_is_the_sha256_of_stdout(capsys, tmp_path, command, json
         (["cluster-count", "--rho="], 2, "DomainMismatch"),
         (["strata", "--genus", "0", "--labels", "p", "--hole", "p"], 2, "InconsistentProfile"),
         (["fpoly", "--profile", "0,1", "--g", "0", "--n", "1"], 2, "InconsistentProfile"),
+        (
+            ["cluster-count", "--method", "recurrence", "--rho", "1,1,1,1,1,1,1,1"],
+            2,
+            "TooLarge",
+        ),
     ],
 )
 def test_exit_codes(capsys, argv, code, error):

@@ -109,6 +109,15 @@ class TestRecurrence:
             assert _case_counts((r1, r2, 0))[1] == 0
         assert _case_counts((0, 0, 1))[1] > 0
 
+    def test_a_walk_past_the_bound_is_refused(self):
+        # t = 9 slots for a first pair (1, 1): 9^5 = 59,049 assignments
+        # for seven holes, 9^6 = 531,441 for eight
+        assert count_by_recurrence((1,) * 7) == 105306075
+        assert count_by_recurrence((-1,) + (1,) * 7) == 15 * 105306075
+        for rho in [(1,) * 8, (-1,) + (1,) * 8]:
+            with pytest.raises(TooLarge, match="531441 slot assignments"):
+                count_by_recurrence(rho)
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=5))
     def test_matches_closed_form(self, rho):

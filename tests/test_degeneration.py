@@ -432,6 +432,29 @@ class TestStratumCensus:
                 assert topo.closed_complement
 
 
+class TestZoneOfEveryEdge:
+    """A one-hole cell's zone is every edge, and the whole surface is crushed."""
+
+    @pytest.mark.parametrize("g,count", [(1, 2), (2, 160)])
+    def test_every_one_hole_cell_leaves_the_bubble_alone(self, g, count):
+        cells = [
+            cell
+            for classes in enumeration.enumerate_all_cells(g, ["q"]).values()
+            for cell in classes
+        ]
+        assert len(cells) == count
+        for cell in cells:
+            graph, marking = cell.graph, cell.marking
+            zone = degeneration._zone_edges(graph, marking.orbit("q"))
+            assert len(zone) == graph.n_edges()
+            topo = hole_topology((graph, marking), "q")
+            assert topo == HoleTopology(SURFACE, g, (), closed_complement=True)
+            lengths = {e: Fraction(1, graph.n_edges()) for e in graph.edges()}
+            res = shrink(MarkedMetricGraph(graph, marking, lengths), "q")
+            assert (res.topology, res.components, res.nodes) == (topo, (), ())
+            assert res.dual == DualGraph([(g, {"q"}, False)], [])
+
+
 def fresh_copy(graph):
     """The same graph as a new object, with none of its caches filled."""
     return RibbonGraph(dict(graph.sigma0), dict(graph.sigma1), graph.sides)
@@ -452,7 +475,7 @@ class TestZoneMemo:
                     orbit = cell.marking.orbit(q)
                     graph = fresh_copy(cell.graph)
                     zone = degeneration._zone_edges(graph, orbit)
-                    cut = degeneration._zone_cut(graph, zone)
+                    cut = stable.collapse(graph, zone)
                     assert got == degeneration._hole_zone_topology(graph, orbit, zone, cut)
                     assert cell.graph._zones[orbit] is got
                     classified.add((id(cell.graph), orbit))

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -167,6 +168,86 @@ def test_no_unused_local(name):
 )
 def test_the_unused_local_check_sees_them(source, flagged):
     assert bool(unused_locals(ast.parse(source))) == flagged
+
+
+def _references(node):
+    """How often each name is read, or looked up as an attribute, under ``node``."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+    return out
+
+
+def _definitions(tree):
+    """(qualified name, node) of each top-level function and class, and of
+    each method; dunder methods are left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                        item.name.startswith("__") and item.name.endswith("__")
+                    ):
+                        yield f"{node.name}.{item.name}", item
+
+
+def uncalled_names(trees):
+    """``module.name`` of each definition no code outside its own body refers to."""
+    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    return sorted(
+        f"{module}.{qual}"
+        for module, tree in trees.items()
+        for qual, node in _definitions(tree)
+        if refs[node.name] == _references(node)[node.name]
+    )
+
+
+# names with no caller in the package, each kept for a stated reason
+NO_CALLER_KEPT = {
+    "enumeration._search": "pinned by perfbench until the benchmark no longer needs it",
+    "ribbon.canonicalize": "pinned by perfbench until the benchmark no longer needs it",
+    "combclasses.one_vertex_relation": "the relations of the odd-valent cycle volumes use it",
+    "combclasses.delta_class": "the relations of the odd-valent cycle volumes use it",
+    "ribbon.mark_all_holes": "a test helper kept on purpose",
+    "stable.classify_subset": "a test helper kept on purpose: the direct tests of its rule",
+    "tautring.TautPoly.parse": "the ring API: text round trips",
+    "tautring.TautPoly.from_json": "the ring API: JSON round trips",
+    "tautring.TautPoly.is_zero": "the ring API",
+    "tautring.TautPoly.is_homogeneous": "the ring API",
+    "tautring.TautPoly.homogeneous_part": "the ring API",
+    "cli._Parser.error": "an argparse hook: argparse calls it",
+}
+
+
+def test_every_name_has_a_caller():
+    trees = {
+        pathlib.Path(name).stem: ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        for name in GUARDED
+    }
+    flagged = uncalled_names(trees)
+    assert [n for n in flagged if n not in NO_CALLER_KEPT] == [], "names nothing refers to"
+    stale = sorted(set(NO_CALLER_KEPT) - set(flagged))
+    assert stale == [], f"kept names that now have a caller or are gone: {stale}"
+
+
+@pytest.mark.parametrize(
+    "sources,flagged",
+    [
+        ({"m": "def f():\n    return 1"}, ["m.f"]),
+        ({"m": "def f():\n    return f()"}, ["m.f"]),
+        ({"m": "def f():\n    return 1", "n": "from m import f\nx = f()"}, []),
+        ({"m": "class C:\n    def go(self):\n        return 1\nC().go()"}, []),
+        ({"m": "class C:\n    def go(self):\n        return 1\nC()"}, ["m.C.go"]),
+        ({"m": "class C:\n    def __eq__(self, o):\n        return 1\nC()"}, []),
+        ({"m": "f = 1\ndef g():\n    def f():\n        return 1\ng()"}, []),
+    ],
+)
+def test_the_caller_check_sees_unused_defs(sources, flagged):
+    assert uncalled_names({m: ast.parse(src) for m, src in sources.items()}) == flagged
 
 
 @pytest.mark.parametrize("name", GUARDED)

@@ -33,6 +33,20 @@ from ribboncalc.ribbon import (
     validate,
 )
 
+
+def conjugate(perm, relabel):
+    """relabel o perm o relabel^{-1}: the same permutation on renamed points."""
+    return {relabel[x]: relabel[y] for x, y in perm.items()}
+
+
+def relabel_marking(marking, relabel):
+    """The targets of ``marking`` with every side renamed by ``relabel``."""
+    return {
+        label: (kind, frozenset(relabel[x] for x in orb))
+        for label, (kind, orb) in marking.targets.items()
+    }
+
+
 CIRCLE = validate([(1, 2)], [(1, 2)])
 # two trivalent vertices, three parallel edges, parallel pairing: genus 1
 TORUS_CELL = validate([(1, 2, 3), (4, 5, 6)], [(1, 4), (2, 5), (3, 6)])
@@ -223,11 +237,11 @@ class TestCanonical:
         relabel_img = data.draw(st.permutations(range(1, n + 1)), label="conj")
         relabel = {i + 1: relabel_img[i] for i in range(n)}
         g2 = ribbon.RibbonGraph(
-            perms.conjugate(g.sigma0, relabel),
-            perms.conjugate(g.sigma1, relabel),
+            conjugate(g.sigma0, relabel),
+            conjugate(g.sigma1, relabel),
             range(1, n + 1),
         )
-        m2 = Marking(g2, m.relabel_sides(relabel))
+        m2 = Marking(g2, relabel_marking(m, relabel))
         assert canonical_form(g, m) == canonical_form(g2, m2)
 
     def test_canonicalize_round_trip(self):
@@ -268,13 +282,13 @@ def relabel_canonicalize(g, marking=None):
         elif code == best:
             count += 1
     new_g = ribbon.RibbonGraph(
-        perms.conjugate(g.sigma0, best_relabel),
-        perms.conjugate(g.sigma1, best_relabel),
+        conjugate(g.sigma0, best_relabel),
+        conjugate(g.sigma1, best_relabel),
         range(1, len(g.sides) + 1),
     )
     new_m = None
     if marking is not None:
-        new_m = Marking(new_g, marking.relabel_sides(best_relabel))
+        new_m = Marking(new_g, relabel_marking(marking, best_relabel))
     return new_g, new_m, count
 
 
@@ -290,8 +304,8 @@ def marked_cells():
                 n = len(cell.graph.sides)
                 relabel = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
                 graph = ribbon.RibbonGraph(
-                    perms.conjugate(cell.graph.sigma0, relabel),
-                    perms.conjugate(cell.graph.sigma1, relabel),
+                    conjugate(cell.graph.sigma0, relabel),
+                    conjugate(cell.graph.sigma1, relabel),
                     range(1, n + 1),
                 )
                 shuffled = rng.sample(labels, len(labels))
@@ -466,3 +480,48 @@ class TestJson:
         assert data["sides"] == 2
         g2, _, _ = graph_from_json(data)
         assert canonical_form(g2) == canonical_form(g)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_scrambled_sides_write_as_the_conjugated_graph(self, data):
+        g = random_graph(data)
+        n = len(g.sides)
+        names = data.draw(
+            st.lists(st.integers(1, 10 * n), min_size=n, max_size=n, unique=True),
+            label="names",
+        )
+        scramble = dict(zip(g.sides, names))
+        h = ribbon.RibbonGraph(
+            conjugate(g.sigma0, scramble), conjugate(g.sigma1, scramble), names
+        )
+        targets = {f"p{i}": (HOLE, frozenset(c)) for i, c in enumerate(h.holes())}
+        vertex = data.draw(st.sampled_from(h.vertices()), label="vertex")
+        targets["v"] = (VERTEX, frozenset(vertex))
+        marking = Marking(h, targets)
+        lengths = {
+            e: Fraction(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)))
+            for e in h.edges()
+        }
+        assert graph_to_json(h, marking, lengths) == conjugated_to_json(h, marking, lengths)
+
+
+def conjugated_to_json(g, marking, lengths):
+    """Oracle: renumber the sides to 1..n by conjugation, then write the
+    renumbered graph's own cycles, orbits and edges."""
+    relabel = {x: i + 1 for i, x in enumerate(sorted(g.sides))}
+    n = len(relabel)
+    g2 = ribbon.RibbonGraph(
+        conjugate(g.sigma0, relabel), conjugate(g.sigma1, relabel), range(1, n + 1)
+    )
+    m2 = Marking(g2, relabel_marking(marking, relabel))
+    l2 = {tuple(sorted((relabel[a], relabel[b]))): v for (a, b), v in lengths.items()}
+    return {
+        "sides": n,
+        "sigma0": [list(c) for c in g2.vertices()],
+        "sigma1": [list(c) for c in perms.cycles(g2.sigma1)],
+        "marking": {
+            label: {"kind": kind, "orbit": sorted(orb)}
+            for label, (kind, orb) in sorted(m2.targets.items())
+        },
+        "lengths": {f"{a}-{b}": ribbon.rational_str(v) for (a, b), v in sorted(l2.items())},
+    }

@@ -10,7 +10,6 @@ from ribboncalc.errors import (
     DisconnectedSubset,
     DomainMismatch,
     EmptySubset,
-    FullSubset,
     NoSuchEdge,
     NotPermissible,
 )
@@ -98,9 +97,10 @@ class TestQuotient:
         assert quo is THETA
         assert exc == []
 
-    def test_full_subset_rejected(self):
-        with pytest.raises(FullSubset):
-            quotient(THETA, THETA.edges())
+    def test_full_subset_leaves_no_sides(self):
+        quo, exc = quotient(THETA, THETA.edges())
+        assert quo.sides == ()
+        assert exc == []
 
     def test_theta_by_one_edge_merges_the_vertices(self):
         quo, exc = quotient(THETA, [(1, 4)])
@@ -116,6 +116,18 @@ class TestQuotient:
     def test_agrees_with_edge_contraction(self):
         quo, _ = quotient(THETA, [(1, 4)])
         assert canonical_form(quo) == canonical_form(contract_edge(THETA, (1, 4)))
+
+
+def assert_every_edge_collapses_to_nothing(g):
+    """Z = every edge: no quotient sides, no scars, no labelled part."""
+    quo, exc = quotient(g, g.edges())
+    assert (quo.sides, quo.vertices(), quo.components(), exc) == ((), [], [], [])
+    cut = collapse(g, g.edges())
+    assert (cut.sub.sigma0, cut.sub.sigma1) == (g.sigma0, g.sigma1)
+    assert cut.quo.sides == ()
+    assert cut.pairs == []
+    labels = [f"p{i}" for i in range(g.n_holes())]
+    assert carry_labels(cut, mark_all_holes(g, labels).targets) == []
 
 
 class TestExceptionalCorrespondence:
@@ -147,6 +159,15 @@ class TestExceptionalCorrespondence:
         assert len(sub.sides) + len(quo.sides) == len(g.sides)
         pairs = collapse(g, z).pairs
         assert len(pairs) == len(exc_holes) == len(exc_verts)
+
+    @pytest.mark.parametrize("g", [THETA, TORUS_CELL, DUMBBELL, HANDLE])
+    def test_every_edge_leaves_no_sides_and_no_pairs(self, g):
+        assert_every_edge_collapses_to_nothing(g)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_every_edge_of_a_random_graph_collapses_to_nothing(self, data):
+        assert_every_edge_collapses_to_nothing(random_graph(data))
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
