@@ -338,7 +338,10 @@ def _cmd_stable(args):
         raise UsageError(f"--zseq is not valid JSON: {err}") from err
     if not isinstance(stages, list) or not all(
         isinstance(stage, list)
-        and all(isinstance(e, list) and len(e) == 2 for e in stage)
+        and all(
+            isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)
+            for e in stage
+        )
         for stage in stages
     ):
         raise UsageError("--zseq must be a JSON list of stages of [a, b] edge pairs")

@@ -18,6 +18,11 @@ either hand their surrounded hole's label to the new vertex or vanish as
 unstable spheres (their two boundary points get paired directly), and only
 the stable cores spawn deeper components.  Each piece is sorted into these
 three kinds by the rule ``classify_subset`` applies.
+
+iota's pairing points ride as labels.  A hole or vertex that awaits its
+partner carries a (token, end) label beside the real (string) labels, so
+``carry_labels`` moves it across later collapses like any other label, and
+iota is read off at the end by pairing the two ends of each token.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from .ribbon import (
     VERTEX,
     Marking,
     RibbonGraph,
-    edge_id,
     graph_to_json,
     restrict,
     side_numbering,
@@ -181,9 +185,10 @@ def collapse(g: RibbonGraph, Z) -> Collapse:
 def carry_labels(cut: Collapse, marks):
     """[(component, labels)] for the components of G/G_Z by least side.
 
-    ``marks`` maps labels to (kind, orbit) targets of the ambient graph.  A
-    hole label keeps its remnant in every component it reaches, a vertex
-    label stays whole on its vertex, and a label inside the zone is dropped.
+    ``marks`` maps labels to (kind, orbit) targets of the ambient graph, or
+    to vertices of G/G_Z itself.  A hole label keeps its remnant in every
+    component it reaches, a vertex label stays whole on its vertex, and a
+    label inside the zone is dropped.
     """
     out = []
     for sides in cut.quo.components():
@@ -253,11 +258,8 @@ def _connected_in_graph(g: RibbonGraph, edges):
     return len(perms.blocks({v for link in links for v in link}, links)) <= 1
 
 
-def _marked_vertex_orbits(marking):
-    if marking is None:
-        return set()
-    items = marking.targets.values() if isinstance(marking, Marking) else marking.values()
-    return {orb for kind, orb in items if kind == VERTEX}
+def _marked_vertex_orbits(targets):
+    return {orb for kind, orb in targets.values() if kind == VERTEX}
 
 
 def _prune_unmarked_tails(g: RibbonGraph, edges, marked_orbits):
@@ -299,7 +301,8 @@ def classify_subset(g: RibbonGraph, marking, Z) -> SubsetClass:
         raise EmptySubset("cannot classify an empty subset")
     if not _connected_in_graph(g, zz):
         raise DisconnectedSubset("subset is not connected in the graph")
-    return _classify_edges(g, zz, _marked_vertex_orbits(marking))
+    targets = marking.targets if marking is not None else {}
+    return _classify_edges(g, zz, _marked_vertex_orbits(targets))
 
 
 # --- stable ribbon graphs ---------------------------------------------------------
@@ -335,15 +338,19 @@ class StableGraphData:
 
 
 class _Piece:
-    """One live component during assembly: graph, labels, pairing tokens."""
+    """One live component during assembly: graph, labels, order.
 
-    __slots__ = ("graph", "marks", "special_holes", "exc_vertices", "order")
+    ``marks`` maps labels to (kind, orbit) targets.  Besides the real
+    labels (strings), it holds the pairing points that await their iota
+    partner: each is labelled (token, end), and the two ends of a token
+    are paired once the assembly is done.
+    """
 
-    def __init__(self, graph, marks, special_holes, exc_vertices, order):
+    __slots__ = ("graph", "marks", "order")
+
+    def __init__(self, graph, marks, order):
         self.graph = graph
         self.marks = dict(marks)
-        self.special_holes = dict(special_holes)
-        self.exc_vertices = dict(exc_vertices)
         self.order = order
 
 
@@ -370,28 +377,12 @@ def _spawn_core(piece: _Piece, core_edges, marked_orbits):
     return _smooth_unmarked_bivalents(core, keep)
 
 
-def _hole_source_map(sub_holes, spawned: RibbonGraph):
-    """Match each hole of the spawned graph to the sub-hole it survived from."""
-    by_side = {x: hs for hs in sub_holes for x in hs}
-    out = {}
-    seen = set()
-    for h in spawned.holes():
-        hs = frozenset(h)
-        src = by_side[min(hs)]
-        if not hs <= src:
-            raise BrokenInvariant("spawned hole is not a remnant of a collapse hole")
-        if src in seen:
-            raise BrokenInvariant("two spawned holes claim the same source")
-        seen.add(src)
-        out[hs] = src
-    return out
-
-
 def _quotient_piece(piece: _Piece, zr, tokens):
     """Collapse ``zr`` inside one piece; return (finished quo pieces, spawned)."""
     graph = piece.graph
     cut = collapse(graph, zr)
     vert_of = dict(cut.pairs)
+    scar_of = {x: hole for hole in vert_of for x in hole}
     marked_orbits = _marked_vertex_orbits(piece.marks)
     zr_sides = _zone_sides(zr)
 
@@ -402,8 +393,7 @@ def _quotient_piece(piece: _Piece, zr, tokens):
     sub_holes = [frozenset(h) for h in cut.sub.holes()]
 
     consumed = set()
-    demoted = {}  # exceptional vertex -> label or None (ordinary after all)
-    vertex_token = {}  # exceptional vertex -> pairing token
+    vertex_label = {}  # exceptional vertex -> its label, or None (ordinary after all)
     spawned = []
 
     for comp_sides in cut.sub.components():
@@ -421,43 +411,31 @@ def _quotient_piece(piece: _Piece, zr, tokens):
             (hole,) = comp_holes
             if hole not in vert_of:
                 raise BrokenInvariant("a proper tree piece must scar its hole")
-            label = comp_marked[0] if comp_marked else None
-            demoted[vert_of[hole]] = label
+            vertex_label[vert_of[hole]] = comp_marked[0] if comp_marked else None
             consumed.update(comp_marked)
         elif cls.kind == SEMISTABLE:
             # a circle: pinch; the two boundary walks decide what the ends become
             if len(comp_holes) != 2:
                 raise BrokenInvariant("a circle piece must have two holes")
-            new_verts = []
-            inherited = []
-            for hole in comp_holes:
-                if hole in vert_of:
-                    new_verts.append(vert_of[hole])
-                else:
-                    inherited.append(hole)
-                    consumed.add(hole)
+            new_verts = [vert_of[h] for h in comp_holes if h in vert_of]
             if len(new_verts) == 2:
                 # unstable sphere: discard it, pair its two scars directly
                 tok = next(tokens)
-                vertex_token[new_verts[0]] = tok
-                vertex_token[new_verts[1]] = tok
+                vertex_label[new_verts[0]] = (tok, 0)
+                vertex_label[new_verts[1]] = (tok, 1)
+            elif len(new_verts) == 1:
+                # the inner hole's label, real or a pairing point, moves to the vertex
+                (inner,) = (h for h in comp_holes if h not in vert_of)
+                if inner not in hole_label:
+                    raise BrokenInvariant("a circle's inner hole carries no label")
+                vertex_label[new_verts[0]] = hole_label[inner]
+                consumed.add(hole_label[inner])
             else:
-                if len(new_verts) != 1:
-                    raise BrokenInvariant(
-                        "a circle collapse piece must scar at least one hole"
-                    )
-                (vert,) = new_verts
-                (hole,) = inherited
-                if hole in hole_label:
-                    demoted[vert] = hole_label[hole]
-                    consumed.add(hole_label[hole])
-                else:
-                    vertex_token[vert] = piece.special_holes[hole]
+                raise BrokenInvariant("a circle collapse piece must scar at least one hole")
         else:
             # a stable core: spawn the next-stage component
             spawn_graph = _spawn_core(piece, cls.zst, marked_orbits)
             spawn_sides = set(spawn_graph.sides)
-            source_of = _hole_source_map(sub_holes, spawn_graph)
             marks = {}
             for label, (kind, orb) in piece.marks.items():
                 if kind == VERTEX and orb & spawn_sides:
@@ -471,42 +449,31 @@ def _quotient_piece(piece: _Piece, zr, tokens):
                         )
                     marks[label] = (HOLE, remnant)
                     consumed.add(label)
-            special = {}
-            for hs, src in source_of.items():
-                if src in vert_of:
-                    tok = next(tokens)
-                    special[hs] = tok
-                    vertex_token[vert_of[src]] = tok
-                elif src in hole_label:
-                    pass  # already placed through piece.marks above
-                else:
-                    special[hs] = piece.special_holes[src]
-                    consumed.add(src)
-            spawned.append(
-                _Piece(spawn_graph, marks, special, {}, piece.order + 1)
-            )
+            # a hole left without a label survives from a scar: pair the two
+            labelled = {orb for kind, orb in marks.values() if kind == HOLE}
+            for h in spawn_graph.holes():
+                hs = frozenset(h)
+                if hs in labelled:
+                    continue
+                scar = scar_of.get(min(hs))
+                if scar is None or not hs <= scar:
+                    raise BrokenInvariant("spawned hole is not a remnant of a collapse hole")
+                tok = next(tokens)
+                marks[(tok, 0)] = (HOLE, hs)
+                vertex_label[vert_of[scar]] = (tok, 1)
+            spawned.append(_Piece(spawn_graph, marks, piece.order + 1))
 
-    for vert in vert_of.values():
-        if vert not in demoted and vert not in vertex_token:
-            raise BrokenInvariant("an exceptional vertex was left unexplained")
+    if any(vert not in vertex_label for vert in vert_of.values()):
+        raise BrokenInvariant("an exceptional vertex was left unexplained")
 
     left = {l: t for l, t in piece.marks.items() if l not in consumed}
-    finished = []
-    for comp_graph, marks in carry_labels(cut, left):
-        comp_sides = set(comp_graph.sides)
-        comp_verts = {frozenset(v) for v in comp_graph.vertices()}
-        special = {}
-        for hole, tok in piece.special_holes.items():
-            if hole in consumed:
-                continue
-            remnant = hole & comp_sides
-            if remnant:
-                special[remnant] = tok
-        excv = {v: t for v, t in vertex_token.items() if v in comp_verts}
-        for vert, label in demoted.items():
-            if vert in comp_verts and label is not None:
-                marks[label] = (VERTEX, vert)
-        finished.append(_Piece(comp_graph, marks, special, excv, piece.order))
+    for vert, label in vertex_label.items():
+        if label is not None:
+            left[label] = (VERTEX, vert)
+    finished = [
+        _Piece(comp_graph, marks, piece.order)
+        for comp_graph, marks in carry_labels(cut, left)
+    ]
     return finished, spawned
 
 
@@ -516,7 +483,8 @@ def build_stable(g: RibbonGraph, marking: Marking, zseq) -> StableGraphData:
     ``zseq[0]`` must be the full edge set; each later entry lives inside
     the components spawned by the previous stage and may not swallow one
     whole.  Each component gets the uniform metric, 1/E on each of its E
-    edges.
+    edges.  Every hole carries a label throughout: a real one, or a
+    pairing point whose token names its iota partner.
     """
     if not zseq:
         raise NotPermissible("the sequence must start with the full edge set")
@@ -524,10 +492,9 @@ def build_stable(g: RibbonGraph, marking: Marking, zseq) -> StableGraphData:
     if first != set(g.edges()):
         raise NotPermissible("the sequence must start with the full edge set")
 
-    marks0 = dict(marking.targets)
     tokens = _count(1)
     final = []
-    layer = [_Piece(g, marks0, {}, {}, 0)]
+    layer = [_Piece(g, marking.targets, 0)]
 
     for znext in zseq[1:]:
         if not znext:
@@ -555,24 +522,21 @@ def build_stable(g: RibbonGraph, marking: Marking, zseq) -> StableGraphData:
 
     final.sort(key=lambda p: (p.order, min(p.graph.sides)))
     components = [p.graph for p in final]
-    markings = [p.marks for p in final]
     order = [p.order for p in final]
 
+    markings = []
     token_points = {}
     for i, piece in enumerate(final):
-        for h in piece.graph.holes():
-            hs = frozenset(h)
-            marked = any(
-                kind == HOLE and orb == hs for kind, orb in piece.marks.values()
-            )
-            if not marked:
-                if hs not in piece.special_holes:
-                    raise BrokenInvariant("an unmarked hole has no partner")
-                token_points.setdefault(piece.special_holes[hs], []).append(
-                    (i, HOLE, hs)
-                )
-        for vert, tok in piece.exc_vertices.items():
-            token_points.setdefault(tok, []).append((i, VERTEX, vert))
+        labelled = {orb for kind, orb in piece.marks.values() if kind == HOLE}
+        if any(frozenset(h) not in labelled for h in piece.graph.holes()):
+            raise BrokenInvariant("a hole carries no label")
+        real = {}
+        for label, (kind, orb) in piece.marks.items():
+            if isinstance(label, tuple):
+                token_points.setdefault(label[0], []).append((i, kind, orb))
+            else:
+                real[label] = (kind, orb)
+        markings.append(real)
 
     iota = {}
     for tok, points in token_points.items():
@@ -643,14 +607,10 @@ def stable_to_json(data: StableGraphData) -> dict:
 
     comps = []
     for i, graph in enumerate(data.components):
-        blob = graph_to_json(graph)
+        blob = graph_to_json(graph, lengths=data.lengths[i])
         blob["marking"] = {
             label: {"kind": kind, "orbit": orbit(i, orb)}
             for label, (kind, orb) in data.markings[i].items()
-        }
-        blob["lengths"] = {
-            edge_id((numbering[i][a], numbering[i][b])): str(data.lengths[i][(a, b)])
-            for a, b in graph.edges()
         }
         blob["order"] = data.order[i]
         comps.append(blob)

@@ -665,6 +665,15 @@ class TestStable:
         assert (code, out) == (64, "")
         assert err.startswith("usage error: ")
 
+    @pytest.mark.parametrize(
+        "zseq", ['[[[1, "a"]]]', "[[[1.5, 4]]]", "[[[true, 4]]]"], ids=["str", "float", "bool"]
+    )
+    def test_a_side_that_is_not_an_integer_is_a_usage_error(self, capsys, tmp_path, zseq):
+        path = _write(tmp_path, "three.json", THREE_HOLES_FILE)
+        code, out, err = run(capsys, "stable", "--graph", path, "--zseq", zseq)
+        assert (code, out) == (64, "")
+        assert err.startswith("usage error: ")
+
 
 GRAPH_COMMANDS = {
     "shrink": ("--hole", "q"),
@@ -737,6 +746,9 @@ def test_manifest_digest_is_the_sha256_of_stdout(capsys, tmp_path, command, json
             2,
             "TooLarge",
         ),
+        # coefficients past Python's 4,300-digit int-to-str limit
+        (["check", "two-vertex", "--a", "1", "--b", "1500"], 2, "TooLarge"),
+        (["fpoly", "--profile", ",".join(["0"] * 1600 + ["1"])], 2, "TooLarge"),
     ],
 )
 def test_exit_codes(capsys, argv, code, error):

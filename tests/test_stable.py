@@ -1,9 +1,12 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ribboncalc import enumeration
 from ribboncalc import permutations as perms
 from ribboncalc.errors import (
     BrokenInvariant,
@@ -502,6 +505,67 @@ class TestBuildStable:
         assert stable.order.count(1) == len(cores)
 
 
+def _proper_subset(rng, edges):
+    return rng.sample(edges, rng.randint(1, len(edges) - 1))
+
+
+def _raw_stable(data):
+    """Everything ``build_stable`` returns, in raw side names, as plain sorted lists."""
+    return (
+        [(sorted(c.sigma0.items()), sorted(c.sigma1.items())) for c in data.components],
+        [sorted((l, k, sorted(o)) for l, (k, o) in m.items()) for m in data.markings],
+        list(data.order),
+        sorted(
+            (a[0], a[1], sorted(a[2]), b[0], b[1], sorted(b[2])) for a, b in data.iota.items()
+        ),
+        [sorted((e, str(x)) for e, x in ls.items()) for ls in data.lengths],
+    )
+
+
+# (0,4), (1,2) and (2,1) with every hole labelled, plus a marked trivalent vertex
+# on the (0,3) and (1,2) top cells
+def _digest_cells():
+    cells = [
+        cell
+        for g, labels in [(0, ["a", "b", "c", "d"]), (1, ["p", "q"]), (2, ["p"])]
+        for classes in enumeration.enumerate_all_cells(g, labels).values()
+        for cell in classes
+    ]
+    cells += enumeration.enumerate(0, ["a", "b", "c", "z"], [2], {"z": 3})
+    cells += enumeration.enumerate(1, ["p", "q", "z"], [4], {"z": 3})
+    return cells
+
+
+class TestBuildStableDigest:
+    def test_seeded_sequences_on_every_small_cell(self):
+        """A differential guard: three seeded two-stage sequences per cell, each
+        extended by a third stage inside the components it spawned, hashed in raw
+        side names.  The digest was recorded before pairing points rode as labels.
+        """
+        rng = random.Random(2101)
+        digest = hashlib.sha256()
+        runs = 0
+        for cell in _digest_cells():
+            edges = cell.graph.edges()
+            if len(edges) < 2:
+                continue
+            for _ in range(3):
+                seq = [edges, _proper_subset(rng, edges)]
+                data = build_stable(cell.graph, cell.marking, seq)
+                digest.update(repr(_raw_stable(data)).encode())
+                runs += 1
+                top = [c.edges() for c, o in zip(data.components, data.order) if o == 1]
+                third = [e for es in top if len(es) > 1 for e in _proper_subset(rng, es)]
+                if third:
+                    data = build_stable(cell.graph, cell.marking, seq + [third])
+                    digest.update(repr(_raw_stable(data)).encode())
+                    runs += 1
+        assert runs == 2209
+        assert digest.hexdigest() == (
+            "d718a1bf0dbad946ba733940e2aadc675db4c45c49bada1d76ad93d8b1f05579"
+        )
+
+
 def _with_order(data, order):
     return StableGraphData(data.components, data.markings, order, data.iota, data.lengths)
 
@@ -595,6 +659,12 @@ class TestStableJson:
             label="subset",
         )
         assert_json_consistent(build_stable(g, m, [edges, z]))
+
+    def test_lengths_are_written_as_rationals(self):
+        m = mark_all_holes(HANDLE, ["p", "q"])
+        blob = stable_to_json(build_stable(HANDLE, m, [HANDLE.edges(), TORUS_BLOCK]))
+        assert blob["components"][0]["lengths"] == {"1-2": "1/1"}
+        assert blob["components"][1]["lengths"] == {"1-4": "1/3", "2-5": "1/3", "3-6": "1/3"}
 
     def test_round_trippable_shape(self):
         m = mark_all_holes(HANDLE, ["p", "q"])
