@@ -29,6 +29,7 @@ Swapping one pairing drops the genus::
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from . import permutations as perms
@@ -40,6 +41,7 @@ from .errors import (
     FixedPointInvolution,
     LoopContraction,
     NoSuchEdge,
+    TooLarge,
 )
 
 
@@ -499,8 +501,13 @@ def canonicalize(g: RibbonGraph, marking: Marking | None = None):
 # --- rationals and JSON ---------------------------------------------------------
 
 def rational_str(x) -> str:
+    """"num/den"; TooLarge past Python's int-to-str digit limit."""
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError as err:
+        limit = sys.get_int_max_str_digits()
+        raise TooLarge(f"a number has more than {limit} digits") from err
 
 
 def parse_rational(s) -> Fraction:

@@ -33,12 +33,12 @@ of binomials (``permutations._partition_sums``).
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from math import factorial
 
-from .errors import DomainMismatch, TooLarge
+from .errors import DomainMismatch
 from .permutations import _partition_sums
+from .ribbon import rational_str
 
 _KAPPA = "k"
 _PSI = "psi"
@@ -206,7 +206,7 @@ class TautPoly:
             coeff = self._terms[mono]
             out.append(
                 {
-                    "coeff": "/".join(_coeff_digits(coeff)),
+                    "coeff": rational_str(coeff),
                     "monomial": [_gen_to_json(g) | {"exp": e} for g, e in mono],
                 }
             )
@@ -257,20 +257,10 @@ def _render_gen(gen) -> str:
     return f"[{gen[1]}|{gen[2]}]"
 
 
-def _coeff_digits(coeff: Fraction):
-    """(numerator, denominator) as digit strings; TooLarge past Python's digit limit."""
-    try:
-        return str(coeff.numerator), str(coeff.denominator)
-    except ValueError as err:
-        limit = sys.get_int_max_str_digits()
-        raise TooLarge(f"a coefficient has more than {limit} digits") from err
-
-
 def _render_monomial(mono, coeff: Fraction) -> str:
     factors = []
     if coeff != 1 or not mono:
-        num, den = _coeff_digits(coeff)
-        factors.append(num if den == "1" else f"{num}/{den}")
+        factors.append(rational_str(coeff).removesuffix("/1"))
     for g, e in mono:
         base = _render_gen(g)
         factors.append(base if e == 1 else f"{base}^{e}")

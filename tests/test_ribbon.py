@@ -15,6 +15,7 @@ from ribboncalc.errors import (
     FixedPointInvolution,
     LoopContraction,
     NoSuchEdge,
+    TooLarge,
 )
 from ribboncalc.ribbon import (
     HOLE,
@@ -438,6 +439,11 @@ class TestJson:
         g2, m2, l2 = graph_from_json(data)
         assert canonical_form(g2, m2) == canonical_form(THETA, m)
         assert l2 == lengths
+
+    def test_a_rational_past_the_digit_limit_is_too_large(self):
+        assert ribbon.rational_str(Fraction(-6, 4)) == "-3/2"
+        with pytest.raises(TooLarge):
+            ribbon.rational_str(Fraction(1, 10**5000))
 
     @pytest.mark.parametrize(
         "doc",
