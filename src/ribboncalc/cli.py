@@ -226,10 +226,12 @@ def _cmd_cluster_count(args):
     }
     if args.method != "all":
         count = methods[args.method]()
+        # the digit guard of rational_str: TooLarge, not a traceback, past the limit
+        text = rational_str(count).removesuffix("/1")
         if args.json:
             payload = {"rho": rho, "method": args.method, "count": count}
             return json.dumps(payload, sort_keys=True)
-        return str(count)
+        return text
     counts = {name: fn() for name, fn in methods.items()}
     agree = len(set(counts.values())) == 1
     if args.json:

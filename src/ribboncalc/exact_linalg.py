@@ -1,10 +1,14 @@
-"""Small exact linear algebra over Fraction: kernels, restriction, Pfaffians.
+"""Small exact linear algebra: kernels, restriction, Pfaffians.
 
 The matrices that show up are antisymmetric forms on cell coordinates,
-mostly integer; kernels and restrictions keep integers as integers.
-Pfaffians come from skew-symmetric Gaussian elimination, O(n^3) exact
-operations on an n x n matrix, so every value stays an exact rational
-without a numerical stack.
+mostly integer, and the arithmetic stays in integers.  Kernels come from
+elimination on primitive integer rows; a rational vector is handled as an
+integer vector over one denominator; Pfaffians come from fraction-free
+skew elimination, O(n^3) integer operations on an n x n matrix in which
+each division is exact (Bareiss, Math. Comp. 22, 1968; Knuth, "Overlapping
+Pfaffians", Electron. J. Combin. 3(2), 1996).  A rational input has its
+denominators cleared once and divided back once, so every value is an
+exact rational without a numerical stack.
 """
 
 from __future__ import annotations
@@ -20,16 +24,15 @@ def _rational(x):
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
-def _over_common_denominator(v):
-    """(d, w) with w an integer vector and v = w / d."""
+def over_common_denominator(v):
+    """(d, w) with w an integer vector and v = w / d, d the least such."""
     v = [_rational(x) for x in v]
     d = lcm(*(x.denominator for x in v))
     return d, [x.numerator * (d // x.denominator) for x in v]
 
 
-def _primitive(v):
-    """The integer multiple of a rational row with coprime entries (same kernel)."""
-    w = _over_common_denominator(v)[1]
+def _primitive(w):
+    """An integer row divided by the gcd of its entries (same kernel)."""
     g = gcd(*w)
     return [x // g for x in w] if g > 1 else w
 
@@ -46,7 +49,7 @@ def kernel_basis(rows, dim) -> list:
     for row in rows:
         if len(row) != dim:
             raise DomainMismatch(f"row length {len(row)} != dimension {dim}")
-        mat.append(_primitive(row))
+        mat.append(_primitive(over_common_denominator(row)[1]))
     pivots = []
     r = 0
     for c in range(dim):
@@ -83,7 +86,7 @@ def restrict_form(matrix, basis) -> list:
     sparse: the products run over the nonzero entries of u and A u only.
     """
     matrix = [[_rational(x) for x in row] for row in matrix]
-    scaled = [_over_common_denominator(v) for v in basis]
+    scaled = [over_common_denominator(v) for v in basis]
     images = []
     for d, u in scaled:
         support = [(j, x) for j, x in enumerate(u) if x]
@@ -98,16 +101,26 @@ def restrict_form(matrix, basis) -> list:
 def pfaffian(matrix) -> Fraction:
     """Pfaffian of an antisymmetric rational matrix (0 for odd size, 1 for empty).
 
-    Skew-symmetric Gaussian elimination (Parlett-Reid), O(n^3) exact
-    operations: for k = 0, 2, 4, ... bring a nonzero a[k][j] to position
-    (k, k+1) by swapping index k+1 with j in rows and columns (each swap
-    flips the sign), take the pivot p = a[k][k+1] as a factor, and replace
-    the trailing block by its Schur complement
-    a[i][j] += (a[i][k] a[k+1][j] - a[i][k+1] a[k][j]) / p, which has the
-    remaining Pfaffian.  A row k with no nonzero entry right of the
-    diagonal makes the Pfaffian 0; the last row of an odd matrix is one.
+    Fraction-free skew elimination, O(n^3) integer operations.  The
+    denominators are cleared once, Pf(dA) = d^(n/2) Pf(A).  For k = 0, 2,
+    4, ... a nonzero a[k][j] is brought to position (k, k+1) by swapping
+    index k+1 with j in rows and columns (each swap flips the sign), and
+    with p = a[k][k+1] and q the pivot of the step before (1 at k = 0) the
+    trailing block becomes
+
+        a[i][j] <- (p a[i][j] + a[i][k] a[k+1][j] - a[i][k+1] a[k][j]) / q.
+
+    By the Pfaffian form of Sylvester's identity (Knuth, "Overlapping
+    Pfaffians", Electron. J. Combin. 3(2), 1996) the new entry is the
+    Pfaffian of the cleared (and swapped) matrix on the indices 0..k+1, i, j,
+    so the division is exact and every intermediate is an integer, as in
+    Bareiss's fraction-free determinant (Math. Comp. 22, 1968).  The last
+    pivot is the Pfaffian of the whole cleared matrix.  A row k with no
+    nonzero entry right of the diagonal makes the Pfaffian 0.  Each step
+    works on the trailing block only, a new list, so the input is not
+    modified.
     """
-    a = [[Fraction(x) for x in row] for row in matrix]
+    a = [[_rational(x) for x in row] for row in matrix]
     n = len(a)
     for i in range(n):
         if len(a[i]) != n:
@@ -115,25 +128,29 @@ def pfaffian(matrix) -> Fraction:
         for j in range(i, n):
             if a[i][j] != -a[j][i]:
                 raise DomainMismatch("matrix is not antisymmetric")
+    if n % 2 == 1:
+        return Fraction(0)
 
-    result = Fraction(1)
-    for k in range(0, n, 2):
-        j = next((j for j in range(k + 1, n) if a[k][j]), None)
+    d = lcm(*(x.denominator for row in a for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    sign, pivot = 1, 1
+    while a:
+        top = a[0]
+        j = next((j for j in range(1, len(a)) if top[j]), None)
         if j is None:
             return Fraction(0)
-        if j != k + 1:
-            a[k + 1], a[j] = a[j], a[k + 1]
+        if j != 1:
+            a[1], a[j] = a[j], a[1]
             for row in a:
-                row[k + 1], row[j] = row[j], row[k + 1]
-            result = -result
-        p = a[k][k + 1]
-        result *= p
-        top, below = a[k], a[k + 1]
-        for i in range(k + 2, n):
-            row = a[i]
-            if not row[k] and not row[k + 1]:
-                continue
-            f, h = row[k] / p, row[k + 1] / p
-            for c in range(k + 2, n):
-                row[c] += f * below[c] - h * top[c]
-    return result
+                row[1], row[j] = row[j], row[1]
+            sign = -sign
+        p, q = top[1], pivot
+        top, below = top[2:], a[1][2:]
+        trailing = []
+        for row in a[2:]:
+            f, h = row[0], row[1]
+            trailing.append(
+                [(p * x + f * b - h * t) // q for x, b, t in zip(row[2:], below, top)]
+            )
+        a, pivot = trailing, p
+    return Fraction(sign * pivot, d ** (n // 2))

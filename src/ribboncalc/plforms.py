@@ -6,15 +6,18 @@ sum_{s<t} de_s ^ de_t.  The scales cancel before any linear algebra: on a
 fixed-perimeter slice (L_p/2)^2 / L_p^2 = 1/4, so a cell's symplectic
 Pfaffian depends only on the cell, not on the metric; on a fiber simplex
 the form's 1/(2 epsilon)^2 per factor meets the volume (2 epsilon)^(2r+2).
-Orientation is not pinned down globally, so the integral routines report
-magnitudes.
+What is left is integer: the walk matrices, their sum, the slice vectors
+scaled to integers and the chart matrices all have integer entries, their
+Pfaffians come from fraction-free elimination, and each answer is one
+Fraction built at the end.  Orientation is not pinned down globally, so the
+integral routines report magnitudes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from . import exact_linalg
 from .degeneration import cylinder_configurations
@@ -56,18 +59,23 @@ class CellForm:
         return f"CellForm(dim {self.dim})"
 
 
-def _walk_matrix(cycle, n):
-    """Integer matrix W of sum_{s<t} de_s ^ de_t along a hole's walk.
+def _add_walk(w, cycle):
+    """Add the walk form sum_{s<t} de_s ^ de_t of one hole into the matrix w.
 
     ``cycle`` lists, per side position, the coordinate index of its edge;
     repeated indices share a differential, so entries accumulate (and a
     repeated pair cancels on the diagonal).
     """
-    w = [[0] * n for _ in range(n)]
     for t, v in enumerate(cycle):
         for u in cycle[:t]:
             w[u][v] += 1
             w[v][u] -= 1
+
+
+def _walk_matrix(cycle, n):
+    """Integer n x n matrix W of the walk form along one hole (``_add_walk``)."""
+    w = [[0] * n for _ in range(n)]
+    _add_walk(w, cycle)
     return w
 
 
@@ -170,10 +178,14 @@ def nondegeneracy_check(g: MarkedMetricGraph):
 
     Restricts sum_p (L_p/2)^2 omega_p to the fixed-perimeter slice and
     returns (Pfaffian != 0, Pfaffian).  Each term is W_p/4 since the
-    perimeters cancel, so the Pfaffian is Pf(B^T M B) / 4^k for the integer
-    sum M of the walk matrices and a slice of dimension 2k: it depends only
-    on the cell, never on the metric.  Only top cells qualify: trivalent
-    with every marking on a hole.
+    perimeters cancel, so the form is M/4 with M the integer sum of the walk
+    matrices, built in one matrix.  The slice is the kernel of the perimeter
+    rows; its basis vector v_i = w_i/d_i is an integer vector w_i over its
+    own denominator, so the restriction W^T M W is an integer matrix and, on
+    a slice of dimension 2k, the Pfaffian is Pf(W^T M W) / (4^k prod d_i),
+    with that quotient the only division.  It depends only on the cell,
+    never on the metric.  Only top cells qualify: trivalent with every
+    marking on a hole.
     """
     if not isinstance(g, MarkedMetricGraph):
         raise DomainMismatch("nondegeneracy_check needs a marked metric graph")
@@ -190,15 +202,16 @@ def nondegeneracy_check(g: MarkedMetricGraph):
     perimeter_rows = []
     for walk in graph.holes():
         cycle = [index[graph.edge_of(x)] for x in walk]
-        w = _walk_matrix(cycle, n)
-        total = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(total, w)]
+        _add_walk(total, cycle)
         perimeter_rows.append([cycle.count(i) for i in range(n)])
 
     slice_basis = exact_linalg.kernel_basis(perimeter_rows, n)
-    if len(slice_basis) % 2 == 1:
+    k, odd = divmod(len(slice_basis), 2)
+    if odd:
         raise OddDimension(
             f"fixed-perimeter slice has odd dimension {len(slice_basis)}"
         )
-    restricted = exact_linalg.restrict_form(total, slice_basis)
-    pf = exact_linalg.pfaffian(restricted) / 4 ** (len(slice_basis) // 2)
+    scaled = [exact_linalg.over_common_denominator(v) for v in slice_basis]
+    restricted = exact_linalg.restrict_form(total, [w for _, w in scaled])
+    pf = exact_linalg.pfaffian(restricted) / (4**k * prod(d for d, _ in scaled))
     return pf != 0, pf

@@ -749,6 +749,14 @@ def test_manifest_digest_is_the_sha256_of_stdout(capsys, tmp_path, command, json
         # coefficients past Python's 4,300-digit int-to-str limit
         (["check", "two-vertex", "--a", "1", "--b", "1500"], 2, "TooLarge"),
         (["fpoly", "--profile", ",".join(["0"] * 1600 + ["1"])], 2, "TooLarge"),
+        (["cluster-count", "--method", "closed", "--rho", ",".join(["2000"] + ["0"] * 2000)],
+         2, "TooLarge"),
+        (
+            ["cluster-count", "--method", "closed", "--rho", ",".join(["2000"] + ["0"] * 2000),
+             "--json"],
+            2,
+            "TooLarge",
+        ),
     ],
 )
 def test_exit_codes(capsys, argv, code, error):

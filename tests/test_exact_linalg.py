@@ -1,12 +1,18 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ribboncalc.errors import DomainMismatch
-from ribboncalc.exact_linalg import kernel_basis, pfaffian, restrict_form
+from ribboncalc.exact_linalg import (
+    kernel_basis,
+    over_common_denominator,
+    pfaffian,
+    restrict_form,
+)
 
 
 def det(matrix):
@@ -345,3 +351,133 @@ class TestIntegerElimination:
         want = dense_restriction(a_exact, basis_exact)
         assert restrict_form(a, basis) == want
         assert all(type(x) is Fraction for row in want for x in row)
+
+
+# --- the Fraction elimination the fraction-free Pfaffian replaced, kept as an oracle ---
+
+
+def parlett_reid_pfaffian(matrix):
+    """Pfaffian by skew-symmetric Gaussian elimination over Fraction (Parlett-Reid).
+
+    For k = 0, 2, 4, ... bring a nonzero a[k][j] to (k, k+1) by swapping
+    index k+1 with j (each swap flips the sign), take p = a[k][k+1] as a
+    factor and replace the trailing block by its Schur complement
+    a[i][j] += (a[i][k] a[k+1][j] - a[i][k+1] a[k][j]) / p.
+    """
+    a = [[Fraction(x) for x in row] for row in matrix]
+    n = len(a)
+    result = Fraction(1)
+    for k in range(0, n, 2):
+        j = next((j for j in range(k + 1, n) if a[k][j]), None)
+        if j is None:
+            return Fraction(0)
+        if j != k + 1:
+            a[k + 1], a[j] = a[j], a[k + 1]
+            for row in a:
+                row[k + 1], row[j] = row[j], row[k + 1]
+            result = -result
+        p = a[k][k + 1]
+        result *= p
+        top, below = a[k], a[k + 1]
+        for i in range(k + 2, n):
+            row = a[i]
+            if not row[k] and not row[k + 1]:
+                continue
+            f, h = row[k] / p, row[k + 1] / p
+            for c in range(k + 2, n):
+                row[c] += f * below[c] - h * top[c]
+    return result
+
+
+def random_skew(rng, n, rational, density):
+    """A seeded antisymmetric matrix of int entries, or of Fractions if ``rational``."""
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                a[i][j] = (
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                    if rational
+                    else rng.randint(-9, 9)
+                )
+                a[j][i] = -a[i][j]
+    return a
+
+
+class TestFractionFreeAgainstParlettReid:
+    """The fraction-free Pfaffian against the Fraction elimination, sign included."""
+
+    def test_seeded_skew_matrices_up_to_twelve(self):
+        rng = random.Random(20261020)
+        swaps = 0
+        for n in range(13):
+            for rational in (False, True):
+                for density in (1.0, 0.5, 0.2):
+                    for _ in range(8):
+                        a = random_skew(rng, n, rational, density)
+                        case = rng.randrange(3) if n >= 4 else 0
+                        if case == 1:
+                            # a zero pivot at the first step
+                            a[0][1] = a[1][0] = 0
+                        elif case == 2:
+                            # Pf of the leading 4 x 4 block is 0, and it is the
+                            # pivot of the second step
+                            a[0][1], a[1][0] = 1, -1
+                            a[2][3] = a[0][2] * a[1][3] - a[0][3] * a[1][2]
+                            a[3][2] = -a[2][3]
+                        swaps += case > 0
+                        got = pfaffian(a)
+                        assert got == parlett_reid_pfaffian(a)
+                        assert type(got) is Fraction
+        assert swaps > 100
+
+    def test_integer_twenty_by_twenty(self):
+        a = random_skew(random.Random(2020), 20, False, 1.0)
+        want = parlett_reid_pfaffian(a)
+        assert want != 0
+        assert pfaffian(a) == want
+
+
+class TestIntegerSlice:
+    """Integer slice vectors w_i = d_i v_i and the integer restriction W^T A W."""
+
+    def test_scaled_kernel_matches_the_fraction_echelon_form(self):
+        rng = random.Random(20261018)
+        for dim in range(1, 9):
+            for n_rows in range(0, dim + 2):
+                for density in (1.0, 0.5, 0.2):
+                    rows = [
+                        [random_rational(rng, density) for _ in range(dim)]
+                        for _ in range(n_rows)
+                    ]
+                    for v, want in zip(kernel_basis(rows, dim),
+                                       fraction_kernel_basis(rows, dim)):
+                        d, w = over_common_denominator(v)
+                        assert all(type(x) is int for x in w)
+                        assert gcd(d, *w) == 1
+                        assert [Fraction(x, d) for x in w] == want
+
+    def test_integer_restriction_matches_the_dense_product(self):
+        rng = random.Random(11)
+        for n in range(1, 8):
+            for _ in range(10):
+                ints = [
+                    [int(x) for x in row]
+                    for row in antisym(
+                        [rng.randint(-5, 5) for _ in range(n * (n - 1) // 2)], n
+                    )
+                ]
+                basis = [
+                    [random_rational(rng, 0.5) for _ in range(n)]
+                    for _ in range(rng.randint(0, n))
+                ]
+                scaled = [over_common_denominator(v) for v in basis]
+                got = restrict_form(ints, [w for _, w in scaled])
+                want = dense_restriction(ints, basis)
+                assert all(x.denominator == 1 for row in got for x in row)
+                assert got == [
+                    [du * dv * x for (dv, _), x in zip(scaled, row)]
+                    for (du, _), row in zip(scaled, want)
+                ]
+                # Pf(W^T A W) = prod d_i Pf(B^T A B)
+                assert pfaffian(got) == prod(d for d, _ in scaled) * parlett_reid_pfaffian(want)

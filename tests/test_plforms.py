@@ -304,8 +304,8 @@ class TestFiberIntegralDisk:
     def test_small_excess_values(self, r, value):
         assert fiber_integral_disk(r) == value
 
-    # r = 12 needs a 26 x 26 Pfaffian
-    @pytest.mark.parametrize("r", range(13))
+    # r = 13 is a hole walk of 29 sides and needs a 28 x 28 Pfaffian
+    @pytest.mark.parametrize("r", range(14))
     @pytest.mark.parametrize("eps", [F(1, 3), F(1), F(7, 2)])
     def test_closed_form_and_epsilon_independence(self, r, eps):
         assert fiber_integral_disk(r, eps) == F(
@@ -343,15 +343,16 @@ class TestFiberIntegralCyl:
                 assert (val == 0) == (v1 % 2 == 0)
                 assert val == fiber_integral_cyl(v2, v1)
 
-    def test_closed_form_on_every_split_up_to_sixteen(self):
-        # v1*v2 local models, each worth (r+1)!/(2r+2)! when v1 is odd
+    def test_closed_form_on_every_split_up_to_twenty_six(self):
+        # v1*v2 local models, each worth (r+1)!/(2r+2)! when v1 is odd; at
+        # v1 + v2 = 26 the hole walk has 30 sides, the limit
         splits = [
             (v1, v2)
-            for v1 in range(1, 16)
-            for v2 in range(1, 17 - v1)
+            for v1 in range(1, 26)
+            for v2 in range(1, 27 - v1)
             if (v1 + v2) % 2 == 0
         ]
-        assert len(splits) == 64
+        assert len(splits) == 169
         for v1, v2 in splits:
             r = (v1 + v2) // 2
             law = F(v1 * v2 * factorial(r + 1), factorial(2 * r + 2))
@@ -395,6 +396,20 @@ class TestNondegeneracy:
             assert nondegeneracy_check(g) == (True, F(1))
 
     def test_torus_cell_value(self):
+        g = uniform_metric(TORUS_CELL, ["p"])
+        assert nondegeneracy_check(g) == (True, F(-1, 2))
+
+    def test_slice_vectors_with_denominators_are_divided_back(self, monkeypatch):
+        # the free-column slice basis of a top cell is integer; a basis change
+        # of determinant 1 that doubles one vector and halves the other gives
+        # the halved vector a denominator 2, and the Pfaffian must not move
+        real = exact_linalg.kernel_basis
+
+        def rescaled(rows, dim):
+            first, second, *rest = real(rows, dim)
+            return [[2 * x for x in first], [x / 2 for x in second], *rest]
+
+        monkeypatch.setattr(exact_linalg, "kernel_basis", rescaled)
         g = uniform_metric(TORUS_CELL, ["p"])
         assert nondegeneracy_check(g) == (True, F(-1, 2))
 
@@ -554,7 +569,8 @@ class TestSymplecticVolume:
     # |Pf| = 2^-g on the fixed-perimeter slice of every top cell, well beyond
     # the families the Fraction path is compared on
     @pytest.mark.parametrize("g,n,cells", [
-        (0, 3, 4), (0, 4, 64), (1, 1, 1), (1, 2, 9), (1, 3, 236), (2, 1, 9),
+        (0, 3, 4), (0, 4, 64), (0, 5, 2240), (1, 1, 1), (1, 2, 9), (1, 3, 236),
+        (2, 1, 9), (2, 2, 713),
     ])
     def test_pfaffian_is_two_to_the_minus_genus(self, g, n, cells):
         tops = top_cells(g, n)
