@@ -16,11 +16,16 @@ the root, with a side-count budget per cluster hole.  The cores are the
 labelled classes of enumeration, and the distributions are counted
 arithmetically, so the census stays exact without generating the
 subdivided graphs, whose bivalent vertices multiply the maps to search.
+No admissibility filter reads rho, so the admissible cores of a cluster
+size, with everything the census reads of them, are built once per process
+(``_cores``) and every rho of that size reuses them.
 The shrinking chain needs no metric: each stage is one ``stable.collapse``
 of a hole's zone, and ``stable.carry_labels`` says which holes survive it.
 """
 
+from functools import cache
 from itertools import product
+from typing import NamedTuple
 
 from . import enumeration
 from .combclasses import merge_coefficient
@@ -30,6 +35,7 @@ from .ribbon import (
     HOLE,
     VERTEX,
     Marking,
+    RibbonGraph,
     canonical_form,
     validate,
 )
@@ -130,35 +136,25 @@ def _subdivide(core, points):
     return validate(cycles, pairs)
 
 
-def _count_subdivisions(core, orbits, q_labels, deficits, n_points, aut):
+def _count_subdivisions(core, q_labels, deficits, n_points):
     """Configurations refining one admissible labeled core.
 
-    Subdivision points sit on edges bordering the root hole; the far side
-    of such an edge decides which hole's side count the points feed.  The
-    anchor can mark any point; a rigid trivalent core makes every choice
-    distinct, otherwise the subdivided graphs are told apart canonically.
+    Subdivision points sit on the core's slots, the edges bordering the
+    root hole; the far side of such an edge decides which hole's side count
+    the points feed.  The anchor can mark any point; a rigid trivalent core
+    makes every choice distinct, otherwise the subdivided graphs are told
+    apart canonically.
     """
-    hole_of = {x: l for l, orbit in orbits.items() for x in orbit}
-    slots = {l: [] for l in orbits}
-    for e in sorted(core.edges()):
-        x, y = e
-        lx, ly = hole_of[x], hole_of[y]
-        if lx == ROOT_LABEL:
-            slots[ly].append(e)
-        elif ly == ROOT_LABEL:
-            slots[lx].append(e)
     demand = dict(deficits)
     demand[ROOT_LABEL] = n_points - sum(deficits.values())
 
     # a demand no composition meets empties both the product and the code set
     per_label = [
-        (slots[l], list(_compositions(demand[l], len(slots[l]))))
+        (core.slots[l], list(_compositions(demand[l], len(core.slots[l]))))
         for l in [ROOT_LABEL, *q_labels]
     ]
 
-    # smoothing inverts subdivision only when the core itself has no
-    # bivalent vertices, so the shortcut is off for the one-hole seed
-    if aut == 1 and all(len(v) > 2 for v in core.vertices()):
+    if core.rigid:
         count = 1
         for _, combos in per_label:
             count *= len(combos)
@@ -171,9 +167,9 @@ def _count_subdivisions(core, orbits, q_labels, deficits, n_points, aut):
             for e, k in zip(edges, filling):
                 if k:
                     points[e] = k
-        g = _subdivide(core, points)
+        g = _subdivide(core.graph, points)
         marks = {}
-        for l, orbit in orbits.items():
+        for l, orbit in core.orbits.items():
             probe = min(orbit)
             new_orbit = next(
                 frozenset(hole) for hole in g.holes() if probe in hole
@@ -190,6 +186,59 @@ def _count_subdivisions(core, orbits, q_labels, deficits, n_points, aut):
     return len(codes)
 
 
+class _Core(NamedTuple):
+    """An admissible labelled core and what the census reads of it, for any rho.
+
+    ``orbits`` maps each label to its hole, ``fresh`` each cluster hole to
+    its sides not shared with a later one (``_fresh_side_counts``), and
+    ``slots`` each label to the root-bordering edges whose subdivision
+    points feed its side count.  ``rigid`` says every subdivision is its own
+    class: smoothing inverts subdivision only when the core has no
+    automorphism and no bivalent vertex, so it is off for the one-hole seed.
+    """
+
+    graph: RibbonGraph
+    orbits: dict
+    fresh: dict
+    slots: dict
+    rigid: bool
+
+
+def _q_labels(h):
+    return [f"q{j}" for j in range(1, h + 1)]
+
+
+@cache
+def _cores(h) -> tuple:
+    """The admissible cores of an h-hole cluster, built once per process.
+
+    The cores are the labelled classes of enumeration with the root and the
+    h cluster holes labelled; they are filtered here by everything that does
+    not read rho (disks, one cluster, the shrink chain), so only the side
+    deficits and the subdivision count are left per rho.
+    """
+    q_labels = _q_labels(h)
+    # the one-hole seed is the one-vertex circle; it already spends a bivalent
+    valencies = [2] if h == 1 else [3] * (2 * h - 2)
+    cores = []
+    for rep, marking, aut in enumeration._marked_classes(valencies, [ROOT_LABEL, *q_labels], {}):
+        orbits = {l: orbit for l, (_, orbit) in marking.targets.items()}
+        if not _admissible_core(rep, orbits, q_labels):
+            continue
+        hole_of = {x: l for l, orbit in orbits.items() for x in orbit}
+        slots = {l: [] for l in orbits}
+        for e in rep.edges():
+            lx, ly = hole_of[e[0]], hole_of[e[1]]
+            if lx == ROOT_LABEL:
+                slots[ly].append(e)
+            elif ly == ROOT_LABEL:
+                slots[lx].append(e)
+        fresh = _fresh_side_counts(rep, orbits, q_labels)
+        rigid = aut == 1 and all(len(v) > 2 for v in rep.vertices())
+        cores.append(_Core(rep, orbits, fresh, slots, rigid))
+    return tuple(cores)
+
+
 def count_admissible(rho, max_sides=None) -> int:
     """Isomorphism classes of cluster realizations, by brute force.
 
@@ -198,7 +247,9 @@ def count_admissible(rho, max_sides=None) -> int:
     anchored; the cluster holes must span disks, be mutually adjacent,
     respect the per-hole side counts, and survive the chain of shrinkings
     in one positive piece.  Classes are isomorphism classes of the fully
-    labeled graph, anchor included.
+    labeled graph, anchor included.  The admissible cores of each cluster
+    size are built once per process (``_cores``); per rho only the side
+    deficits and the subdivisions are counted.
     """
     rho = _excesses(rho)
     h = len(rho)
@@ -207,20 +258,14 @@ def count_admissible(rho, max_sides=None) -> int:
     if total_sides > budget:
         raise TooLarge(f"{total_sides} sides exceeds the limit {budget}")
 
-    q_labels = [f"q{j}" for j in range(1, h + 1)]
-    # the one-hole seed is the one-vertex circle; it already spends a bivalent
-    valencies = [2] if h == 1 else [3] * (2 * h - 2)
+    q_labels = _q_labels(h)
     n_points = 2 * sum(rho) + (2 if h == 1 else 3)
     total = 0
-    for rep, marking, aut in enumeration._marked_classes(valencies, [ROOT_LABEL, *q_labels], {}):
-        orbits = {l: orbit for l, (_, orbit) in marking.targets.items()}
-        fresh = _fresh_side_counts(rep, orbits, q_labels)
-        deficits = {q: 2 * r + 3 - fresh[q] for q, r in zip(q_labels, rho)}
+    for core in _cores(h):
+        deficits = {q: 2 * r + 3 - core.fresh[q] for q, r in zip(q_labels, rho)}
         if any(d < 0 for d in deficits.values()):
             continue
-        if not _admissible_core(rep, orbits, q_labels):
-            continue
-        total += _count_subdivisions(rep, orbits, q_labels, deficits, n_points, aut)
+        total += _count_subdivisions(core, q_labels, deficits, n_points)
     return total
 
 

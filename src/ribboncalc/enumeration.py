@@ -27,6 +27,11 @@ and every labelling only compares mark codes over those roots.
 Every labelled class of one unlabelled class is built on that class's
 canonical graph, one shared object, so what the graph determines (its
 orbits, the zone of each hole) is worked out once for all labellings.
+The unlabelled classes of a (valency list, hole count) are cached for the
+life of the process, like the rooted-map counts below, so every later
+graph sum over them (another labelling, the cluster census) starts from the
+same canonical graphs and their cached orbits and zones.  The cache never
+evicts; the side guard bounds what can enter it.
 
 The Euler sum does not need the classes themselves: with sigma0 fixed, the
 isomorphism classes with a given valency list are the orbits of the
@@ -332,14 +337,22 @@ class CellClass(NamedTuple):
     aut: int
 
 
-def _unlabeled_classes(valencies, n_holes):
+def _unlabeled_classes(valencies, n_holes) -> tuple:
     """Canonical representatives (sorted by code) of unlabeled classes.
 
     A rooted map is kept only if its root, side 1, attains the least code
     among the roots on vertices of valency ``valencies[0]``; the module
     docstring says why exactly one map per class passes.  Rival roots are
-    compared lazily, and only a kept map gets ``canonical_form``.
+    compared lazily, and only a kept map gets ``canonical_form``.  The
+    classes depend on nothing but (valencies, n_holes), so they are built
+    once per process (``_unlabeled_sorted``) and every later call returns
+    the same tuple of the same graphs.
     """
+    return _unlabeled_sorted(tuple(valencies), n_holes)
+
+
+@cache
+def _unlabeled_sorted(valencies, n_holes):
     reps = {}
     for graph in _rooted_map_graphs(valencies, n_holes):
         rooted, _ = _bfs_code(graph, 1)
@@ -347,7 +360,7 @@ def _unlabeled_classes(valencies, n_holes):
         if _tied_roots(graph, rooted, rivals) is not None:
             code, _ = canonical_form(graph)
             reps[code] = from_code(code)[0]
-    return [reps[c] for c in sorted(reps)]
+    return tuple(reps[c] for c in sorted(reps))
 
 
 def _vertex_assignments(vertex_marks, vertices):
@@ -407,6 +420,7 @@ def enumerate(g, P, profile, vertex_marks=None, max_sides=None):  # noqa: A001
     hole_labels = [l for l in labels if l not in vm]
     if not hole_labels:
         raise DomainMismatch("at least one label must mark a hole")
+    _check_genus(g)
     if not isinstance(profile, Profile):
         profile = Profile(profile)
     if not profile.consistent_with(g, len(hole_labels)):
@@ -431,6 +445,12 @@ def _partitions(total):
     yield from rec(total, total)
 
 
+def _check_genus(g):
+    """A negative genus has no cells: ``InconsistentProfile``."""
+    if g < 0:
+        raise InconsistentProfile(f"no cells for negative genus {g}")
+
+
 def valency_lists(g, n):
     """Vertex-valency multisets (descending) of all cells for (g, n).
 
@@ -438,6 +458,7 @@ def valency_lists(g, n):
     parity is allowed, so this includes the non-odd profiles that occur
     away from the top-dimensional cells.
     """
+    _check_genus(g)
     total = 4 * g - 4 + 2 * n
     if total <= 0 or n < 1:
         raise InconsistentProfile(f"no cells for genus {g} with {n} holes")

@@ -2,8 +2,8 @@
 
 The matrices that show up are antisymmetric forms on cell coordinates,
 mostly integer, and the arithmetic stays in integers.  Kernels come from
-elimination on primitive integer rows; a rational vector is handled as an
-integer vector over one denominator; Pfaffians come from fraction-free
+elimination on primitive integer rows and come out as integer vectors
+over one denominator each; Pfaffians come from fraction-free
 skew elimination, O(n^3) integer operations on an n x n matrix in which
 each division is exact (Bareiss, Math. Comp. 22, 1968; Knuth, "Overlapping
 Pfaffians", Electron. J. Combin. 3(2), 1996).  A rational input has its
@@ -42,8 +42,10 @@ def kernel_basis(rows, dim) -> list:
 
     ``rows`` is an iterable of length-``dim`` rational vectors.  Returns the
     standard free-column basis from the reduced row echelon form, one vector
-    per non-pivot coordinate.  The elimination runs on primitive integer
-    rows (p*row - f*pivot_row keeps the kernel) and divides once at the end.
+    per non-pivot coordinate, each as (d, w): an integer vector w over the
+    least positive d, the vector being w / d.  The elimination runs on
+    primitive integer rows (p*row - f*pivot_row keeps the kernel), so no
+    Fraction is made.
     """
     mat = []
     for row in rows:
@@ -65,37 +67,37 @@ def kernel_basis(rows, dim) -> list:
                 mat[i] = _primitive([p * a - f * b for a, b in zip(row, top)])
         pivots.append(c)
         r += 1
+    # pivot row i is zero in the other pivot columns: p_i x_pc + sum_free a_ic x_c = 0
+    common = lcm(*(mat[i][pc] for i, pc in enumerate(pivots)))
     basis = []
     pivot_set = set(pivots)
     for c in range(dim):
         if c in pivot_set:
             continue
-        vec = [Fraction(0)] * dim
-        vec[c] = Fraction(1)
+        w = [0] * dim
+        w[c] = common
         for i, pc in enumerate(pivots):
-            vec[pc] = Fraction(-mat[i][c], mat[i][pc])
-        basis.append(vec)
+            w[pc] = -mat[i][c] * (common // mat[i][pc])
+        g = gcd(*w)
+        basis.append((common // g, [x // g for x in w]))
     return basis
 
 
 def restrict_form(matrix, basis) -> list:
     """Pull an antisymmetric form back to a subspace: B^T A B.
 
-    Each basis vector is an integer vector over a common denominator, so an
-    integer A stays integer up to one division per entry.  Slice bases are
-    sparse: the products run over the nonzero entries of u and A u only.
+    Entries are taken as exact rationals and kept in their own type, so an
+    integer A and integer basis vectors give an integer matrix.  Slice bases
+    are sparse: the products run over the nonzero entries of u and A u only.
     """
     matrix = [[_rational(x) for x in row] for row in matrix]
-    scaled = [over_common_denominator(v) for v in basis]
+    vectors = [[_rational(x) for x in v] for v in basis]
     images = []
-    for d, u in scaled:
+    for u in vectors:
         support = [(j, x) for j, x in enumerate(u) if x]
         au = [sum(row[j] * x for j, x in support) for row in matrix]
-        images.append((d, [(i, y) for i, y in enumerate(au) if y]))
-    return [
-        [Fraction(sum(v[i] * y for i, y in image), dv * du) for du, image in images]
-        for dv, v in scaled
-    ]
+        images.append([(i, y) for i, y in enumerate(au) if y])
+    return [[sum(v[i] * y for i, y in image) for image in images] for v in vectors]
 
 
 def pfaffian(matrix) -> Fraction:

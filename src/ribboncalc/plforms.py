@@ -211,7 +211,6 @@ def nondegeneracy_check(g: MarkedMetricGraph):
         raise OddDimension(
             f"fixed-perimeter slice has odd dimension {len(slice_basis)}"
         )
-    scaled = [exact_linalg.over_common_denominator(v) for v in slice_basis]
-    restricted = exact_linalg.restrict_form(total, [w for _, w in scaled])
-    pf = exact_linalg.pfaffian(restricted) / (4**k * prod(d for d, _ in scaled))
+    restricted = exact_linalg.restrict_form(total, [w for _, w in slice_basis])
+    pf = exact_linalg.pfaffian(restricted) / (4**k * prod(d for d, _ in slice_basis))
     return pf != 0, pf

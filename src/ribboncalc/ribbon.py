@@ -9,9 +9,10 @@ involution).  The third permutation sigma_inf, defined by
 
 traverses the boundary cycles.  Orbits: vertices = sigma0-orbits, edges =
 sigma1-orbits, holes = sigma_inf-orbits.  No graph changes once built, so
-each graph object works out sigma_inf and its vertex and hole cycles on
-first use and keeps them; ``vertices()`` and ``holes()`` still return a
-fresh list per call.
+each graph object works out sigma_inf, its vertex, edge and hole cycles and
+the sets of its vertex and hole orbits on first use and keeps them;
+``vertices()``, ``edges()`` and ``holes()`` still return a fresh list per
+call.
 
 Worked example (two trivalent vertices, three parallel edges)::
 
@@ -65,10 +66,23 @@ def _mentioned(spec):
 class RibbonGraph:
     """Immutable-by-convention pair of permutations on a common side set.
 
-    The caches start as None; ``_zones`` is ``degeneration.hole_topology``'s.
+    The caches start as None and are filled on first use: sigma_inf, the
+    vertex, edge and hole cycles, and the orbit sets ``vertex_orbits()`` and
+    ``hole_orbits()``.  ``_zones`` is ``degeneration.hole_topology``'s.
     """
 
-    __slots__ = ("sides", "sigma0", "sigma1", "_sigma_inf", "_vertices", "_holes", "_zones")
+    __slots__ = (
+        "sides",
+        "sigma0",
+        "sigma1",
+        "_sigma_inf",
+        "_vertices",
+        "_edges",
+        "_holes",
+        "_vertex_orbits",
+        "_hole_orbits",
+        "_zones",
+    )
 
     def __init__(self, sigma0, sigma1, sides):
         self.sides = tuple(sorted(sides))
@@ -76,7 +90,10 @@ class RibbonGraph:
         self.sigma1 = sigma1
         self._sigma_inf = None
         self._vertices = None
+        self._edges = None
         self._holes = None
+        self._vertex_orbits = None
+        self._hole_orbits = None
         self._zones = None
 
     # -- derived permutations -------------------------------------------------
@@ -97,13 +114,27 @@ class RibbonGraph:
         return list(self._vertices)
 
     def edges(self):
-        """Edges as sorted 2-tuples (a, b) with sigma1(a) = b."""
-        return [tuple(sorted(c)) for c in perms.cycles(self.sigma1)]
+        """Edges as 2-tuples (a, b), a < b = sigma1(a), sorted by a."""
+        if self._edges is None:
+            self._edges = perms.cycles(self.sigma1)
+        return list(self._edges)
 
     def holes(self):
         if self._holes is None:
             self._holes = perms.cycles(self.sigma_inf)
         return list(self._holes)
+
+    def vertex_orbits(self):
+        """The vertices as a frozenset of frozensets of sides."""
+        if self._vertex_orbits is None:
+            self._vertex_orbits = frozenset(map(frozenset, self.vertices()))
+        return self._vertex_orbits
+
+    def hole_orbits(self):
+        """The holes as a frozenset of frozensets of sides."""
+        if self._hole_orbits is None:
+            self._hole_orbits = frozenset(map(frozenset, self.holes()))
+        return self._hole_orbits
 
     def n_vertices(self):
         return len(self.vertices())
@@ -149,7 +180,7 @@ class RibbonGraph:
 
     def __repr__(self):
         s0 = "".join(str(c) for c in self.vertices())
-        s1 = "".join(str(c) for c in perms.cycles(self.sigma1))
+        s1 = "".join(str(c) for c in self.edges())
         return f"RibbonGraph(sigma0={s0}, sigma1={s1})"
 
 
@@ -246,8 +277,8 @@ class Marking:
     __slots__ = ("targets",)
 
     def __init__(self, graph: RibbonGraph, targets):
-        holes = {frozenset(h) for h in graph.holes()}
-        verts = {frozenset(v) for v in graph.vertices()}
+        holes = graph.hole_orbits()
+        verts = graph.vertex_orbits()
         norm = {}
         used = set()
         for label, (kind, orbit) in targets.items():
@@ -543,7 +574,7 @@ def graph_to_json(g: RibbonGraph, marking: Marking | None = None, lengths=None) 
     data = {
         "sides": len(num),
         "sigma0": [[num[x] for x in c] for c in g.vertices()],
-        "sigma1": [[num[x] for x in c] for c in perms.cycles(g.sigma1)],
+        "sigma1": [[num[x] for x in c] for c in g.edges()],
     }
     if marking is not None:
         data["marking"] = {

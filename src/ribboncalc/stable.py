@@ -88,9 +88,7 @@ def subgraph(g: RibbonGraph, Z):
     s0 = perms.restrict_first_return(g.sigma0, sides)
     s1 = {x: g.sigma1[x] for x in sides}
     sub = RibbonGraph(s0, s1, sides)
-    ambient = {frozenset(h) for h in g.holes()}
-    exc = [frozenset(h) for h in sub.holes() if frozenset(h) not in ambient]
-    return sub, sorted(exc, key=min)
+    return sub, sorted(sub.hole_orbits() - g.hole_orbits(), key=min)
 
 
 def quotient(g: RibbonGraph, Z):
@@ -112,9 +110,7 @@ def quotient(g: RibbonGraph, Z):
     inv_inf = perms.inverse(s_inf)
     s0 = {x: s1[inv_inf[x]] for x in remaining}
     quo = RibbonGraph(s0, s1, remaining)
-    ambient = {frozenset(v) for v in g.vertices()}
-    exc = [frozenset(v) for v in quo.vertices() if frozenset(v) not in ambient]
-    return quo, sorted(exc, key=min)
+    return quo, sorted(quo.vertex_orbits() - g.vertex_orbits(), key=min)
 
 
 class Collapse(NamedTuple):
@@ -528,7 +524,7 @@ def build_stable(g: RibbonGraph, marking: Marking, zseq) -> StableGraphData:
     token_points = {}
     for i, piece in enumerate(final):
         labelled = {orb for kind, orb in piece.marks.values() if kind == HOLE}
-        if any(frozenset(h) not in labelled for h in piece.graph.holes()):
+        if not piece.graph.hole_orbits() <= labelled:
             raise BrokenInvariant("a hole carries no label")
         real = {}
         for label, (kind, orb) in piece.marks.items():

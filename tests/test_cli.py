@@ -757,6 +757,12 @@ def test_manifest_digest_is_the_sha256_of_stdout(capsys, tmp_path, command, json
             2,
             "TooLarge",
         ),
+        # a negative genus has no cells
+        (["euler", "--genus", "-1", "--n", "5"], 2, "InconsistentProfile"),
+        (["strata", "--genus", "-1", "--labels", "a,b,c,d,e", "--hole", "a"], 2,
+         "InconsistentProfile"),
+        (["enumerate", "--genus", "-1", "--labels", "a,b,c,d,e", "--profile", "2"], 2,
+         "InconsistentProfile"),
     ],
 )
 def test_exit_codes(capsys, argv, code, error):

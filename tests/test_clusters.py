@@ -1,18 +1,26 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ribboncalc import enumeration
 from ribboncalc.clusters import (
+    ANCHOR_LABEL,
+    ROOT_LABEL,
+    _admissible_core,
     _case_counts,
+    _compositions,
+    _fresh_side_counts,
+    _subdivide,
     closed_count,
     count_admissible,
     count_by_recurrence,
 )
 from ribboncalc.combclasses import merge_coefficient
 from ribboncalc.errors import DomainMismatch, TooLarge
-from ribboncalc.ribbon import MarkedMetricGraph
+from ribboncalc.ribbon import HOLE, VERTEX, Marking, MarkedMetricGraph, canonical_form
 
 
 class TestSpec:
@@ -161,3 +169,102 @@ class TestClosedForm:
     def test_negative_total_is_out_of_range(self):
         with pytest.raises(DomainMismatch):
             closed_count([-1])
+
+
+# --- the census one rho at a time, kept as an oracle for the cached cores ---------
+
+
+def per_rho_subdivisions(core, orbits, q_labels, deficits, n_points, aut):
+    """Subdivisions of one admissible core, its root-bordering slots rebuilt."""
+    hole_of = {x: l for l, orbit in orbits.items() for x in orbit}
+    slots = {l: [] for l in orbits}
+    for e in sorted(core.edges()):
+        lx, ly = hole_of[e[0]], hole_of[e[1]]
+        if lx == ROOT_LABEL:
+            slots[ly].append(e)
+        elif ly == ROOT_LABEL:
+            slots[lx].append(e)
+    demand = dict(deficits)
+    demand[ROOT_LABEL] = n_points - sum(deficits.values())
+    per_label = [
+        (slots[l], list(_compositions(demand[l], len(slots[l]))))
+        for l in [ROOT_LABEL, *q_labels]
+    ]
+    if aut == 1 and all(len(v) > 2 for v in core.vertices()):
+        count = 1
+        for _, combos in per_label:
+            count *= len(combos)
+        return count * n_points
+    codes = set()
+    for picks in itertools.product(*(combos for _, combos in per_label)):
+        points = {}
+        for (edges, _), filling in zip(per_label, picks):
+            for e, k in zip(edges, filling):
+                if k:
+                    points[e] = k
+        g = _subdivide(core, points)
+        marks = {
+            l: (HOLE, next(frozenset(h) for h in g.holes() if min(orbit) in h))
+            for l, orbit in orbits.items()
+        }
+        for vertex in g.vertices():
+            if len(vertex) == 2:
+                marking = Marking(g, {**marks, ANCHOR_LABEL: (VERTEX, frozenset(vertex))})
+                codes.add(canonical_form(g, marking)[0])
+    return len(codes)
+
+
+def per_rho_count(rho):
+    """The census with every core enumerated and filtered again for this rho.
+
+    The side deficits are tested before the admissibility filters, as the
+    census did before its cores were built once per cluster size.
+    """
+    h = len(rho)
+    q_labels = [f"q{j}" for j in range(1, h + 1)]
+    valencies = [2] if h == 1 else [3] * (2 * h - 2)
+    n_points = 2 * sum(rho) + (2 if h == 1 else 3)
+    total = 0
+    for rep, marking, aut in enumeration._marked_classes(valencies, [ROOT_LABEL, *q_labels], {}):
+        orbits = {l: orbit for l, (_, orbit) in marking.targets.items()}
+        fresh = _fresh_side_counts(rep, orbits, q_labels)
+        deficits = {q: 2 * r + 3 - fresh[q] for q, r in zip(q_labels, rho)}
+        if any(d < 0 for d in deficits.values()):
+            continue
+        if not _admissible_core(rep, orbits, q_labels):
+            continue
+        total += per_rho_subdivisions(rep, orbits, q_labels, deficits, n_points, aut)
+    return total
+
+
+# every rho of checks.check_cluster_census, and four holes of total excess <= 1
+CENSUS_RHOS = [
+    rho
+    for h in (1, 2, 3)
+    for rho in itertools.product(range(4), repeat=h)
+    if sum(rho) <= 3
+] + [rho for rho in itertools.product(range(2), repeat=4) if sum(rho) <= 1]
+
+
+class TestCachedCores:
+    """The cores of a cluster size are built once; every count matches the oracle."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        return {rho: per_rho_count(rho) for rho in CENSUS_RHOS}
+
+    @pytest.mark.parametrize("cells_first", [False, True])
+    def test_every_census_matches_the_per_rho_search(self, oracle, cells_first):
+        rng = random.Random(23 + cells_first)
+        labels = ["p1", "p2", "p3", "p4"]
+        if cells_first:
+            # the h = 3 cores then start from the classes this complex built
+            enumeration.enumerate_all_cells(0, labels)
+        for _ in range(2):
+            order = list(CENSUS_RHOS)
+            rng.shuffle(order)
+            assert {rho: count_admissible(rho) for rho in order} == oracle
+            enumeration.enumerate_all_cells(0, labels)
+
+    def test_the_oracle_is_the_closed_form(self, oracle):
+        assert all(count == closed_count(rho) for rho, count in oracle.items())

@@ -346,6 +346,39 @@ class TestAllCells:
         with pytest.raises(TooLarge):
             en.enumerate_all_cells(3, ["p1", "p2"])
 
+    def test_warm_classes_are_the_cold_ones(self):
+        def cells(g, n):
+            return en.enumerate_all_cells(g, [f"p{i}" for i in range(1, n + 1)])
+
+        def written(cells):
+            return {
+                vals: [(graph_to_json(c.graph, c.marking), c.aut) for c in classes]
+                for vals, classes in cells.items()
+            }
+
+        # (3, 3) with one hole and with three: the cache tells them apart
+        cases = [(1, 1), (0, 3), (1, 3)]
+        cold = {}
+        for case in cases:
+            en._unlabeled_sorted.cache_clear()
+            cold[case] = written(cells(*case))
+        first = cells(1, 3)
+        for case in cases * 2:
+            assert written(cells(*case)) == cold[case]
+        # a warm call labels the very graphs the first one built
+        again = cells(1, 3)
+        assert all(
+            a.graph is b.graph for vals in first for a, b in zip(again[vals], first[vals])
+        )
+
+    def test_negative_genus_has_no_cells(self):
+        with pytest.raises(InconsistentProfile, match="^no cells for negative genus -1$"):
+            en.valency_lists(-1, 5)
+        with pytest.raises(InconsistentProfile, match="negative genus"):
+            en.enumerate(-1, ["a", "b", "c", "d", "e"], [2])
+        with pytest.raises(InconsistentProfile, match="negative genus"):
+            en.orbifold_euler(-1, 5)
+
     @pytest.mark.parametrize("g,labels", [(1, ["p1"]), (0, ["p1", "p2", "p3"])])
     def test_contraction_closure(self, g, labels):
         cells = en.enumerate_all_cells(g, labels)
@@ -519,7 +552,6 @@ class TestCanonicalAugmentation:
     )
     def test_one_canonical_form_per_class(self, monkeypatch, vals, labels, marks):
         holes = [l for l in labels if l not in marks]
-        unlabelled = len(en._unlabeled_classes(vals, len(holes)))
         calls = {"canonical_form": 0, "_least_roots": 0}
 
         def counting(name, original):
@@ -533,6 +565,10 @@ class TestCanonicalAugmentation:
         monkeypatch.setattr(ribbon, "_least_roots", counting("_least_roots", ribbon._least_roots))
         assert en._marked_classes(vals, holes, marks)
         # every _least_roots call is canonical_form's: none per class or labelling
+        unlabelled = len(en._unlabeled_classes(vals, len(holes)))
+        assert calls == {"canonical_form": unlabelled, "_least_roots": unlabelled}
+        # the classes are cached, so labelling them again makes no canonical form
+        assert en._marked_classes(vals, holes, marks)
         assert calls == {"canonical_form": unlabelled, "_least_roots": unlabelled}
 
 

@@ -200,8 +200,8 @@ class TestKernel:
     def test_plane_in_three_space(self):
         basis = kernel_basis([[1, 1, 1]], 3)
         assert len(basis) == 2
-        for v in basis:
-            assert sum(v) == 0
+        for _, w in basis:
+            assert sum(w) == 0
 
     def test_full_rank_gives_nothing(self):
         assert kernel_basis([[1, 0], [1, 1]], 2) == []
@@ -217,8 +217,8 @@ class TestKernel:
     def test_rational_entries(self):
         basis = kernel_basis([[Fraction(1, 2), Fraction(1, 3)]], 2)
         assert len(basis) == 1
-        (v,) = basis
-        assert v[0] / 2 + v[1] / 3 == 0
+        ((_, w),) = basis
+        assert Fraction(w[0], 2) + Fraction(w[1], 3) == 0
 
     def test_row_length_checked(self):
         with pytest.raises(DomainMismatch):
@@ -228,9 +228,9 @@ class TestKernel:
                     min_size=0, max_size=4))
     def test_members_annihilate_rows(self, rows):
         basis = kernel_basis(rows, 5)
-        for v in basis:
+        for _, w in basis:
             for row in rows:
-                assert sum(Fraction(r) * x for r, x in zip(row, v)) == 0
+                assert sum(Fraction(r) * x for r, x in zip(row, w)) == 0
 
 
 class TestRestrict:
@@ -276,6 +276,11 @@ def fraction_kernel_basis(rows, dim):
     return basis
 
 
+def divided(basis):
+    """Each (d, w) of ``kernel_basis`` as the Fraction vector w / d."""
+    return [[Fraction(x, d) for x in w] for d, w in basis]
+
+
 def dense_restriction(matrix, basis):
     """B^T A B entry by entry, over Fraction."""
     a = [[Fraction(x) for x in row] for row in matrix]
@@ -310,7 +315,9 @@ class TestIntegerElimination:
                     ]
                     if n_rows > 1 and rng.random() < 0.3:
                         rows[-1] = [3 * x - y for x, y in zip(rows[0], rows[1])]
-                    assert kernel_basis(rows, dim) == fraction_kernel_basis(rows, dim)
+                    got = kernel_basis(rows, dim)
+                    assert divided(got) == fraction_kernel_basis(rows, dim)
+                    assert all(d > 0 and type(x) is int for d, w in got for x in w)
 
     def test_perimeter_rows_give_the_same_slice(self):
         # 0/1/2 incidence rows like a hole's edge multiplicities
@@ -319,7 +326,7 @@ class TestIntegerElimination:
             for _ in range(20):
                 rows = [[rng.choice((0, 0, 1, 2)) for _ in range(dim)]
                         for _ in range(rng.randint(1, 5))]
-                assert kernel_basis(rows, dim) == fraction_kernel_basis(rows, dim)
+                assert divided(kernel_basis(rows, dim)) == fraction_kernel_basis(rows, dim)
 
     def test_restriction_matches_the_dense_product(self):
         rng = random.Random(11)
@@ -334,10 +341,16 @@ class TestIntegerElimination:
                     for _ in range(rng.randint(0, n))
                 ]
                 want = dense_restriction(a, basis)
-                got = restrict_form(ints, basis)
-                assert got == want
-                assert all(type(x) is Fraction for row in got for x in row)
+                assert restrict_form(ints, basis) == want
                 assert restrict_form(a, basis) == want
+                # integer slice vectors w = d v keep an integer form integer
+                scaled = [over_common_denominator(v) for v in basis]
+                got = restrict_form(ints, [w for _, w in scaled])
+                assert all(type(x) is int for row in got for x in row)
+                assert [
+                    [Fraction(x, du * dv) for (dv, _), x in zip(scaled, row)]
+                    for (du, _), row in zip(scaled, got)
+                ] == want
 
     def test_entries_that_fraction_accepts_are_converted(self):
         # floats, Decimals and strings go through Fraction() as they always did
@@ -450,9 +463,8 @@ class TestIntegerSlice:
                         [random_rational(rng, density) for _ in range(dim)]
                         for _ in range(n_rows)
                     ]
-                    for v, want in zip(kernel_basis(rows, dim),
-                                       fraction_kernel_basis(rows, dim)):
-                        d, w = over_common_denominator(v)
+                    for (d, w), want in zip(kernel_basis(rows, dim),
+                                            fraction_kernel_basis(rows, dim)):
                         assert all(type(x) is int for x in w)
                         assert gcd(d, *w) == 1
                         assert [Fraction(x, d) for x in w] == want
@@ -474,7 +486,7 @@ class TestIntegerSlice:
                 scaled = [over_common_denominator(v) for v in basis]
                 got = restrict_form(ints, [w for _, w in scaled])
                 want = dense_restriction(ints, basis)
-                assert all(x.denominator == 1 for row in got for x in row)
+                assert all(type(x) is int for row in got for x in row)
                 assert got == [
                     [du * dv * x for (dv, _), x in zip(scaled, row)]
                     for (du, _), row in zip(scaled, want)

@@ -183,7 +183,7 @@ class TestOmegaOnCell:
         g = uniform_metric(THETA, ["a", "b", "c"], F(1, 4))
         form = omega_on_cell(g, "a")
         basis = exact_linalg.kernel_basis([perimeter_row(g, "a")], 3)
-        restricted = exact_linalg.restrict_form(form.matrix, basis)
+        restricted = exact_linalg.restrict_form(form.matrix, [w for _, w in basis])
         assert all(x == 0 for row in restricted for x in row)
 
     @pytest.mark.parametrize("graph,labels,label", [
@@ -206,7 +206,7 @@ class TestOmegaOnCell:
         for shift in range(1, len(cycle)):
             turned = _walk_form(cycle[shift:] + cycle[:shift], len(edges), per)
             diff = [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(base, turned)]
-            restricted = exact_linalg.restrict_form(diff, basis)
+            restricted = exact_linalg.restrict_form(diff, [w for _, w in basis])
             assert all(x == 0 for row in restricted for x in row)
 
     def test_rejects_unknown_label(self):
@@ -406,8 +406,8 @@ class TestNondegeneracy:
         real = exact_linalg.kernel_basis
 
         def rescaled(rows, dim):
-            first, second, *rest = real(rows, dim)
-            return [[2 * x for x in first], [x / 2 for x in second], *rest]
+            (d1, w1), (d2, w2), *rest = real(rows, dim)
+            return [(d1, [2 * x for x in w1]), (2 * d2, w2), *rest]
 
         monkeypatch.setattr(exact_linalg, "kernel_basis", rescaled)
         g = uniform_metric(TORUS_CELL, ["p"])
@@ -484,7 +484,7 @@ def fraction_path_pfaffian(g):
             [a + weight * b for a, b in zip(r1, r2)] for r1, r2 in zip(total, form)
         ]
     rows = [perimeter_row(g, p) for p in g.marking.hole_labels()]
-    basis = exact_linalg.kernel_basis(rows, n)
+    basis = [[F(x, d) for x in w] for d, w in exact_linalg.kernel_basis(rows, n)]
     return exact_linalg.pfaffian(exact_linalg.restrict_form(total, basis))
 
 

@@ -349,8 +349,6 @@ class TestSingleRootLoop:
             enumeration._centralizer_size(valencies),
         )
         assert rooted == 4
-        unlabelled = len(enumeration._unlabeled_classes(valencies, holes))
-        assert unlabelled == 2
         full, lazy = [], []
 
         def counting(calls, original):
@@ -364,6 +362,8 @@ class TestSingleRootLoop:
         monkeypatch.setattr(ribbon, "_code_against", counting(lazy, ribbon._code_against))
         classes = enumeration.enumerate(0, ["p", "q", "r"], [2])
         assert len(classes) == 4
+        unlabelled = len(enumeration._unlabeled_classes(valencies, holes))
+        assert unlabelled == 2
         assert len(full) == rooted + unlabelled == 6
         graphs = {id(cell.graph): cell.graph for cell in classes}
         assert len(graphs) == unlabelled
