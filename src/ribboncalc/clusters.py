@@ -39,7 +39,7 @@ from .ribbon import (
     canonical_form,
     validate,
 )
-from .stable import carry_labels, collapse
+from .stable import carry_labels, collapse, quotient_parts
 
 ROOT_LABEL = "0"
 ANCHOR_LABEL = "v"
@@ -88,7 +88,7 @@ def _shrink_chain_ok(graph, targets, q_labels):
     marks = dict(targets)
     for stage in range(len(q_labels) - 1, 0, -1):
         zone = {current.edge_of(x) for x in marks[q_labels[stage]][1]}
-        carried = carry_labels(collapse(current, zone), marks)
+        carried = carry_labels(quotient_parts(collapse(current, zone)), marks)
         if len(carried) != 1:
             return False
         ((current, marks),) = carried

@@ -9,17 +9,20 @@ label on a fresh vertex, anything bigger buds off a labeled bubble joined
 to the positive parts at nodes.  One ``stable.collapse`` of the zone
 computes the zone subgraph G_Z, the quotient G/G_Z and the pairing of the
 scar holes with the new vertices; the topology and the nodes are read from
-it, and ``stable.carry_labels`` turns it into the positive parts with
-their labels.  Only the disk's vertex label is placed here.  A zone of
-every edge is no exception: it leaves no part, only the bubble.
+it, and ``stable.carry_labels`` carries the labels onto the components of
+G/G_Z, the positive parts.  Only the disk's vertex label is placed here.
+A zone of every edge is no exception: it leaves no part, only the bubble.
 
 The module also houses the dual graph a shrink records, the per-hole zone
 classification used for stratum censuses, the adjacency clusters of a set
 of holes, and the inventory of cylinder configurations the fiber integrals
-sum over.  A zone's classification depends on the graph and the hole
-only, so ``hole_topology`` classifies each hole of a graph once and keeps
-the answer on the graph, for every labelling that shares it; ``shrink``
-collapses the zone itself, since it needs the collapse too.
+sum over.  None of the zone's data reads a metric or a label, so a graph
+keeps one zone entry per hole orbit (its ``_zones``), shared by every
+metric and labelling of that graph: ``hole_topology`` makes it with the
+zone's topology, and the first ``shrink`` of the hole adds the components
+of G/G_Z and its exceptional vertices.  Each of them costs one collapse,
+and the collapse itself is not kept; only the cone checks, the labels and
+the lengths are worked out again on every shrink.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .ribbon import (
     side_numbering,
 )
 from . import permutations as perms
-from .stable import carry_labels, collapse
+from .stable import carry_labels, collapse, quotient_parts
 
 DISK = "disk"
 CYLINDER = "cylinder"
@@ -186,6 +189,44 @@ def _cylinder_split(graph: RibbonGraph, orbit, doubled_edge):
     return first - 1, second - 1
 
 
+class _Zone:
+    """What a graph keeps about the zone of one hole orbit (its ``_zones``).
+
+    ``topology`` is set when the entry is made.  ``parts`` (the quotient's
+    ``quotient_parts``) and ``exc_verts`` (its exceptional vertices, sorted
+    by least side) stay None until the first ``shrink`` of the hole; none of
+    them reads a metric or a label.
+    """
+
+    __slots__ = ("topology", "parts", "exc_verts")
+
+    def __init__(self, topology):
+        self.topology = topology
+        self.parts = None
+        self.exc_verts = None
+
+
+def _zone_entry(graph: RibbonGraph, orbit, with_parts=False) -> _Zone:
+    """The graph's entry for the zone of ``orbit``, made or filled on demand.
+
+    One collapse serves whatever is missing; the collapse itself is not
+    kept.  A failure keeps nothing.
+    """
+    if graph._zones is None:
+        graph._zones = {}
+    entry = graph._zones.get(orbit)
+    if entry is None or (with_parts and entry.parts is None):
+        zone = _zone_edges(graph, orbit)
+        cut = collapse(graph, zone)
+        if entry is None:
+            entry = _Zone(_hole_zone_topology(graph, orbit, zone, cut))
+        if with_parts:
+            entry.parts = quotient_parts(cut)
+            entry.exc_verts = sorted((v for _, v in cut.pairs), key=min)
+        graph._zones[orbit] = entry
+    return entry
+
+
 def hole_topology(g, q) -> HoleTopology:
     """Classify the thickened zone spanned by the edges bordering hole q.
 
@@ -194,19 +235,11 @@ def hole_topology(g, q) -> HoleTopology:
     one edge traversed twice by the hole; its boundary pair counts the
     hole's other sides on each arc, minus one.  Everything else is a
     surface whose boundary entries are the valencies of the vertices the
-    circles collapse onto.  The answer is
-    kept per hole orbit in the graph's ``_zones``.
+    circles collapse onto.  The answer is kept in the graph's zone entry
+    for the hole orbit, for every labelling that shares the graph.
     """
     graph, marking = _graph_and_marking(g)
-    orbit = _hole_orbit(marking, q)
-    if graph._zones is None:
-        graph._zones = {}
-    topo = graph._zones.get(orbit)
-    if topo is None:
-        zone = _zone_edges(graph, orbit)
-        topo = _hole_zone_topology(graph, orbit, zone, collapse(graph, zone))
-        graph._zones[orbit] = topo
-    return topo
+    return _zone_entry(graph, _hole_orbit(marking, q)).topology
 
 
 def _hole_zone_topology(graph, orbit, zone, cut):
@@ -280,8 +313,13 @@ def shrink(g: MarkedMetricGraph, q) -> ShrinkResult:
 
     Requires l_q strictly below every other marked hole's perimeter, and
     no marked vertex bordering the zone (either failure could squeeze a
-    second special point along with q).  The q label lands on the new
-    vertex for a disk zone, on the bubble otherwise.
+    second special point along with q); both are checked on every call, the
+    first against this call's perimeters.  The rest is the graph's: the
+    first shrink of a hole keeps the quotient's parts and exceptional
+    vertices in the hole's zone entry, next to its topology, and every
+    later shrink of that hole orbit, under any metric or labelling, carries
+    its labels onto those parts.  The q label lands on the new vertex for a
+    disk zone, on the bubble otherwise.
     """
     if not isinstance(g, MarkedMetricGraph):
         raise DomainMismatch("shrink needs a marked metric graph")
@@ -291,7 +329,6 @@ def shrink(g: MarkedMetricGraph, q) -> ShrinkResult:
     if marking.kind(q) == VERTEX:
         raise ZeroPerimeter(f"{q!r} already marks a vertex")
     orbit = marking.orbit(q)
-    zone = _zone_edges(g.graph, orbit)
     l_q = g.circumference(q)
 
     for p in marking.labels():
@@ -303,20 +340,18 @@ def shrink(g: MarkedMetricGraph, q) -> ShrinkResult:
                 raise ConeViolation(
                     f"perimeter of {q!r} is not below that of {p!r}"
                 )
-        else:
-            if any(g.graph.edge_of(x) in zone for x in orb_p):
-                raise ConeViolation(
-                    f"the marked vertex {p!r} borders the collapse zone"
-                )
+        # the vertex borders the zone iff one of its sides, or that side's
+        # partner, lies on q's hole
+        elif any(x in orbit or g.graph.sigma1[x] in orbit for x in orb_p):
+            raise ConeViolation(f"the marked vertex {p!r} borders the collapse zone")
 
-    cut = collapse(g.graph, zone)
-    topo = _hole_zone_topology(g.graph, orbit, zone, cut)
+    entry = _zone_entry(g.graph, orbit, with_parts=True)
+    topo, exc_verts = entry.topology, entry.exc_verts
 
     # q's hole lies inside the zone, so it reaches no part; a zone of every
     # edge leaves no part at all, and the cone checks made q the only label
-    carried = carry_labels(cut, marking.targets)
-    exc_verts = sorted((v for _, v in cut.pairs), key=min)
-    comp_of_side = {x: i for i, (part, _) in enumerate(carried) for x in part.sides}
+    carried = carry_labels(entry.parts, marking.targets)
+    comp_of_side = {x: i for i, (sides, _) in enumerate(entry.parts) for x in sides}
 
     if topo.kind == DISK:
         (vert,) = exc_verts

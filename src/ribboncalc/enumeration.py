@@ -22,8 +22,9 @@ per class passes, and nothing is deduplicated.  A rival root's code is
 built one traversal step at a time and dropped at the first entry that
 differs, and only a kept map gets a full canonical form.  A labelled
 class's code extends the unlabelled one, so each class's least-code roots
-are found once, with their first side of every hole (and marked vertex),
-and every labelling only compares mark codes over those roots.
+are found once and kept on its graph, their first side of every hole (and
+marked vertex) is read once per call, and every labelling only compares
+mark codes over those roots.
 Every labelled class of one unlabelled class is built on that class's
 canonical graph, one shared object, so what the graph determines (its
 orbits, the zone of each hole) is worked out once for all labellings.
@@ -80,6 +81,7 @@ from .ribbon import (
     _bfs_code,
     _code_marking,
     _first_sides,
+    _least_roots,
     _marked_code,
     _tied_roots,
     canonical_form,
@@ -374,16 +376,16 @@ def _vertex_assignments(vertex_marks, vertices):
 def _marked_classes(valencies, hole_labels, vertex_marks):
     """Labelled classes by code; a labelling only breaks ties among least roots.
 
-    ``g`` is canonical, so root 1 attains its least code ``best``, and
-    ``from_code`` of any of its labelled codes would rebuild ``g`` itself;
-    they all share it.  The other least roots are found by comparing every
-    root lazily against ``best``, and each one's first side of every hole
-    (and vertex, when vertices are marked) is read once per class.
+    ``g`` is canonical, so ``from_code`` of any of its labelled codes would
+    rebuild ``g`` itself; they all share it.  Its least code and least roots
+    (``_least_roots``) are found once and kept on the graph, so a later call
+    on the same cached class traverses nothing, and each least root's first
+    side of every hole (and vertex, when vertices are marked) is read once
+    per class and call.
     """
     out = {}
     for g in _unlabeled_classes(valencies, len(hole_labels)):
-        best, relabel = _bfs_code(g, 1)
-        relabels = [relabel, *_tied_roots(g, best, g.sides[1:])]
+        best, relabels = _least_roots(g)
         holes = [(HOLE, frozenset(h)) for h in g.holes()]
         vertices = g.vertices()
         orbits = [orb for _, orb in holes]

@@ -4,7 +4,8 @@ A hole's form omega_p = sum_{s<t} d(l_s/L_p) ^ d(l_t/L_p) is W/L_p^2 in the
 edge coordinates of a cell, with W the integer walk matrix of
 sum_{s<t} de_s ^ de_t.  The scales cancel before any linear algebra: on a
 fixed-perimeter slice (L_p/2)^2 / L_p^2 = 1/4, so a cell's symplectic
-Pfaffian depends only on the cell, not on the metric; on a fiber simplex
+Pfaffian depends only on the cell, not on the metric, and is worked out
+once per cell graph; on a fiber simplex
 the form's 1/(2 epsilon)^2 per factor meets the volume (2 epsilon)^(2r+2).
 What is left is integer: the walk matrices, their sum, the slice vectors
 scaled to integers and the chart matrices all have integer entries, their
@@ -183,9 +184,11 @@ def nondegeneracy_check(g: MarkedMetricGraph):
     rows; its basis vector v_i = w_i/d_i is an integer vector w_i over its
     own denominator, so the restriction W^T M W is an integer matrix and, on
     a slice of dimension 2k, the Pfaffian is Pf(W^T M W) / (4^k prod d_i),
-    with that quotient the only division.  It depends only on the cell,
-    never on the metric.  Only top cells qualify: trivalent with every
-    marking on a hole.
+    with that quotient the only division.  It depends only on the cell
+    graph, never on the metric or on which label marks which hole, so the
+    graph keeps it (``_pfaffian``) and a later call on any metric or
+    labelling of that graph reads it.  Only top cells qualify: trivalent
+    with every marking on a hole, which every call checks.
     """
     if not isinstance(g, MarkedMetricGraph):
         raise DomainMismatch("nondegeneracy_check needs a marked metric graph")
@@ -194,7 +197,14 @@ def nondegeneracy_check(g: MarkedMetricGraph):
         raise NotTopCell("cell is not trivalent")
     if g.marking.vertex_labels():
         raise NotTopCell("vertex markings land outside the top stratum")
+    if graph._pfaffian is None:
+        graph._pfaffian = _slice_pfaffian(graph)
+    pf = graph._pfaffian
+    return pf != 0, pf
 
+
+def _slice_pfaffian(graph):
+    """The Pfaffian of ``nondegeneracy_check`` on a trivalent graph."""
     edges = sorted(graph.edges())
     n = len(edges)
     index = {e: i for i, e in enumerate(edges)}
@@ -212,5 +222,4 @@ def nondegeneracy_check(g: MarkedMetricGraph):
             f"fixed-perimeter slice has odd dimension {len(slice_basis)}"
         )
     restricted = exact_linalg.restrict_form(total, [w for _, w in slice_basis])
-    pf = exact_linalg.pfaffian(restricted) / (4**k * prod(d for d, _ in slice_basis))
-    return pf != 0, pf
+    return exact_linalg.pfaffian(restricted) / (4**k * prod(d for d, _ in slice_basis))

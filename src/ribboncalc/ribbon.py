@@ -9,10 +9,10 @@ involution).  The third permutation sigma_inf, defined by
 
 traverses the boundary cycles.  Orbits: vertices = sigma0-orbits, edges =
 sigma1-orbits, holes = sigma_inf-orbits.  No graph changes once built, so
-each graph object works out sigma_inf, its vertex, edge and hole cycles and
-the sets of its vertex and hole orbits on first use and keeps them;
-``vertices()``, ``edges()`` and ``holes()`` still return a fresh list per
-call.
+each graph object works out sigma_inf, its vertex, edge and hole cycles,
+the sets of its vertex and hole orbits and its least traversal code on
+first use and keeps them; ``vertices()``, ``edges()`` and ``holes()`` still
+return a fresh list per call.
 
 Worked example (two trivalent vertices, three parallel edges)::
 
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import lcm
 
 from . import permutations as perms
 from .errors import (
@@ -68,7 +69,13 @@ class RibbonGraph:
 
     The caches start as None and are filled on first use: sigma_inf, the
     vertex, edge and hole cycles, and the orbit sets ``vertex_orbits()`` and
-    ``hole_orbits()``.  ``_zones`` is ``degeneration.hole_topology``'s.
+    ``hole_orbits()``.  ``_least`` is the least unmarked code with the
+    relabelings of the roots attaining it (``_least_roots``).  The others
+    hold what the forms layer works out from the graph alone, never from a
+    metric or a labelling: ``_zones`` maps a hole orbit to its zone entry
+    (``degeneration``: the topology, and after a shrink the quotient's
+    parts and exceptional vertices), and ``_pfaffian`` is the symplectic
+    Pfaffian of a top cell (``plforms.nondegeneracy_check``).
     """
 
     __slots__ = (
@@ -81,7 +88,9 @@ class RibbonGraph:
         "_holes",
         "_vertex_orbits",
         "_hole_orbits",
+        "_least",
         "_zones",
+        "_pfaffian",
     )
 
     def __init__(self, sigma0, sigma1, sides):
@@ -94,7 +103,9 @@ class RibbonGraph:
         self._holes = None
         self._vertex_orbits = None
         self._hole_orbits = None
+        self._least = None
         self._zones = None
+        self._pfaffian = None
 
     # -- derived permutations -------------------------------------------------
 
@@ -146,7 +157,8 @@ class RibbonGraph:
         return len(self.holes())
 
     def edge_of(self, side):
-        return tuple(sorted((side, self.sigma1[side])))
+        other = self.sigma1[side]
+        return (side, other) if side < other else (other, side)
 
     def vertex_of(self, side):
         return min(perms.orbit_of(self.sigma0, side))
@@ -364,11 +376,17 @@ class MarkedMetricGraph:
         return self.lengths[self.graph.edge_of(side)]
 
     def circumference(self, label) -> Fraction:
-        """Sum of side lengths along the hole; a vertex mark has perimeter 0."""
+        """Sum of side lengths along the hole; a vertex mark has perimeter 0.
+
+        The lengths are added as integers over their common denominator,
+        and the sum becomes one ``Fraction``.
+        """
         kind, orbit = self.marking.targets[label]
         if kind == VERTEX:
             return Fraction(0)
-        return sum(self.side_length(x) for x in orbit)
+        lengths = [self.side_length(x) for x in orbit]
+        d = lcm(*(x.denominator for x in lengths))
+        return Fraction(sum(x.numerator * (d // x.denominator) for x in lengths), d)
 
 
 # --- canonical form -----------------------------------------------------------
@@ -437,17 +455,20 @@ def _least_roots(g: RibbonGraph):
 
     Only the first root, and a root whose code falls below the least so
     far, is traversed in full; every other root is compared lazily
-    (``_code_against``).
+    (``_code_against``).  The answer depends on the graph alone, so it is
+    kept on the graph (``_least``) and later calls read it.
     """
-    best, relabels = None, []
-    for root in g.sides:
-        sign, relabel = (-1, None) if best is None else _code_against(g, root, best)
-        if sign < 0:
-            best, relabel = _bfs_code(g, root)
-            relabels = [relabel]
-        elif sign == 0:
-            relabels.append(relabel)
-    return best, relabels
+    if g._least is None:
+        best, relabels = None, []
+        for root in g.sides:
+            sign, relabel = (-1, None) if best is None else _code_against(g, root, best)
+            if sign < 0:
+                best, relabel = _bfs_code(g, root)
+                relabels = [relabel]
+            elif sign == 0:
+                relabels.append(relabel)
+        g._least = best, relabels
+    return g._least
 
 
 def _first_sides(relabels, orbits):

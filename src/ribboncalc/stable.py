@@ -8,7 +8,8 @@ graph never had ("exceptional") match up, one for one, with vertices of
 G/G_Z that the ambient graph never had, and the matching is computed by an
 explicit walk, not by counting.  ``collapse`` computes G_Z, G/G_Z and that
 matching once; every collapse in the package goes through it, and
-``carry_labels`` is the one routine that moves labels onto G/G_Z.
+``carry_labels`` is the one routine that moves labels onto the components
+of G/G_Z (``quotient_parts``).
 
 Iterating the construction along a permissible sequence of subsets yields a
 stable ribbon graph: components at increasing orders plus an involution
@@ -178,16 +179,22 @@ def collapse(g: RibbonGraph, Z) -> Collapse:
     return Collapse(sub, quo, pairs)
 
 
-def carry_labels(cut: Collapse, marks):
-    """[(component, labels)] for the components of G/G_Z by least side.
+def quotient_parts(cut: Collapse):
+    """[(sides, component)] for the components of G/G_Z by least side."""
+    return [(sides, restrict(cut.quo, sides)) for sides in cut.quo.components()]
+
+
+def carry_labels(parts, marks):
+    """[(component, labels)] for the ``quotient_parts`` of a collapse.
 
     ``marks`` maps labels to (kind, orbit) targets of the ambient graph, or
     to vertices of G/G_Z itself.  A hole label keeps its remnant in every
     component it reaches, a vertex label stays whole on its vertex, and a
-    label inside the zone is dropped.
+    label inside the zone is dropped.  The parts are only read, so a caller
+    may keep them and carry other labels across the same collapse later.
     """
     out = []
-    for sides in cut.quo.components():
+    for sides, part in parts:
         here = {}
         for label, (kind, orb) in marks.items():
             remnant = orb & sides
@@ -197,7 +204,7 @@ def carry_labels(cut: Collapse, marks):
                 )
             if remnant:
                 here[label] = (kind, remnant)
-        out.append((restrict(cut.quo, sides), here))
+        out.append((part, here))
     return out
 
 
@@ -468,7 +475,7 @@ def _quotient_piece(piece: _Piece, zr, tokens):
             left[label] = (VERTEX, vert)
     finished = [
         _Piece(comp_graph, marks, piece.order)
-        for comp_graph, marks in carry_labels(cut, left)
+        for comp_graph, marks in carry_labels(quotient_parts(cut), left)
     ]
     return finished, spawned
 

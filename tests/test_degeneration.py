@@ -1,10 +1,13 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ribboncalc import degeneration, enumeration, stable
+from conftest import fresh_copy
+from ribboncalc import checks, degeneration, enumeration, stable
 from ribboncalc import permutations as perms
 from ribboncalc.degeneration import (
     CYLINDER,
@@ -23,6 +26,7 @@ from ribboncalc.errors import (
     ConeViolation,
     DomainMismatch,
     InconsistentLabels,
+    RibbonError,
     VertexMark,
     ZeroPerimeter,
 )
@@ -31,7 +35,6 @@ from ribboncalc.ribbon import (
     VERTEX,
     Marking,
     MarkedMetricGraph,
-    RibbonGraph,
     canonical_form,
     contract_edge,
     genus,
@@ -351,15 +354,26 @@ class TestOneCollapse:
         return seen
 
     def test_cylinder_shrink(self, calls):
-        m = mark_all_holes(CYL, ["q", "p"])
-        res = shrink(zone_metric(CYL, m, "q"), "q")
+        graph = fresh_copy(CYL)
+        m = mark_all_holes(graph, ["q", "p"])
+        res = shrink(zone_metric(graph, m, "q"), "q")
         assert res.kind == CYLINDER
+        assert calls == {"subgraph": 1, "quotient": 1}
+        # a second shrink of the hole, on another metric, reads the zone entry
+        again = shrink(zone_metric(graph, m, "q", scale=Fraction(1, 2)), "q")
+        assert again.kind == CYLINDER
         assert calls == {"subgraph": 1, "quotient": 1}
 
     def test_surface_shrink(self, calls):
-        m = mark_all_holes(TADPOLE, ["p", "q"])
-        res = shrink(zone_metric(TADPOLE, m, "q"), "q")
+        graph = fresh_copy(TADPOLE)
+        m = mark_all_holes(graph, ["p", "q"])
+        res = shrink(zone_metric(graph, m, "q"), "q")
         assert res.kind == SURFACE
+        assert calls == {"subgraph": 1, "quotient": 1}
+        # and so does one under another labelling of the same hole orbit
+        relabelled = Marking(graph, {"x": m.targets["q"], "y": m.targets["p"]})
+        again = shrink(zone_metric(graph, relabelled, "x"), "x")
+        assert again.kind == SURFACE
         assert calls == {"subgraph": 1, "quotient": 1}
 
     def test_one_stage_spawning_one_core(self, calls):
@@ -455,13 +469,8 @@ class TestZoneOfEveryEdge:
             assert res.dual == DualGraph([(g, {"q"}, False)], [])
 
 
-def fresh_copy(graph):
-    """The same graph as a new object, with none of its caches filled."""
-    return RibbonGraph(dict(graph.sigma0), dict(graph.sigma1), graph.sides)
-
-
 class TestZoneMemo:
-    """``hole_topology`` keeps one topology per hole orbit on the graph."""
+    """A graph keeps one zone entry per hole orbit, whatever the labelling."""
 
     @pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1), (1, 3)])
     def test_memo_matches_the_uncached_classification(self, g, n):
@@ -477,7 +486,7 @@ class TestZoneMemo:
                     zone = degeneration._zone_edges(graph, orbit)
                     cut = stable.collapse(graph, zone)
                     assert got == degeneration._hole_zone_topology(graph, orbit, zone, cut)
-                    assert cell.graph._zones[orbit] is got
+                    assert cell.graph._zones[orbit].topology is got
                     classified.add((id(cell.graph), orbit))
         # one classification per hole of each distinct graph, whatever the labelling
         graphs = {id(cell.graph) for classes in cells.values() for cell in classes}
@@ -492,14 +501,22 @@ class TestZoneMemo:
         relabelled = Marking(graph, {"x": m.targets["q"], "y": m.targets["p"]})
         assert hole_topology((graph, relabelled), "x") is first
 
-    def test_unqueried_graph_holds_no_zone_dict(self):
+    def test_only_shrink_and_hole_topology_fill_the_memo(self):
         graph = fresh_copy(CYL)
         m = mark_all_holes(graph, ["p", "q"])
-        shrink(zone_metric(graph, m, "q"), "q")
         detect_clusters((graph, m), ["p", "q"])
+        stable.build_stable(graph, m, [graph.edges(), [(1, 7), (2, 4)]])
+        stable.collapse(graph, degeneration._zone_edges(graph, m.orbit("q")))
         assert graph._zones is None
-        hole_topology((graph, m), "p")
-        assert list(graph._zones) == [m.orbit("p")]
+        # a topology query keeps the topology only; a shrink adds the parts
+        topo = hole_topology((graph, m), "q")
+        entry = graph._zones[m.orbit("q")]
+        assert (entry.topology, entry.parts, entry.exc_verts) == (topo, None, None)
+        res = shrink(zone_metric(graph, m, "q"), "q")
+        assert list(graph._zones) == [m.orbit("q")]
+        assert graph._zones[m.orbit("q")] is entry and entry.topology is topo
+        assert [part for _, part in entry.parts] == [c.graph for c in res.components]
+        assert entry.exc_verts == sorted((v for _, v in res.nodes), key=min)
 
     def test_errors_are_not_memoized(self):
         graph = fresh_copy(THETA)
@@ -510,6 +527,46 @@ class TestZoneMemo:
         with pytest.raises(DomainMismatch):
             hole_topology((graph, m), "z")
         assert graph._zones is None
+
+
+class TestShrinkDigest:
+    """Every shrink of a labelled cell, cold and then warm, against a digest.
+
+    The digest was recorded before ``shrink`` kept the quotient's parts in
+    the zone entries: one sha256 over ``shrink_to_json`` (keys sorted), or
+    the error's name, for every labelled cell and hole of (0,4), (1,2) and
+    (2,1) under ``checks._zone_metric``, in ``enumerate_all_cells`` order.
+    """
+
+    DIGEST = "1454b7845ca9e31ee4fe8935fe7133ff227e755e3f25a94c0cb71bcb46f1753a"
+
+    @staticmethod
+    def digest():
+        h = hashlib.sha256()
+        count = 0
+        for g, n in [(0, 4), (1, 2), (2, 1)]:
+            labels = [f"p{i}" for i in range(1, n + 1)]
+            for _, classes in sorted(enumeration.enumerate_all_cells(g, labels).items()):
+                for cell in classes:
+                    for q in labels:
+                        metric = checks._zone_metric(cell.graph, cell.marking, q)
+                        try:
+                            blob = json.dumps(shrink_to_json(shrink(metric, q)), sort_keys=True)
+                        except RibbonError as err:
+                            blob = type(err).__name__
+                        h.update(blob.encode() + b"\n")
+                        count += 1
+        return h.hexdigest(), count
+
+    def test_cold_and_warm_passes_give_the_recorded_digest(self, monkeypatch):
+        assert self.digest() == (self.DIGEST, 1554)
+
+        # the cached classes share their graphs, so every zone is now kept
+        def refuse(*args):
+            raise AssertionError("a warm shrink collapsed its zone again")
+
+        monkeypatch.setattr(degeneration, "collapse", refuse)
+        assert self.digest() == (self.DIGEST, 1554)
 
 
 class TestMetricPath:

@@ -564,7 +564,7 @@ class TestCanonicalAugmentation:
         monkeypatch.setattr(en, "canonical_form", counting("canonical_form", en.canonical_form))
         monkeypatch.setattr(ribbon, "_least_roots", counting("_least_roots", ribbon._least_roots))
         assert en._marked_classes(vals, holes, marks)
-        # every _least_roots call is canonical_form's: none per class or labelling
+        # canonical_form, with its _least_roots, runs once per class, never per labelling
         unlabelled = len(en._unlabeled_classes(vals, len(holes)))
         assert calls == {"canonical_form": unlabelled, "_least_roots": unlabelled}
         # the classes are cached, so labelling them again makes no canonical form

@@ -47,8 +47,9 @@ def test_no_unused_import(name):
     assert unused == [], f"{name} imports names it never uses: {unused}"
 
 
-# a RibbonGraph caches what these determine (orbits, sigma_inf, zone
-# topologies), which is sound only while no graph changes after __init__
+# a RibbonGraph caches what these determine (orbits, sigma_inf, its least
+# code, zone entries, a top cell's Pfaffian), which is sound only while no
+# graph changes after __init__
 GRAPH_FIELDS = {"sides", "sigma0", "sigma1", "sigma_inf"}
 MUTATORS = {"update", "pop", "popitem", "clear", "setdefault"}
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fresh_copy
 from ribboncalc import enumeration, exact_linalg
 from ribboncalc.errors import (
     DomainMismatch,
@@ -404,14 +405,18 @@ class TestNondegeneracy:
         # of determinant 1 that doubles one vector and halves the other gives
         # the halved vector a denominator 2, and the Pfaffian must not move
         real = exact_linalg.kernel_basis
+        ran = []
 
         def rescaled(rows, dim):
+            ran.append(dim)
             (d1, w1), (d2, w2), *rest = real(rows, dim)
             return [(d1, [2 * x for x in w1]), (2 * d2, w2), *rest]
 
         monkeypatch.setattr(exact_linalg, "kernel_basis", rescaled)
-        g = uniform_metric(TORUS_CELL, ["p"])
+        # a fresh graph: TORUS_CELL may already keep its Pfaffian
+        g = uniform_metric(fresh_copy(TORUS_CELL), ["p"])
         assert nondegeneracy_check(g) == (True, F(-1, 2))
+        assert ran == [3]
 
     def test_all_small_top_cells_are_symplectic(self):
         # the restricted form has constant coefficients, so the Pfaffian
@@ -536,6 +541,19 @@ class TestAgainstTheFractionPath:
                 want = fraction_path_pfaffian(mg)
                 assert want != 0
                 assert nondegeneracy_check(mg) == (True, want)
+
+    @pytest.mark.parametrize("g,n", [(0, 4), (1, 2), (2, 1)])
+    def test_a_kept_pfaffian_matches_fresh_metrics(self, g, n):
+        # the first call keeps the Pfaffian on the cell graph; three more
+        # metrics must read the value the weighted Fraction path gives them
+        rng = random.Random(20261020 + 10 * g + n)
+        for cell in top_cells(g, n):
+            first = MarkedMetricGraph(cell.graph, cell.marking, random_lengths(rng, cell.graph))
+            nondegeneracy_check(first)
+            assert cell.graph._pfaffian is not None
+            for _ in range(3):
+                mg = MarkedMetricGraph(cell.graph, cell.marking, random_lengths(rng, cell.graph))
+                assert nondegeneracy_check(mg) == (True, fraction_path_pfaffian(mg))
 
     @pytest.mark.parametrize("eps", [F(1, 3), F(1), F(7, 2)])
     def test_disk_matches_the_wedge_power(self, eps):

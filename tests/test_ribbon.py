@@ -118,7 +118,7 @@ class TestOrbitCache:
 
     def test_a_fresh_graph_holds_no_cache(self):
         g = validate([(1, 2, 3), (4, 5, 6)], [(1, 4), (2, 6), (3, 5)])
-        assert (g._vertices, g._holes, g._zones) == (None, None, None)
+        assert (g._vertices, g._holes, g._least, g._zones, g._pfaffian) == (None,) * 5
         g.n_holes()
         assert g._vertices is None and len(g._holes) == 3
 
@@ -339,10 +339,12 @@ class TestSingleRootLoop:
             assert canonical_form(rebuilt, rebuilt_marking) == (code, aut)
 
     def test_one_traversal_per_root_per_graph(self, monkeypatch):
-        # each rooted map's root is traversed in full once, and each
-        # unlabelled class's graph once from root 1 and lazily from each
-        # other root; a hole labelling traverses nothing.  The maps rooted
-        # on a trivalent vertex number C_0(3, 3) * 3 * 2 / |Z(sigma0)|
+        # each rooted map's root is traversed in full once, each kept map
+        # once more by its canonical form, and each unlabelled class's graph
+        # once from root 1 and lazily from each other root; a hole labelling
+        # traverses nothing, and neither does a second call, which reads
+        # the least roots the class graphs keep.  The maps rooted on a
+        # trivalent vertex number C_0(3, 3) * 3 * 2 / |Z(sigma0)|
         valencies, holes = [3, 3], 3
         rooted = Fraction(
             enumeration._connected_pairings(valencies, holes) * 3 * 2,
@@ -358,18 +360,27 @@ class TestSingleRootLoop:
 
             return counted
 
-        monkeypatch.setattr(enumeration, "_bfs_code", counting(full, ribbon._bfs_code))
+        counted_bfs = counting(full, ribbon._bfs_code)
+        monkeypatch.setattr(enumeration, "_bfs_code", counted_bfs)
+        monkeypatch.setattr(ribbon, "_bfs_code", counted_bfs)
         monkeypatch.setattr(ribbon, "_code_against", counting(lazy, ribbon._code_against))
         classes = enumeration.enumerate(0, ["p", "q", "r"], [2])
         assert len(classes) == 4
         unlabelled = len(enumeration._unlabeled_classes(valencies, holes))
         assert unlabelled == 2
-        assert len(full) == rooted + unlabelled == 6
+        assert len(full) == rooted + 2 * unlabelled == 8
         graphs = {id(cell.graph): cell.graph for cell in classes}
         assert len(graphs) == unlabelled
         assert [root for g, root in full if id(g) in graphs] == [1, 1]
         on_classes = sorted((id(g), root) for g, root, _ in lazy if id(g) in graphs)
         assert on_classes == sorted((key, root) for key in graphs for root in range(2, 7))
+        full.clear()
+        lazy.clear()
+        again = enumeration.enumerate(0, ["p", "q", "r"], [2])
+        assert [(c.graph, c.marking, c.aut) for c in again] == [
+            (c.graph, c.marking, c.aut) for c in classes
+        ]
+        assert full == lazy == []
 
 
 class TestMarking:

@@ -39,6 +39,7 @@ from ribboncalc.stable import (
     collapse,
     order_is_admissible,
     quotient,
+    quotient_parts,
     stable_to_json,
     subgraph,
 )
@@ -130,7 +131,7 @@ def assert_every_edge_collapses_to_nothing(g):
     assert cut.quo.sides == ()
     assert cut.pairs == []
     labels = [f"p{i}" for i in range(g.n_holes())]
-    assert carry_labels(cut, mark_all_holes(g, labels).targets) == []
+    assert carry_labels(quotient_parts(cut), mark_all_holes(g, labels).targets) == []
 
 
 class TestExceptionalCorrespondence:
@@ -195,7 +196,7 @@ class TestCarryLabels:
         marks = dict(
             mark_all_holes(SPLIT, ["a", "b", "c"]).targets, v=(VERTEX, frozenset({4}))
         )
-        carried = carry_labels(cut, marks)
+        carried = carry_labels(quotient_parts(cut), marks)
         assert [sorted(c.sides) for c, _ in carried] == [[1, 2], [4, 5]]
         (left, left_marks), (right, right_marks) = carried
         # a keeps the remnant of (1,3), b is untouched, c loses its zone side 6
@@ -213,7 +214,7 @@ class TestCarryLabels:
     def test_a_label_inside_the_zone_reaches_no_component(self):
         g = DUMBBELL
         marks = mark_all_holes(g, ["a", "b", "c"]).targets
-        carried = carry_labels(collapse(g, [(1, 2)]), marks)
+        carried = carry_labels(quotient_parts(collapse(g, [(1, 2)])), marks)
         assert [sorted(m) for _, m in carried] == [["b", "c"]]
         assert carried[0][1]["b"] == (HOLE, frozenset({3, 6, 4}))
 
@@ -221,7 +222,7 @@ class TestCarryLabels:
         cut = collapse(SPLIT, [(3, 6)])
         marks = {"w": (VERTEX, frozenset({1, 2, 3, 5, 6}))}
         with pytest.raises(BrokenInvariant, match="touches the collapse zone"):
-            carry_labels(cut, marks)
+            carry_labels(quotient_parts(cut), marks)
 
 
 def _is_loop(g, e):
