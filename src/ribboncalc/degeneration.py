@@ -20,12 +20,15 @@ sum over.  None of the zone's data reads a metric or a label, so a graph
 keeps one zone entry per hole orbit (its ``_zones``), shared by every
 metric and labelling of that graph: ``hole_topology`` makes it with the
 zone's topology, and the first ``shrink`` of the hole adds the components
-of G/G_Z and its exceptional vertices.  Each of them costs one collapse,
-and the collapse itself is not kept; only the cone checks, the labels and
-the lengths are worked out again on every shrink.
+of G/G_Z, their genera and the nodes, checked once against the topology.
+Each of them costs one collapse, and the collapse itself is not kept; only
+the cone checks (integer perimeters over the common denominator of the
+lengths), the labels and the lengths are worked out again on every shrink.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .errors import (
     BrokenInvariant,
@@ -192,18 +195,22 @@ def _cylinder_split(graph: RibbonGraph, orbit, doubled_edge):
 class _Zone:
     """What a graph keeps about the zone of one hole orbit (its ``_zones``).
 
-    ``topology`` is set when the entry is made.  ``parts`` (the quotient's
-    ``quotient_parts``) and ``exc_verts`` (its exceptional vertices, sorted
-    by least side) stay None until the first ``shrink`` of the hole; none of
-    them reads a metric or a label.
+    ``topology`` is set when the entry is made.  The rest stays None until
+    the first ``shrink`` of the hole fills it: ``parts`` (the quotient's
+    ``quotient_parts``), ``genera`` (each part's genus) and ``nodes``, each
+    exceptional vertex of G/G_Z as (part index, vertex) ordered by valency,
+    then least side: the bubble's nodes, or a disk's one new vertex.  The
+    check that the node valencies are the zone's boundary runs once, when
+    the entry is filled.  None of it reads a metric or a label.
     """
 
-    __slots__ = ("topology", "parts", "exc_verts")
+    __slots__ = ("topology", "parts", "genera", "nodes")
 
     def __init__(self, topology):
         self.topology = topology
         self.parts = None
-        self.exc_verts = None
+        self.genera = None
+        self.nodes = None
 
 
 def _zone_entry(graph: RibbonGraph, orbit, with_parts=False) -> _Zone:
@@ -218,13 +225,26 @@ def _zone_entry(graph: RibbonGraph, orbit, with_parts=False) -> _Zone:
     if entry is None or (with_parts and entry.parts is None):
         zone = _zone_edges(graph, orbit)
         cut = collapse(graph, zone)
+        topo = _hole_zone_topology(graph, orbit, zone, cut) if entry is None else entry.topology
+        filled = _zone_parts(cut, topo) if with_parts else None
         if entry is None:
-            entry = _Zone(_hole_zone_topology(graph, orbit, zone, cut))
-        if with_parts:
-            entry.parts = quotient_parts(cut)
-            entry.exc_verts = sorted((v for _, v in cut.pairs), key=min)
+            entry = _Zone(topo)
+        if filled:
+            entry.parts, entry.genera, entry.nodes = filled
         graph._zones[orbit] = entry
     return entry
+
+
+def _zone_parts(cut, topo):
+    """The parts, genera and nodes of a ``_Zone``, from the zone's collapse."""
+    parts = quotient_parts(cut)
+    part_of = {x: i for i, (sides, _) in enumerate(parts) for x in sides}
+    verts = sorted((v for _, v in cut.pairs), key=lambda v: (len(v), min(v)))
+    # the cylinder boundary is measured along the hole walk instead
+    if topo.kind == SURFACE and tuple(map(len, verts)) != topo.boundary:
+        raise BrokenInvariant("node valencies differ from the zone boundary")
+    nodes = tuple((part_of[min(v)], v) for v in verts)
+    return parts, [genus(part) for _, part in parts], nodes
 
 
 def hole_topology(g, q) -> HoleTopology:
@@ -263,7 +283,8 @@ def _check_surface_count(graph, zone, topo):
     With every touched vertex trivalent and an odd number of distinct
     edges 2r+3, the boundary valencies satisfy 6h - 6 + sum(v_j + 3) = 2r.
     """
-    touched = {frozenset(perms.orbit_of(graph.sigma0, x)) for e in zone for x in e}
+    vertex = graph.vertex_orbit_map()
+    touched = {vertex[x] for e in zone for x in e}
     if any(len(v) != 3 for v in touched):
         return
     n_edges = len(zone)
@@ -314,12 +335,13 @@ def shrink(g: MarkedMetricGraph, q) -> ShrinkResult:
     Requires l_q strictly below every other marked hole's perimeter, and
     no marked vertex bordering the zone (either failure could squeeze a
     second special point along with q); both are checked on every call, the
-    first against this call's perimeters.  The rest is the graph's: the
-    first shrink of a hole keeps the quotient's parts and exceptional
-    vertices in the hole's zone entry, next to its topology, and every
-    later shrink of that hole orbit, under any metric or labelling, carries
-    its labels onto those parts.  The q label lands on the new vertex for a
-    disk zone, on the bubble otherwise.
+    first against this call's perimeters, compared as integers over the
+    common denominator of the lengths.  The rest is the graph's: the first
+    shrink of a hole keeps the quotient's parts, their genera and the
+    exceptional vertices in the hole's zone entry, next to its topology,
+    and every later shrink of that hole orbit, under any metric or
+    labelling, carries its labels onto those parts.  The q label lands on
+    the new vertex for a disk zone, on the bubble otherwise.
     """
     if not isinstance(g, MarkedMetricGraph):
         raise DomainMismatch("shrink needs a marked metric graph")
@@ -329,14 +351,18 @@ def shrink(g: MarkedMetricGraph, q) -> ShrinkResult:
     if marking.kind(q) == VERTEX:
         raise ZeroPerimeter(f"{q!r} already marks a vertex")
     orbit = marking.orbit(q)
-    l_q = g.circumference(q)
+    d = lcm(*(v.denominator for v in g.lengths.values()))
+    side_length = {}
+    for (a, b), v in g.lengths.items():
+        side_length[a] = side_length[b] = v.numerator * (d // v.denominator)
+    l_q = sum(map(side_length.__getitem__, orbit))
 
     for p in marking.labels():
         if p == q:
             continue
         kind_p, orb_p = marking.targets[p]
         if kind_p == HOLE:
-            if l_q >= g.circumference(p):
+            if l_q >= sum(map(side_length.__getitem__, orb_p)):
                 raise ConeViolation(
                     f"perimeter of {q!r} is not below that of {p!r}"
                 )
@@ -346,16 +372,15 @@ def shrink(g: MarkedMetricGraph, q) -> ShrinkResult:
             raise ConeViolation(f"the marked vertex {p!r} borders the collapse zone")
 
     entry = _zone_entry(g.graph, orbit, with_parts=True)
-    topo, exc_verts = entry.topology, entry.exc_verts
+    topo = entry.topology
 
     # q's hole lies inside the zone, so it reaches no part; a zone of every
     # edge leaves no part at all, and the cone checks made q the only label
     carried = carry_labels(entry.parts, marking.targets)
-    comp_of_side = {x: i for i, (sides, _) in enumerate(entry.parts) for x in sides}
 
     if topo.kind == DISK:
-        (vert,) = exc_verts
-        carried[comp_of_side[min(vert)]][1][q] = (VERTEX, vert)
+        ((i, vert),) = entry.nodes
+        carried[i][1][q] = (VERTEX, vert)
 
     components = []
     for part, marks in carried:
@@ -363,20 +388,15 @@ def shrink(g: MarkedMetricGraph, q) -> ShrinkResult:
         components.append(MarkedMetricGraph(part, Marking(part, marks), lengths))
 
     dual_vertices = [
-        (genus(c.graph), frozenset(c.marking.targets), True) for c in components
+        (h, frozenset(c.marking.targets), True) for h, c in zip(entry.genera, components)
     ]
     if topo.kind == DISK:
         return ShrinkResult(topo, components, (), DualGraph(dual_vertices, []))
 
-    decorated = sorted((len(v), min(v), comp_of_side[min(v)], v) for v in exc_verts)
-    # the cylinder boundary is measured along the hole walk instead
-    if topo.kind == SURFACE and tuple(d[0] for d in decorated) != topo.boundary:
-        raise BrokenInvariant("node valencies differ from the zone boundary")
-    nodes = tuple((i, v) for _, _, i, v in decorated)
     bubble = len(dual_vertices)
     dual_vertices.append((topo.genus, frozenset({q}), False))
-    dual = DualGraph(dual_vertices, [(i, bubble) for i, _ in nodes])
-    return ShrinkResult(topo, components, nodes, dual)
+    dual = DualGraph(dual_vertices, [(i, bubble) for i, _ in entry.nodes])
+    return ShrinkResult(topo, components, entry.nodes, dual)
 
 
 # --- clusters ---------------------------------------------------------------------
@@ -391,10 +411,8 @@ def detect_clusters(g, labels):
     """
     graph, marking = _graph_and_marking(g)
     labels = sorted(str(l) for l in labels)
-    touched = {
-        q: {frozenset(perms.orbit_of(graph.sigma0, x)) for x in _hole_orbit(marking, q)}
-        for q in labels
-    }
+    vertex = graph.vertex_orbit_map()
+    touched = {q: {vertex[x] for x in _hole_orbit(marking, q)} for q in labels}
     links = [
         (q1, q2)
         for i, q1 in enumerate(labels)

@@ -10,9 +10,13 @@ involution).  The third permutation sigma_inf, defined by
 traverses the boundary cycles.  Orbits: vertices = sigma0-orbits, edges =
 sigma1-orbits, holes = sigma_inf-orbits.  No graph changes once built, so
 each graph object works out sigma_inf, its vertex, edge and hole cycles,
-the sets of its vertex and hole orbits and its least traversal code on
-first use and keeps them; ``vertices()``, ``edges()`` and ``holes()`` still
-return a fresh list per call.
+the sets of its vertex and hole orbits, the vertex orbit of each side, its
+components and its least traversal code on first use and keeps them;
+``vertices()``, ``edges()``, ``holes()`` and ``components()`` still return a
+fresh list per call.  A graph derived from another (``stable``'s G_Z and
+G/G_Z) may be handed its sigma_inf or its edges when they are already
+known; only this module writes the caches of the orbits, the edges and the
+components.
 
 Worked example (two trivalent vertices, three parallel edges)::
 
@@ -68,14 +72,18 @@ class RibbonGraph:
     """Immutable-by-convention pair of permutations on a common side set.
 
     The caches start as None and are filled on first use: sigma_inf, the
-    vertex, edge and hole cycles, and the orbit sets ``vertex_orbits()`` and
-    ``hole_orbits()``.  ``_least`` is the least unmarked code with the
-    relabelings of the roots attaining it (``_least_roots``).  The others
+    vertex, edge and hole cycles, the orbit sets ``vertex_orbits()`` and
+    ``hole_orbits()``, the side-to-vertex-orbit map ``vertex_orbit_map()``
+    and the ``components()``.  A caller that built the permutations and
+    already knows sigma_inf or the edges (as a list of (a, b), a < b, sorted)
+    passes them to the constructor, which keeps them; they must be what the
+    graph would work out itself.  ``_least`` is the least unmarked code with
+    the relabelings of the roots attaining it (``_least_roots``).  The others
     hold what the forms layer works out from the graph alone, never from a
     metric or a labelling: ``_zones`` maps a hole orbit to its zone entry
     (``degeneration``: the topology, and after a shrink the quotient's
-    parts and exceptional vertices), and ``_pfaffian`` is the symplectic
-    Pfaffian of a top cell (``plforms.nondegeneracy_check``).
+    parts, their genera and the exceptional vertices), and ``_pfaffian`` is
+    the symplectic Pfaffian of a top cell (``plforms.nondegeneracy_check``).
     """
 
     __slots__ = (
@@ -88,21 +96,25 @@ class RibbonGraph:
         "_holes",
         "_vertex_orbits",
         "_hole_orbits",
+        "_vertex_orbit_map",
+        "_components",
         "_least",
         "_zones",
         "_pfaffian",
     )
 
-    def __init__(self, sigma0, sigma1, sides):
+    def __init__(self, sigma0, sigma1, sides, sigma_inf=None, edges=None):
         self.sides = tuple(sorted(sides))
         self.sigma0 = sigma0
         self.sigma1 = sigma1
-        self._sigma_inf = None
+        self._sigma_inf = sigma_inf
         self._vertices = None
-        self._edges = None
+        self._edges = edges
         self._holes = None
         self._vertex_orbits = None
         self._hole_orbits = None
+        self._vertex_orbit_map = None
+        self._components = None
         self._least = None
         self._zones = None
         self._pfaffian = None
@@ -147,6 +159,12 @@ class RibbonGraph:
             self._hole_orbits = frozenset(map(frozenset, self.holes()))
         return self._hole_orbits
 
+    def vertex_orbit_map(self):
+        """Each side's vertex orbit (a frozenset of sides); the kept dict, not a copy."""
+        if self._vertex_orbit_map is None:
+            self._vertex_orbit_map = {x: v for v in self.vertex_orbits() for x in v}
+        return self._vertex_orbit_map
+
     def n_vertices(self):
         return len(self.vertices())
 
@@ -161,7 +179,7 @@ class RibbonGraph:
         return (side, other) if side < other else (other, side)
 
     def vertex_of(self, side):
-        return min(perms.orbit_of(self.sigma0, side))
+        return min(self.vertex_orbit_map()[side])
 
     def valencies(self):
         """Sorted list of vertex valencies."""
@@ -171,21 +189,23 @@ class RibbonGraph:
 
     def components(self):
         """Side sets of the orbits of the group generated by sigma0, sigma1."""
-        remaining = set(self.sides)
-        comps = []
-        while remaining:
-            start = min(remaining)
-            comp = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in (self.sigma0[x], self.sigma1[x]):
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            comps.append(frozenset(comp))
-            remaining -= comp
-        return comps
+        if self._components is None:
+            remaining = set(self.sides)
+            comps = []
+            while remaining:
+                start = min(remaining)
+                comp = {start}
+                stack = [start]
+                while stack:
+                    x = stack.pop()
+                    for y in (self.sigma0[x], self.sigma1[x]):
+                        if y not in comp:
+                            comp.add(y)
+                            stack.append(y)
+                comps.append(frozenset(comp))
+                remaining -= comp
+            self._components = comps
+        return list(self._components)
 
     def is_connected(self):
         return len(self.components()) == 1
@@ -358,11 +378,15 @@ class MarkedMetricGraph:
         edge_set = set(graph.edges())
         norm = {}
         for e, val in lengths.items():
-            e = tuple(sorted(e))
+            # a key that is already an edge, or a length that is already a
+            # Fraction, is taken as it is
             if e not in edge_set:
-                raise NoSuchEdge(f"length given for non-edge {e!r}")
-            val = Fraction(val)
-            if val <= 0:
+                e = tuple(sorted(e))
+                if e not in edge_set:
+                    raise NoSuchEdge(f"length given for non-edge {e!r}")
+            if type(val) is not Fraction:
+                val = Fraction(val)
+            if val.numerator <= 0:  # a Fraction's denominator is positive
                 raise DomainMismatch(f"edge {e!r} has non-positive length {val}")
             norm[e] = val
         missing = edge_set - set(norm)

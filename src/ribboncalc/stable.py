@@ -7,9 +7,12 @@ boundary walks become first-return maps.  Holes of G_Z that the ambient
 graph never had ("exceptional") match up, one for one, with vertices of
 G/G_Z that the ambient graph never had, and the matching is computed by an
 explicit walk, not by counting.  ``collapse`` computes G_Z, G/G_Z and that
-matching once; every collapse in the package goes through it, and
-``carry_labels`` is the one routine that moves labels onto the components
-of G/G_Z (``quotient_parts``).
+matching once, from Z checked once, handing each graph what its
+construction already knows (G_Z its edges, G/G_Z its sigma_inf); every
+collapse in the package goes through it, and ``carry_labels`` is the one
+routine that moves labels onto the components of G/G_Z
+(``quotient_parts``).  A stable core that is all of G_Z spawns from G_Z
+itself.
 
 Iterating the construction along a permissible sequence of subsets yields a
 stable ribbon graph: components at increasing orders plus an involution
@@ -85,11 +88,20 @@ def subgraph(g: RibbonGraph, Z):
     zz = _normalize_edges(g, Z)
     if not zz:
         raise EmptySubset("subgraph of no edges")
+    sub = _subgraph(g, zz)
+    return sub, _new_orbits(sub.hole_orbits(), g.hole_orbits())
+
+
+def _subgraph(g: RibbonGraph, zz):
+    """G_Z for a nonempty set ``zz`` of edges of ``g``, each as (a, b), a < b."""
     sides = _zone_sides(zz)
     s0 = perms.restrict_first_return(g.sigma0, sides)
     s1 = {x: g.sigma1[x] for x in sides}
-    sub = RibbonGraph(s0, s1, sides)
-    return sub, sorted(sub.hole_orbits() - g.hole_orbits(), key=min)
+    return RibbonGraph(s0, s1, sides, edges=sorted(zz))
+
+
+def _new_orbits(orbits, ambient):
+    return sorted(orbits - ambient, key=min)
 
 
 def quotient(g: RibbonGraph, Z):
@@ -105,13 +117,19 @@ def quotient(g: RibbonGraph, Z):
     zz = _normalize_edges(g, Z)
     if not zz:
         return g, []
+    quo = _quotient(g, zz)
+    return quo, _new_orbits(quo.vertex_orbits(), g.vertex_orbits())
+
+
+def _quotient(g: RibbonGraph, zz):
+    """G/G_Z for a nonempty set ``zz`` of edges of ``g``; it keeps the
+    first-return sigma_inf it is built from."""
     remaining = set(g.sides) - _zone_sides(zz)
     s1 = {x: g.sigma1[x] for x in remaining}
     s_inf = perms.restrict_first_return(g.sigma_inf, remaining)
     inv_inf = perms.inverse(s_inf)
     s0 = {x: s1[inv_inf[x]] for x in remaining}
-    quo = RibbonGraph(s0, s1, remaining)
-    return quo, sorted(quo.vertex_orbits() - g.vertex_orbits(), key=min)
+    return RibbonGraph(s0, s1, remaining, sigma_inf=s_inf)
 
 
 class Collapse(NamedTuple):
@@ -131,15 +149,23 @@ class Collapse(NamedTuple):
 def collapse(g: RibbonGraph, Z) -> Collapse:
     """Collapse a nonempty subset Z: G_Z and G/G_Z once, scars paired.
 
-    From a side of a truncated hole, walking the ambient rotation until the
-    edge involution re-enters the hole sweeps out exactly the sides of the
-    matching collapsed vertex; walking boundary links from a collapsed
-    vertex sweeps the hole back out.  Both walks are performed and checked
-    against each other.  A Z of every edge leaves a quotient with no sides
-    and no pairs: the whole surface becomes one point.
+    Z is checked and normalized once.  G_Z is built knowing its edges (Z
+    itself) and G/G_Z knowing its sigma_inf (the first return of the
+    ambient one), so neither works them out again.  From a side of a
+    truncated hole, walking the ambient rotation until the edge involution
+    re-enters the hole sweeps out exactly the sides of the matching
+    collapsed vertex; walking boundary links from a collapsed vertex sweeps
+    the hole back out.  Both walks are performed and checked against each
+    other.  A Z of every edge leaves a quotient with no sides and no pairs:
+    the whole surface becomes one point.
     """
-    sub, exc_holes = subgraph(g, Z)
-    quo, exc_verts = quotient(g, Z)
+    zz = _normalize_edges(g, Z)
+    if not zz:
+        raise EmptySubset("subgraph of no edges")
+    sub = _subgraph(g, zz)
+    quo = _quotient(g, zz)
+    exc_holes = _new_orbits(sub.hole_orbits(), g.hole_orbits())
+    exc_verts = _new_orbits(quo.vertex_orbits(), g.vertex_orbits())
     s0, s1, s_inf = g.sigma0, g.sigma1, g.sigma_inf
     bound = len(g.sides) + 1
 
@@ -180,8 +206,14 @@ def collapse(g: RibbonGraph, Z) -> Collapse:
 
 
 def quotient_parts(cut: Collapse):
-    """[(sides, component)] for the components of G/G_Z by least side."""
-    return [(sides, restrict(cut.quo, sides)) for sides in cut.quo.components()]
+    """[(sides, component)] for the components of G/G_Z by least side.
+
+    A connected G/G_Z is its own one component: it is returned, not copied.
+    """
+    comps = cut.quo.components()
+    if len(comps) == 1:
+        return [(comps[0], cut.quo)]
+    return [(sides, restrict(cut.quo, sides)) for sides in comps]
 
 
 def carry_labels(parts, marks):
@@ -242,22 +274,20 @@ class SubsetClass:
         return f"SubsetClass({self.kind})"
 
 
-def _vertex_orbit(g: RibbonGraph, side):
-    return frozenset(perms.orbit_of(g.sigma0, side))
-
-
 def _subset_valencies(g: RibbonGraph, edges):
     """Incidence count of each touched vertex orbit; loops count twice."""
+    vertex = g.vertex_orbit_map()
     val = {}
     for a, b in edges:
         for x in (a, b):
-            v = _vertex_orbit(g, x)
+            v = vertex[x]
             val[v] = val.get(v, 0) + 1
     return val
 
 
 def _connected_in_graph(g: RibbonGraph, edges):
-    links = [(_vertex_orbit(g, a), _vertex_orbit(g, b)) for a, b in edges]
+    vertex = g.vertex_orbit_map()
+    links = [(vertex[a], vertex[b]) for a, b in edges]
     return len(perms.blocks({v for link in links for v in link}, links)) <= 1
 
 
@@ -267,6 +297,7 @@ def _marked_vertex_orbits(targets):
 
 def _prune_unmarked_tails(g: RibbonGraph, edges, marked_orbits):
     """Drop leaf edges at unmarked univalent vertices until none remain."""
+    vertex = g.vertex_orbit_map()
     keep = set(edges)
     while True:
         val = _subset_valencies(g, keep)
@@ -274,7 +305,7 @@ def _prune_unmarked_tails(g: RibbonGraph, edges, marked_orbits):
         if not prunable:
             return frozenset(keep)
         for e in list(keep):
-            if any(_vertex_orbit(g, x) in prunable for x in e):
+            if any(vertex[x] in prunable for x in e):
                 keep.discard(e)
 
 
@@ -369,14 +400,20 @@ def _smooth_unmarked_bivalents(graph: RibbonGraph, keep_orbits) -> RibbonGraph:
             return graph
 
 
-def _spawn_core(piece: _Piece, core_edges, marked_orbits):
-    """Build the next-stage component on the pruned core of a stable piece."""
-    core, _ = subgraph(piece.graph, core_edges)
+def _spawn_core(cut: Collapse, core_edges, marked_orbits):
+    """Build the next-stage component on the pruned core of a stable piece.
+
+    A core that is all of G_Z is G_Z itself; any other is cut out of it.
+    """
+    if len(core_edges) == cut.sub.n_edges():
+        core = cut.sub
+    else:
+        core = _subgraph(cut.sub, core_edges)
     keep = set()
     for orb in marked_orbits:
-        cut = orb & set(core.sides)
-        if cut:
-            keep.add(frozenset(perms.orbit_of(core.sigma0, min(cut))))
+        remnant = orb & set(core.sides)
+        if remnant:
+            keep.add(frozenset(perms.orbit_of(core.sigma0, min(remnant))))
     return _smooth_unmarked_bivalents(core, keep)
 
 
@@ -437,7 +474,7 @@ def _quotient_piece(piece: _Piece, zr, tokens):
                 raise BrokenInvariant("a circle collapse piece must scar at least one hole")
         else:
             # a stable core: spawn the next-stage component
-            spawn_graph = _spawn_core(piece, cls.zst, marked_orbits)
+            spawn_graph = _spawn_core(cut, cls.zst, marked_orbits)
             spawn_sides = set(spawn_graph.sides)
             marks = {}
             for label, (kind, orb) in piece.marks.items():
@@ -552,7 +589,7 @@ def build_stable(g: RibbonGraph, marking: Marking, zseq) -> StableGraphData:
         iota[b] = a
 
     lengths = [
-        {e: Fraction(1, len(edges)) for e in edges}
+        dict.fromkeys(edges, Fraction(1, len(edges)))
         for edges in (graph.edges() for graph in components)
     ]
     data = StableGraphData(components, markings, order, iota, lengths)

@@ -177,6 +177,16 @@ class TestHoleTopology:
 
 
 class TestShrink:
+    def test_nodes_are_ordered_by_valency_then_least_side(self):
+        # one vertex, genus 1: crushing p3 leaves a univalent node at side 5
+        # and a trivalent one, whose least side 1 would come first
+        graph = validate([(1, 2, 3, 4, 6, 5, 8, 7)], [(1, 2), (3, 5), (4, 7), (6, 8)])
+        targets = {"p1": {1}, "p2": {2, 3, 5, 6, 7}, "p3": {4, 8}}
+        m = Marking(graph, {l: (HOLE, frozenset(o)) for l, o in targets.items()})
+        res = shrink(zone_metric(graph, m, "p3"), "p3")
+        assert res.kind == SURFACE and res.topology.boundary == (1, 3)
+        assert res.nodes == ((0, frozenset({5})), (0, frozenset({1, 2, 3})))
+
     def test_theta_disk_hole_leaves_a_marked_vertex(self):
         g = theta_metric()
         res = shrink(g, "a")
@@ -338,19 +348,20 @@ class TestOneCollapse:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Count calls through every binding of ``subgraph`` and ``quotient``."""
+        """Count the G_Z and G/G_Z that ``stable`` builds.
+
+        ``collapse`` checks its subset once and calls the builders behind
+        ``subgraph`` and ``quotient`` directly, so those are what is counted.
+        """
         seen = {"subgraph": 0, "quotient": 0}
-        for module in (stable, degeneration):
-            for name in seen:
-                if not hasattr(module, name):
-                    continue
-                original = getattr(module, name)
+        for name in seen:
+            original = getattr(stable, f"_{name}")
 
-                def counted(*args, _name=name, _original=original):
-                    seen[_name] += 1
-                    return _original(*args)
+            def counted(*args, _name=name, _original=original):
+                seen[_name] += 1
+                return _original(*args)
 
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(stable, f"_{name}", counted)
         return seen
 
     def test_cylinder_shrink(self, calls):
@@ -385,7 +396,22 @@ class TestOneCollapse:
             handle, m, [handle.edges(), [(1, 4), (2, 5), (3, 6)]]
         )
         assert data.order == (0, 1)
-        assert calls == {"subgraph": 2, "quotient": 1}
+        # the core is all of G_Z, so it spawns from G_Z with no second subgraph
+        assert calls == {"subgraph": 1, "quotient": 1}
+
+    def test_a_connected_quotient_is_its_own_part(self, calls, monkeypatch):
+        handle = validate(
+            [(1, 2, 3, 7), (4, 5, 6, 8)], [(1, 4), (2, 5), (3, 6), (7, 8)]
+        )
+        cut = stable.collapse(handle, [(1, 4), (2, 5), (3, 6)])
+        assert calls == {"subgraph": 1, "quotient": 1}
+
+        def refuse(*args):
+            raise AssertionError("a connected quotient was copied")
+
+        monkeypatch.setattr(stable, "restrict", refuse)
+        ((sides, part),) = stable.quotient_parts(cut)
+        assert part is cut.quo and sides == frozenset(cut.quo.sides) == {7, 8}
 
 
 class TestStratumCensus:
@@ -511,12 +537,13 @@ class TestZoneMemo:
         # a topology query keeps the topology only; a shrink adds the parts
         topo = hole_topology((graph, m), "q")
         entry = graph._zones[m.orbit("q")]
-        assert (entry.topology, entry.parts, entry.exc_verts) == (topo, None, None)
+        assert (entry.topology, entry.parts, entry.genera, entry.nodes) == (topo, None, None, None)
         res = shrink(zone_metric(graph, m, "q"), "q")
         assert list(graph._zones) == [m.orbit("q")]
         assert graph._zones[m.orbit("q")] is entry and entry.topology is topo
         assert [part for _, part in entry.parts] == [c.graph for c in res.components]
-        assert entry.exc_verts == sorted((v for _, v in res.nodes), key=min)
+        assert entry.genera == [genus(c.graph) for c in res.components]
+        assert entry.nodes == res.nodes
 
     def test_errors_are_not_memoized(self):
         graph = fresh_copy(THETA)
@@ -567,6 +594,61 @@ class TestShrinkDigest:
 
         monkeypatch.setattr(degeneration, "collapse", refuse)
         assert self.digest() == (self.DIGEST, 1554)
+
+
+class TestIntegerConeCheck:
+    """``shrink``'s integer cone check against the ``Fraction`` perimeters.
+
+    Every labelled cell and hole of (0,4), (1,2) and (2,1) under
+    ``checks._zone_metric``, and for each other hole p the zone rescaled
+    by the t at which l_q and l_p tie exactly, and by t just below and just
+    above it.
+    """
+
+    @staticmethod
+    def metrics(cell, q):
+        base = checks._zone_metric(cell.graph, cell.marking, q)
+        yield base
+        zone = degeneration._zone_edges(cell.graph, cell.marking.orbit(q))
+        l_q = base.circumference(q)
+        for p in cell.marking.hole_labels():
+            if p == q:
+                continue
+            # l_p = a_p + b_p, a_p on the zone's edges; scaling the zone by t
+            # gives t*l_q against t*a_p + b_p
+            a_p = sum(
+                base.side_length(x)
+                for x in cell.marking.orbit(p)
+                if cell.graph.edge_of(x) in zone
+            )
+            b_p = base.circumference(p) - a_p
+            if b_p > 0 and l_q > a_p:
+                tie = b_p / (l_q - a_p)
+                for t in (tie, tie * Fraction(9999, 10000), tie * Fraction(10001, 10000)):
+                    lengths = {e: v * t if e in zone else v for e, v in base.lengths.items()}
+                    yield MarkedMetricGraph(cell.graph, cell.marking, lengths)
+
+    def test_a_violation_exactly_when_the_fraction_perimeters_give_one(self):
+        checked, ties, violations = 0, 0, 0
+        for g, n in [(0, 4), (1, 2), (2, 1)]:
+            labels = [f"p{i}" for i in range(1, n + 1)]
+            for classes in enumeration.enumerate_all_cells(g, labels).values():
+                for cell in classes:
+                    for q in labels:
+                        for metric in self.metrics(cell, q):
+                            l_q = metric.circumference(q)
+                            others = [metric.circumference(p) for p in labels if p != q]
+                            want = any(l_q >= l_p for l_p in others)
+                            try:
+                                shrink(metric, q)
+                                got = False
+                            except ConeViolation:
+                                got = True
+                            assert got == want
+                            checked += 1
+                            ties += l_q in others
+                            violations += want
+        assert ties > 0 and 0 < violations < checked
 
 
 class TestMetricPath:

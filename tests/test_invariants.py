@@ -10,7 +10,7 @@ import pytest
 import ribboncalc
 from ribboncalc import combclasses, errors, stable
 from ribboncalc.errors import BrokenInvariant, RibbonError
-from ribboncalc.ribbon import mark_all_holes, validate
+from ribboncalc.ribbon import RibbonGraph, mark_all_holes, validate
 
 PACKAGE = pathlib.Path(ribboncalc.__file__).parent
 GUARDED = sorted(path.name for path in PACKAGE.glob("*.py"))
@@ -122,6 +122,71 @@ def test_no_graph_is_changed_after_construction(name):
 )
 def test_the_graph_write_check_sees_writes(source, flagged):
     assert bool(graph_field_writes(ast.parse(source))) == flagged
+
+
+# who may write each RibbonGraph cache slot, or an entry of one: the forms
+# layer keeps its metric-free results on the graph, and every other cache
+# (sigma_inf, orbits, edges, components, the vertex map, the least code) is
+# ribbon's, so a derived graph's known sigma_inf or edges go through ribbon
+CACHE_OWNERS = {"_zones": "degeneration", "_pfaffian": "plforms"}
+CACHE_SLOTS = [slot for slot in RibbonGraph.__slots__ if slot.startswith("_")]
+
+
+def cache_writes(tree, module):
+    """Lines writing a graph cache slot, or an entry of one, outside its owner.
+
+    ``RibbonGraph.__init__``, which starts every slot, is the one exception.
+    """
+    lines = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if scope[-2:] != ("RibbonGraph", "__init__"):
+            for target in _written(node):
+                while isinstance(target, ast.Subscript):
+                    target = target.value
+                if (
+                    isinstance(target, ast.Attribute)
+                    and target.attr in CACHE_SLOTS
+                    and CACHE_OWNERS.get(target.attr, "ribbon") != module
+                ):
+                    lines.append(node.lineno if hasattr(node, "lineno") else target.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("name", GUARDED)
+def test_each_graph_cache_is_written_by_its_owner(name):
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"), filename=name)
+    lines = cache_writes(tree, pathlib.Path(name).stem)
+    assert lines == [], f"{name} writes another module's graph cache on lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "source,module,flagged",
+    [
+        ("g._edges = []", "stable", True),
+        ("g._sigma_inf = s", "degeneration", True),
+        ("g._components, g._least = [], None", "clusters", True),
+        ("g._zones.setdefault(o, e)", "stable", True),
+        ("g._pfaffian = 1", "degeneration", True),
+        ("g._zones[o] = e", "ribbon", True),
+        ("g._edges = []", "ribbon", False),
+        ("self._vertex_orbit_map = {}", "ribbon", False),
+        ("g._zones[o] = e", "degeneration", False),
+        ("g._pfaffian = 1", "plforms", False),
+        ("RibbonGraph(s0, s1, xs, edges=e)", "stable", False),
+        ("edges = g._edges", "stable", False),
+        ("class RibbonGraph:\n  def __init__(self):\n    self._zones = None", "ribbon", False),
+        ("class RibbonGraph:\n  def fill(self):\n    self._zones = {}", "ribbon", True),
+    ],
+)
+def test_the_cache_owner_check_sees_writes(source, module, flagged):
+    assert bool(cache_writes(ast.parse(source), module)) == flagged
 
 
 def unused_locals(tree):

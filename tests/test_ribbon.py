@@ -22,6 +22,7 @@ from ribboncalc.ribbon import (
     VERTEX,
     Marking,
     MarkedMetricGraph,
+    RibbonGraph,
     canonical_form,
     canonicalize,
     contract_edge,
@@ -118,7 +119,8 @@ class TestOrbitCache:
 
     def test_a_fresh_graph_holds_no_cache(self):
         g = validate([(1, 2, 3), (4, 5, 6)], [(1, 4), (2, 6), (3, 5)])
-        assert (g._vertices, g._holes, g._least, g._zones, g._pfaffian) == (None,) * 5
+        caches = [slot for slot in RibbonGraph.__slots__ if slot.startswith("_")]
+        assert {slot: getattr(g, slot) for slot in caches} == dict.fromkeys(caches)
         g.n_holes()
         assert g._vertices is None and len(g._holes) == 3
 
@@ -424,6 +426,36 @@ class TestMetric:
         m = mark_all_holes(CIRCLE, ["p1", "p2"])
         with pytest.raises(DomainMismatch):
             MarkedMetricGraph(CIRCLE, m, {(1, 2): 0})
+
+    def test_every_length_form_normalizes_alike(self):
+        m = mark_all_holes(THETA, ["a", "b", "c"])
+        given = {(4, 1): Fraction(3, 4), (2, 6): 3, (3, 5): "3/4"}
+        mg = MarkedMetricGraph(THETA, m, given)
+        assert mg.lengths == {(1, 4): Fraction(3, 4), (2, 6): Fraction(3), (3, 5): Fraction(3, 4)}
+        assert list(mg.lengths) == [(1, 4), (2, 6), (3, 5)]
+        assert all(type(v) is Fraction for v in mg.lengths.values())
+        same = MarkedMetricGraph(THETA, m, {(1, 4): "3/4", (6, 2): Fraction(3), (5, 3): 0.75})
+        assert same.lengths == mg.lengths
+
+    @pytest.mark.parametrize(
+        "changed,error,message",
+        [
+            ({(2, 6): 0}, DomainMismatch, "edge (2, 6) has non-positive length 0"),
+            ({(6, 2): "-1/2"}, DomainMismatch, "edge (2, 6) has non-positive length -1/2"),
+            ({(1, 4): Fraction(-3)}, DomainMismatch, "edge (1, 4) has non-positive length -3"),
+            ({(2, 6): None}, DomainMismatch, "missing lengths for [(2, 6)]"),
+            ({(2, 1): 1}, NoSuchEdge, "length given for non-edge (1, 2)"),
+            ({(7, 8): 1}, NoSuchEdge, "length given for non-edge (7, 8)"),
+        ],
+    )
+    def test_a_bad_length_raises_as_before(self, changed, error, message):
+        m = mark_all_holes(THETA, ["a", "b", "c"])
+        # None drops an edge's length
+        base = {(1, 4): 1, (2, 6): 1, (3, 5): 1}
+        lengths = {e: v for e, v in (base | changed).items() if v is not None}
+        with pytest.raises(error) as caught:
+            MarkedMetricGraph(THETA, m, lengths)
+        assert type(caught.value) is error and str(caught.value) == message
 
     @settings(max_examples=40)
     @given(st.data())

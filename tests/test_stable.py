@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import fresh_copy
 from ribboncalc import enumeration
 from ribboncalc import permutations as perms
 from ribboncalc.errors import (
@@ -161,8 +162,12 @@ class TestExceptionalCorrespondence:
         sub, exc_holes = subgraph(g, z)
         quo, exc_verts = quotient(g, z)
         assert len(sub.sides) + len(quo.sides) == len(g.sides)
-        pairs = collapse(g, z).pairs
-        assert len(pairs) == len(exc_holes) == len(exc_verts)
+        cut = collapse(g, z)
+        assert len(cut.pairs) == len(exc_holes) == len(exc_verts)
+        # the sigma_inf and edges a derived graph was handed are its own
+        for derived in [sub, quo, cut.sub, cut.quo] + [p for _, p in quotient_parts(cut)]:
+            fresh = fresh_copy(derived)
+            assert (derived.sigma_inf, derived.edges()) == (fresh.sigma_inf, fresh.edges())
 
     @pytest.mark.parametrize("g", [THETA, TORUS_CELL, DUMBBELL, HANDLE])
     def test_every_edge_leaves_no_sides_and_no_pairs(self, g):
