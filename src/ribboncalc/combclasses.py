@@ -10,8 +10,8 @@ integer counting the fibers of the map that forgets unkept labels.
 ``merge_relation`` emits that relation with the loci kept as opaque ring
 symbols.  ``kappa_polynomial`` solves the triangular system the relations
 form, by induction on the number of non-trivalent vertices, and returns the
-kappa-expression of any valency locus.  Everything is exact; coefficients
-stay in ``Fraction`` land throughout.
+kappa-expression of any valency locus.  Everything is exact: the sums run
+over integers and each result coefficient becomes one ``Fraction``.
 
 Partitions whose blocks carry the same orders give the same term, so both
 sum over them by value: ``_solve`` through ``permutations._partition_sums``,
@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from math import factorial, lcm
 from typing import NamedTuple, Optional
 
 from .enumeration import Profile
@@ -241,7 +242,8 @@ def merge_relation(g, P, rho, kept=()) -> Relation:
     weighted by the merge coefficient alone; that walk is refused with
     ``TooLarge`` past ``MAX_KEPT_LABELS`` labels.  Otherwise the sum runs
     over partitions separating the kept labels and each term also picks up
-    its forgetful fiber count.
+    its forgetful fiber count.  The coefficient of each locus accumulates as
+    an integer, and the right side collects its loci in one ``Counter``.
     """
     rho = _orders(rho)
     holes = [str(p) for p in P]
@@ -319,17 +321,15 @@ def merge_relation(g, P, rho, kept=()) -> Relation:
                     mult *= factorial(c - held[i])
             vals = [2 * i + 3 for i, c in sorted(merged.items()) if i >= 1 for _ in range(c)]
             loci[tuple(vals + [3] * held[0]), tau] += mult * w * weight
-    rhs = TautPoly()
+    terms = Counter()
     for (vals, tau), c in loci.items():
-        rhs = rhs + c * valency_class(vals, dict(tau))
-    return Relation(lhs, rhs)
+        terms.update((c * valency_class(vals, dict(tau))).terms())
+    return Relation(lhs, TautPoly(terms))
 
 
 # --- the solver -------------------------------------------------------------------
 
-_SOLVED: dict = {}
-
-
+@cache
 def _solve(tail) -> TautPoly:
     """Kappa polynomial for the profile with m_i = tail[i-1] big vertices.
 
@@ -339,18 +339,14 @@ def _solve(tail) -> TautPoly:
     discrete partition leaves the profile itself.  Partitions with equal
     block sums name the same merged profile, so the others are summed by
     their block sums (``permutations._partition_sums``) and each merged
-    profile is solved once, recursively.
+    profile is solved once, recursively, and kept for the process.
+
+    The sum runs in integers: every coefficient is scaled to the lcm of the
+    merged profiles' denominators, and one ``Fraction`` per result term
+    divides by that lcm times the prod m_i! of interchangeable vertices.
     """
-    hit = _SOLVED.get(tail)
-    if hit is not None:
-        return hit
-
     values = [i for i, mi in enumerate(tail, start=1) for _ in range(mi)]
-    scale = 1
-    for v in values:
-        scale *= 2 ** (v + 1) * double_factorial(2 * v + 1)
-    acc = {mono: scale * c for mono, c in kappa_cycle_sum(values).terms().items()}
-
+    parts = []
     for sums, weight in _partition_sums(values, merge_coefficient).items():
         if len(sums) == len(values):
             continue  # the discrete partition: the unknown itself
@@ -359,14 +355,21 @@ def _solve(tail) -> TautPoly:
         mult = 1
         for cnt in merged.values():
             mult *= factorial(cnt)
-        for mono, c in _solve(sub_tail).terms().items():
-            acc[mono] = acc.get(mono, 0) - mult * weight * c
+        parts.append((mult * weight, _solve(sub_tail).terms()))
+    common = lcm(*(c.denominator for _, sub in parts for c in sub.values()))
 
-    denom = 1
+    scale = common
+    for v in values:
+        scale *= 2 ** (v + 1) * double_factorial(2 * v + 1)
+    acc = {mono: scale * c.numerator for mono, c in kappa_cycle_sum(values).terms().items()}
+    for w, sub in parts:
+        for mono, c in sub.items():
+            acc[mono] = acc.get(mono, 0) - w * c.numerator * (common // c.denominator)
+
+    denom = common
     for mi in tail:
         denom *= factorial(mi)
-    result = TautPoly({mono: c / denom for mono, c in acc.items()})
-    return _SOLVED.setdefault(tail, result)
+    return TautPoly({mono: Fraction(c, denom) for mono, c in acc.items()})
 
 
 def kappa_polynomial(m_star, g, n) -> TautPoly:

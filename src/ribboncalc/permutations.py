@@ -26,13 +26,20 @@ and so does ``_partition_sums``, which sums over the set partitions of a
 labelled multiset by their block sums for the kappa cycle sums, the kappa
 solver and the merging relations.  ``combclasses.merge_relation`` also
 calls ``_sub_multisets`` itself, to pick each kept label's companions.
+
+``_partition_sums`` answers from one table per process, keyed by the block
+weight and the descending multiset, like ``enumeration``'s rooted-map
+counts.  Its weights are module-level functions, so that one weight is one
+key, and it returns read-only views of the table's entries.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from itertools import product
 from math import comb
+from types import MappingProxyType
 
 from .errors import DomainMismatch
 
@@ -153,24 +160,29 @@ def _partition_sums(values, block_weight):
     Maps each ascending tuple of block sums to the sum, over the partitions
     with those block sums, of the product over blocks B of
     ``block_weight(sum of B, |B|)``.  Recurses on the block holding the
-    largest value, its other members grouped by sub-multiset, memoized
-    within the call on the multiset of values left over.
+    largest value, its other members grouped by sub-multiset.
+
+    Every (weight, multiset) state lives in one table kept for the process,
+    so the kappa cycle sums, the kappa solver and the merging relations
+    share each sub-multiset any of them reaches.  ``block_weight`` is part
+    of the key: pass a module-level function, since a fresh lambda per call
+    would miss every time and grow the table.  The result is a read-only
+    view of the table's own entry.
     """
-    memo = {(): {(): 1}}
+    key = tuple(sorted(values, reverse=True))
+    return MappingProxyType(_partition_table(block_weight, key))
 
-    def rec(key):
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        first, rest = key[0], key[1:]
-        out = {}
-        for inside, outside, ways in _sub_multisets(rest):
-            block = first + sum(inside)
-            weight = ways * block_weight(block, 1 + len(inside))
-            for sums, coeff in rec(outside).items():
-                merged = tuple(sorted(sums + (block,)))
-                out[merged] = out.get(merged, 0) + weight * coeff
-        memo[key] = out
-        return out
 
-    return rec(tuple(sorted(values, reverse=True)))
+@cache
+def _partition_table(block_weight, key):
+    if not key:
+        return {(): 1}
+    first, rest = key[0], key[1:]
+    out = {}
+    for inside, outside, ways in _sub_multisets(rest):
+        block = first + sum(inside)
+        weight = ways * block_weight(block, 1 + len(inside))
+        for sums, coeff in _partition_table(block_weight, outside).items():
+            merged = tuple(sorted(sums + (block,)))
+            out[merged] = out.get(merged, 0) + weight * coeff
+    return out

@@ -27,7 +27,11 @@ the rest,
 
 with K() = 1.  Subsets S that pick the same sub-multiset of values give the
 same term, so ``kappa_cycle_sum`` groups them and weights them by products
-of binomials (``permutations._partition_sums``).
+of binomials (``permutations._partition_sums``).  The sums are integers
+from the process-wide partition-sum table, shared with the kappa solver and
+the merge relations, and each tuple of block sums becomes its monomial
+directly.  A ``TautPoly`` keeps a ``Fraction`` coefficient as it is and
+converts any other number once.
 """
 
 from __future__ import annotations
@@ -77,7 +81,8 @@ class TautPoly:
     def __init__(self, terms=None):
         clean = {}
         for mono, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
             if coeff:
                 clean[mono] = coeff
         self._terms = clean
@@ -110,7 +115,7 @@ class TautPoly:
             return NotImplemented
         terms = dict(self._terms)
         for m, c in other._terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+            terms[m] = terms.get(m, 0) + c
         return TautPoly(terms)
 
     __radd__ = __add__
@@ -135,7 +140,7 @@ class TautPoly:
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = _normalize(m1 + m2)
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
+                terms[m] = terms.get(m, 0) + c1 * c2
         return TautPoly(terms)
 
     __rmul__ = __mul__
@@ -384,8 +389,18 @@ def kappa_cycle_sum(values) -> TautPoly:
     over its cycles c of kappa(sum of b_j for j in c).  The cycles of sigma
     partition the values, and (|B|-1)! permutations cycle a block B, so the
     sum runs over set partitions by the recursion in the module docstring.
+    Each ascending tuple of block sums is already the monomial's sorted
+    kappa indices, so its runs give the exponents directly.
     """
-    counts = _partition_sums(values, lambda total, size: factorial(size - 1))
+    counts = _partition_sums(values, _cycle_orders)
     return TautPoly(
-        {_normalize(((_KAPPA, i), 1) for i in sums): c for sums, c in counts.items()}
+        {
+            tuple(((_KAPPA, i), sums.count(i)) for i in dict.fromkeys(sums)): c
+            for sums, c in counts.items()
+        }
     )
+
+
+def _cycle_orders(total, size) -> int:
+    """Cyclic orders of a block of ``size`` values: the weight of ``kappa_cycle_sum``."""
+    return factorial(size - 1)

@@ -1,18 +1,37 @@
+import importlib
+import pkgutil
+
 import pytest
 
-from ribboncalc import clusters, enumeration
+import ribboncalc
 from ribboncalc.ribbon import RibbonGraph
+
+
+def _process_caches():
+    """Every ``functools.cache`` function defined in a module of the package."""
+    found = []
+    for info in pkgutil.iter_modules(ribboncalc.__path__):
+        module = importlib.import_module(f"{ribboncalc.__name__}.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__:
+                found.append(obj)
+    return found
+
+
+PROCESS_CACHES = _process_caches()
 
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Start every test without the per-process class and core caches.
+    """Start every test without the package's per-process caches.
 
-    The unlabelled classes and the cluster cores are built once per process
-    and kept; a test that counts the work of building them needs them cold.
+    The unlabelled classes, the cluster cores, the rooted-map counts, the
+    partition-sum table and the solved kappa polynomials are built once per
+    process and kept; a test that counts the work of building them needs
+    them cold.
     """
-    enumeration._unlabeled_sorted.cache_clear()
-    clusters._cores.cache_clear()
+    for cached in PROCESS_CACHES:
+        cached.cache_clear()
 
 
 def fresh_copy(graph):

@@ -368,12 +368,6 @@ class TestRelation:
             "bde8ce8e306d7ae3c7664dc9696ca259421fb8cbeebf848c7198faea60a276ba"
         )
 
-    def test_eleven_kept_labels_are_too_large(self, capsys):
-        keep = ",".join(f"q{i}" for i in range(1, 12))
-        code, out, err = run(capsys, "relation", "--rho", ",".join(["1"] * 11), "--keep", keep)
-        assert (code, out) == (2, "")
-        assert json.loads(err)["error"] == "TooLarge"
-
     def test_negative_order_is_a_domain_error(self, capsys):
         code, out, err = run(capsys, "relation", "--rho", "-1")
         assert (code, out) == (2, "")
@@ -659,12 +653,6 @@ class TestStable:
                 graph = parsed[point["component"]][0]
                 assert tuple(point["orbit"]) in graph.vertices()
 
-    def test_bad_zseq_is_a_usage_error(self, capsys, tmp_path):
-        path = _write(tmp_path, "three.json", THREE_HOLES_FILE)
-        code, out, err = run(capsys, "stable", "--graph", path, "--zseq", "[[1, 4]")
-        assert (code, out) == (64, "")
-        assert err.startswith("usage error: ")
-
     @pytest.mark.parametrize(
         "zseq", ['[[[1, "a"]]]', "[[[1.5, 4]]]", "[[[true, 4]]]"], ids=["str", "float", "bool"]
     )
@@ -763,9 +751,24 @@ def test_manifest_digest_is_the_sha256_of_stdout(capsys, tmp_path, command, json
          "InconsistentProfile"),
         (["enumerate", "--genus", "-1", "--labels", "a,b,c,d,e", "--profile", "2"], 2,
          "InconsistentProfile"),
+        (["relation", "--rho", "1,x"], 64, None),
+        (
+            ["relation", "--rho", ",".join(["1"] * 11),
+             "--keep", ",".join(f"q{i}" for i in range(1, 12))],
+            2,
+            "TooLarge",
+        ),
+        (["fiber", "--kind", "cyl", "--v1", "3"], 64, None),
+        (["fiber", "--kind", "disk", "--r", "-1"], 2, "DomainMismatch"),
+        (["shrink", "--hole", "q"], 64, None),
+        (["shrink", "--graph", CYLINDER_FILE, "--hole", "zz"], 2, "DomainMismatch"),
+        (["stable", "--graph", THREE_HOLES_FILE, "--zseq", "[[1, 4]"], 64, None),
+        # the first stage must be every edge
+        (["stable", "--graph", THREE_HOLES_FILE, "--zseq", "[[[1,4]]]"], 2, "NotPermissible"),
     ],
 )
-def test_exit_codes(capsys, argv, code, error):
+def test_exit_codes(capsys, tmp_path, argv, code, error):
+    argv = [_write(tmp_path, "graph.json", arg) if isinstance(arg, dict) else arg for arg in argv]
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")
     if error is None:

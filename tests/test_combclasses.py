@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -616,7 +618,7 @@ class TestSolver:
         for w in range(9):
             for tail in tails_with_weight(w) if w else [()]:
                 want = solve_by_set_partitions(tail, memo)
-                combclasses._SOLVED.clear()
+                combclasses._solve.cache_clear()
                 assert combclasses._solve(tail) == want, tail
 
     def test_product_rule_up_to_ten_vertices(self):
@@ -626,6 +628,29 @@ class TestSolver:
             ((lead, _),) = (kappa(1) ** k).terms().items()
             assert poly.terms()[lead] == Fraction(12**k, factorial(k))
             assert poly.weights() == {k}
+
+
+class TestKappaDigest:
+    def test_outputs_beyond_the_set_partition_walk(self):
+        """A differential guard past the oracle's weight 8: three kappa
+        polynomials, a nine-value cycle sum and two partly kept relations,
+        hashed as text and JSON.  The digest was recorded before the solver
+        accumulated integers over a shared partition-sum table.
+        """
+        digest = hashlib.sha256()
+        for m in ([0, 12], [0, 4, 3, 2], [0, 3, 2]):
+            prof = Profile(m)
+            g, n = ambient_surface(prof)
+            digest.update(kappa_polynomial(prof, g, n).text().encode())
+        digest.update(kappa_cycle_sum(range(1, 10)).text().encode())
+        for orders, kept in (([1, 2, 1, 1, 1], ["q1"]), ([1] * 5, ["q1", "q2"])):
+            rho = {f"q{i + 1}": r for i, r in enumerate(orders)}
+            rel = merge_relation(ambient_genus(rho), ["p"], rho, kept=kept)
+            blob = {"lhs": rel.lhs.to_json(), "rhs": rel.rhs.to_json()}
+            digest.update(json.dumps(blob, sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "de400d2c07d38af3b4c16af6f6f259d92b81a754056a2a5aebefe1f7b320ff0e"
+        )
 
 
 class TestTwoVertexCheck:

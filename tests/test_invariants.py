@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import PROCESS_CACHES
 import ribboncalc
 from ribboncalc import combclasses, errors, stable
 from ribboncalc.errors import BrokenInvariant, RibbonError
@@ -234,6 +235,82 @@ def test_no_unused_local(name):
 )
 def test_the_unused_local_check_sees_them(source, flagged):
     assert bool(unused_locals(ast.parse(source))) == flagged
+
+
+EMPTY_CONTAINERS = {"dict", "list", "set", "Counter", "defaultdict", "OrderedDict"}
+
+
+def module_memos(tree):
+    """Lines binding a module-level name to an empty mutable container.
+
+    Such a name is a memo that the test fixture cannot clear; a process
+    cache is a ``functools.cache`` function, which the fixture finds.
+    """
+    lines = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            value = node.value
+            empty = (
+                isinstance(value, ast.Dict) and not value.keys
+                or isinstance(value, ast.List) and not value.elts
+                or isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id in EMPTY_CONTAINERS
+                and (value.func.id == "defaultdict" or not (value.args or value.keywords))
+            )
+            if empty:
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("name", GUARDED)
+def test_no_module_level_memo(name):
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"), filename=name)
+    lines = module_memos(tree)
+    assert lines == [], f"{name} binds module-level mutable memos on lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "source,flagged",
+    [
+        ("_MEMO = {}", True),
+        ("_MEMO: dict = {}", True),
+        ("_SEEN = []", True),
+        ("_SEEN = set()", True),
+        ("_HITS = Counter()", True),
+        ("_BY = defaultdict(list)", True),
+        ("OPTS = dict(a=1)", False),
+        ("NAMES = ['a', 'b']", False),
+        ("TABLE = {1: 2}", False),
+        ("LIMIT = 10", False),
+        ("def f():\n    memo = {}\n    return memo", False),
+    ],
+)
+def test_the_module_memo_check_sees_them(source, flagged):
+    assert bool(module_memos(ast.parse(source))) == flagged
+
+
+def cached_functions(tree, module):
+    """Qualified names of the functions a ``functools.cache`` decorator wraps."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("cache", "lru_cache"):
+                    out.add(f"{module}.{node.name}")
+    return out
+
+
+def test_the_fixture_clears_every_process_cache():
+    # a cache on a method or a nested function would escape the fixture
+    decorated = set()
+    for name in GUARDED:
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"), filename=name)
+        decorated |= cached_functions(tree, f"ribboncalc.{name.removesuffix('.py')}")
+    cleared = {f"{f.__module__}.{f.__qualname__}" for f in PROCESS_CACHES}
+    assert decorated == cleared
 
 
 def _references(node):
