@@ -32,6 +32,9 @@ from .ribbon import (
 from .tautring import TautPoly, kappa, map_generators
 
 _SEED = 20260815
+# the random structural sweeps: rounds per sweep, and edges per random graph
+_SWEEP_ROUNDS = 50
+_SWEEP_MAX_EDGES = 4
 
 
 class CheckResult(NamedTuple):
@@ -233,9 +236,9 @@ def check_euler_characteristics():
 # --- 7. structural sweeps ---------------------------------------------------------
 
 
-def _random_graph(rng, max_edges=4):
+def _random_graph(rng):
     while True:
-        n = 2 * rng.randint(1, max_edges)
+        n = 2 * rng.randint(1, _SWEEP_MAX_EDGES)
         line = list(range(1, n + 1))
         rng.shuffle(line)
         s0 = {i + 1: line[i] for i in range(n)}
@@ -250,16 +253,16 @@ def _random_graph(rng, max_edges=4):
             return g
 
 
-def _dual_involution_sweep(rounds=50):
+def _dual_involution_sweep():
     rng = random.Random(_SEED)
-    for _ in range(rounds):
+    for _ in range(_SWEEP_ROUNDS):
         g = _random_graph(rng)
         d = dual(g)
         if d.n_vertices() != g.n_holes() or d.n_holes() != g.n_vertices():
             raise _Failed("dual did not swap vertex and hole counts")
         if canonical_form(dual(d)) != canonical_form(g):
             raise _Failed("dual applied twice changed the graph")
-    return f"dual involution x{rounds}"
+    return f"dual involution x{_SWEEP_ROUNDS}"
 
 
 def _euler_bookkeeping_sweep():
@@ -338,33 +341,33 @@ def _nondegeneracy_sweep(metrics=100):
     return f"pairing nondegenerate on {cells} top cells x {metrics} metrics"
 
 
-def _exceptional_bijection_sweep(rounds=50):
+def _exceptional_bijection_sweep():
     rng = random.Random(_SEED + 1)
-    for _ in range(rounds):
+    for _ in range(_SWEEP_ROUNDS):
         g = _random_graph(rng)
         edges = g.edges()
         while len(edges) < 2:
             g = _random_graph(rng)
             edges = g.edges()
         z = rng.sample(edges, rng.randint(1, len(edges) - 1))
-        sub, exc_holes = stable.subgraph(g, z)
-        quo, exc_verts = stable.quotient(g, z)
+        sub, quo, pairs = stable.collapse(g, z)
         if len(sub.sides) + len(quo.sides) != len(g.sides):
             raise _Failed("subgraph and quotient sides do not partition the graph")
-        pairs = stable.collapse(g, z).pairs
+        exc_holes = sub.hole_orbits() - g.hole_orbits()
+        exc_verts = quo.vertex_orbits() - g.vertex_orbits()
         if len(pairs) != len(exc_holes) or len(pairs) != len(exc_verts):
             raise _Failed("correspondence size mismatch")
-        if {p[0] for p in pairs} != set(exc_holes):
+        if {p[0] for p in pairs} != exc_holes:
             raise _Failed("correspondence misses a scar hole")
-        if {p[1] for p in pairs} != set(exc_verts):
+        if {p[1] for p in pairs} != exc_verts:
             raise _Failed("correspondence misses a collapsed vertex")
-    return f"exceptional bijection x{rounds}"
+    return f"exceptional bijection x{_SWEEP_ROUNDS}"
 
 
-def _quotient_contraction_sweep(rounds=50):
+def _quotient_contraction_sweep():
     rng = random.Random(_SEED + 2)
     done = 0
-    while done < rounds:
+    while done < _SWEEP_ROUNDS:
         g = _random_graph(rng)
         non_loops = [
             e for e in g.edges() if g.vertex_of(e[0]) != g.vertex_of(e[1])
@@ -372,11 +375,11 @@ def _quotient_contraction_sweep(rounds=50):
         if not non_loops or g.n_edges() < 2:
             continue
         e = rng.choice(non_loops)
-        quo, _ = stable.quotient(g, [e])
+        quo = stable.collapse(g, [e]).quo
         if canonical_form(quo) != canonical_form(contract_edge(g, e)):
             raise _Failed("quotient by one edge differs from its contraction")
         done += 1
-    return f"quotient=contraction x{rounds}"
+    return f"quotient=contraction x{_SWEEP_ROUNDS}"
 
 
 def _zone_metric(graph, marking, q):

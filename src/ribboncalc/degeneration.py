@@ -174,16 +174,9 @@ def _zone_boundary(cut, orbit):
     return genus(cut.sub), boundary
 
 
-def _cycle_of_hole(graph: RibbonGraph, orbit):
-    for h in graph.holes():
-        if frozenset(h) == orbit:
-            return h
-    raise DomainMismatch(f"{sorted(orbit)} is not a hole")
-
-
 def _cylinder_split(graph: RibbonGraph, orbit, doubled_edge):
     """Arc sizes, each minus one, on the two sides of the doubled edge."""
-    walk = _cycle_of_hole(graph, orbit)
+    walk = perms.orbit_of(graph.sigma_inf, min(orbit))
     a, b = doubled_edge
     i, j = walk.index(a), walk.index(b)
     n = len(walk)

@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from . import exact_linalg
+from . import permutations as perms
 from .degeneration import cylinder_configurations
 from .enumeration import DEFAULT_MAX_SIDES
 from .errors import (
@@ -83,9 +84,9 @@ def _walk_matrix(cycle, n):
 def omega_on_cell(g: MarkedMetricGraph, p) -> CellForm:
     """The p-th hole's form W/L_p^2 on the cell of g, in sorted-edge coordinates.
 
-    The walk of the hole is linearized starting from its canonical tuple;
-    different starting sides change the matrix only by a d(perimeter) term,
-    which dies on every fixed-perimeter slice.
+    The walk of the hole is linearized starting from its least side, as
+    ``holes()`` lists it; different starting sides change the matrix only by
+    a d(perimeter) term, which dies on every fixed-perimeter slice.
     """
     if not isinstance(g, MarkedMetricGraph):
         raise DomainMismatch("omega_on_cell needs a marked metric graph")
@@ -98,7 +99,7 @@ def omega_on_cell(g: MarkedMetricGraph, p) -> CellForm:
     perimeter = g.circumference(p)
     edges = sorted(g.graph.edges())
     index = {e: i for i, e in enumerate(edges)}
-    walk = next(h for h in g.graph.holes() if frozenset(h) == orbit)
+    walk = perms.orbit_of(g.graph.sigma_inf, min(orbit))
     scale = 1 / perimeter**2
     w = _walk_matrix([index[g.graph.edge_of(x)] for x in walk], len(edges))
     return CellForm([[x * scale for x in row] for row in w], edges)

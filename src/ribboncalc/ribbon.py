@@ -13,10 +13,10 @@ each graph object works out sigma_inf, its vertex, edge and hole cycles,
 the sets of its vertex and hole orbits, the vertex orbit of each side, its
 components and its least traversal code on first use and keeps them;
 ``vertices()``, ``edges()``, ``holes()`` and ``components()`` still return a
-fresh list per call.  A graph derived from another (``stable``'s G_Z and
-G/G_Z) may be handed its sigma_inf or its edges when they are already
-known; only this module writes the caches of the orbits, the edges and the
-components.
+fresh list per call.  A graph derived from another may be handed its
+sigma_inf when it is already known (``stable``'s G/G_Z, built from it);
+no other cache is handed in, and only this module writes the caches of the
+orbits, the edges and the components.
 
 Worked example (two trivalent vertices, three parallel edges)::
 
@@ -75,9 +75,9 @@ class RibbonGraph:
     vertex, edge and hole cycles, the orbit sets ``vertex_orbits()`` and
     ``hole_orbits()``, the side-to-vertex-orbit map ``vertex_orbit_map()``
     and the ``components()``.  A caller that built the permutations and
-    already knows sigma_inf or the edges (as a list of (a, b), a < b, sorted)
-    passes them to the constructor, which keeps them; they must be what the
-    graph would work out itself.  ``_least`` is the least unmarked code with
+    already knows sigma_inf passes it to the constructor, which keeps it; it
+    must be what the graph would work out itself.  sigma_inf is the only
+    cache a caller may hand in.  ``_least`` is the least unmarked code with
     the relabelings of the roots attaining it (``_least_roots``).  The others
     hold what the forms layer works out from the graph alone, never from a
     metric or a labelling: ``_zones`` maps a hole orbit to its zone entry
@@ -103,13 +103,13 @@ class RibbonGraph:
         "_pfaffian",
     )
 
-    def __init__(self, sigma0, sigma1, sides, sigma_inf=None, edges=None):
+    def __init__(self, sigma0, sigma1, sides, sigma_inf=None):
         self.sides = tuple(sorted(sides))
         self.sigma0 = sigma0
         self.sigma1 = sigma1
         self._sigma_inf = sigma_inf
         self._vertices = None
-        self._edges = edges
+        self._edges = None
         self._holes = None
         self._vertex_orbits = None
         self._hole_orbits = None

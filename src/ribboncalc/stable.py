@@ -1,4 +1,4 @@
-"""Subgraph and quotient surgery; stable ribbon graphs from collapse sequences.
+"""Collapse surgery; stable ribbon graphs from collapse sequences.
 
 An edge subset Z of a ribbon graph spawns two smaller graphs: the subgraph
 G_Z keeps only the orientations of Z and lets rotations become first-return
@@ -6,13 +6,12 @@ maps, while the quotient G/G_Z keeps the complementary sides and lets the
 boundary walks become first-return maps.  Holes of G_Z that the ambient
 graph never had ("exceptional") match up, one for one, with vertices of
 G/G_Z that the ambient graph never had, and the matching is computed by an
-explicit walk, not by counting.  ``collapse`` computes G_Z, G/G_Z and that
-matching once, from Z checked once, handing each graph what its
-construction already knows (G_Z its edges, G/G_Z its sigma_inf); every
-collapse in the package goes through it, and ``carry_labels`` is the one
-routine that moves labels onto the components of G/G_Z
-(``quotient_parts``).  A stable core that is all of G_Z spawns from G_Z
-itself.
+explicit walk, not by counting.  ``collapse`` is the one way to cut a
+graph: it computes G_Z, G/G_Z and that matching once, from Z checked once,
+handing G/G_Z the sigma_inf it is built from.  Every collapse in the
+package goes through it, and ``carry_labels`` is the one routine that
+moves labels onto the components of G/G_Z (``quotient_parts``).  A stable
+core that is all of G_Z spawns from G_Z itself.
 
 Iterating the construction along a permissible sequence of subsets yields a
 stable ribbon graph: components at increasing orders plus an involution
@@ -74,56 +73,32 @@ def _zone_sides(edges):
     return {x for e in edges for x in e}
 
 
-# --- subgraph / quotient ----------------------------------------------------------
-
-
-def subgraph(g: RibbonGraph, Z):
-    """The subgraph G_Z on the orientations of Z, with its exceptional holes.
-
-    Rotations restrict by first return, so surviving sides keep their cyclic
-    order around each vertex.  Returns (graph, holes), where ``holes`` lists
-    the boundary walks of G_Z that are not boundary walks of ``g`` - the
-    truncation scars, sorted by smallest side.
-    """
-    zz = _normalize_edges(g, Z)
-    if not zz:
-        raise EmptySubset("subgraph of no edges")
-    sub = _subgraph(g, zz)
-    return sub, _new_orbits(sub.hole_orbits(), g.hole_orbits())
+# --- collapse -------------------------------------------------------------------
 
 
 def _subgraph(g: RibbonGraph, zz):
-    """G_Z for a nonempty set ``zz`` of edges of ``g``, each as (a, b), a < b."""
+    """G_Z for a nonempty set ``zz`` of edges of ``g``, each as (a, b), a < b.
+
+    Rotations restrict by first return, so surviving sides keep their cyclic
+    order around each vertex.
+    """
     sides = _zone_sides(zz)
     s0 = perms.restrict_first_return(g.sigma0, sides)
     s1 = {x: g.sigma1[x] for x in sides}
-    return RibbonGraph(s0, s1, sides, edges=sorted(zz))
+    return RibbonGraph(s0, s1, sides)
 
 
 def _new_orbits(orbits, ambient):
     return sorted(orbits - ambient, key=min)
 
 
-def quotient(g: RibbonGraph, Z):
-    """The quotient G/G_Z on the remaining sides, with its exceptional vertices.
-
-    Boundary walks restrict by first return and the rotations are recovered
-    from sigma0 = sigma1 o sigma_inf^{-1}.  Returns (graph, vertices), where
-    ``vertices`` lists the rotations of G/G_Z that are not rotations of
-    ``g`` - one for each boundary circle of the collapsed zone, sorted by
-    smallest side.  An empty Z returns ``g`` itself; a Z of every edge
-    leaves the graph with no sides and no exceptional vertices.
-    """
-    zz = _normalize_edges(g, Z)
-    if not zz:
-        return g, []
-    quo = _quotient(g, zz)
-    return quo, _new_orbits(quo.vertex_orbits(), g.vertex_orbits())
-
-
 def _quotient(g: RibbonGraph, zz):
-    """G/G_Z for a nonempty set ``zz`` of edges of ``g``; it keeps the
-    first-return sigma_inf it is built from."""
+    """G/G_Z for a nonempty set ``zz`` of edges of ``g``.
+
+    Boundary walks restrict by first return, and the graph keeps that
+    sigma_inf; the rotations are recovered from sigma0 = sigma1 o
+    sigma_inf^{-1}.
+    """
     remaining = set(g.sides) - _zone_sides(zz)
     s1 = {x: g.sigma1[x] for x in remaining}
     s_inf = perms.restrict_first_return(g.sigma_inf, remaining)
@@ -135,7 +110,7 @@ def _quotient(g: RibbonGraph, zz):
 class Collapse(NamedTuple):
     """Collapsing an edge subset Z: G_Z, G/G_Z and the scar pairing.
 
-    ``sub`` and ``quo`` are the graphs ``subgraph`` and ``quotient`` build;
+    ``sub`` is G_Z on the sides of Z and ``quo`` is G/G_Z on the others;
     ``pairs`` matches each exceptional hole of ``sub`` with the exceptional
     vertex of ``quo`` it collapses onto, as [(hole, vertex), ...] sorted by
     hole.
@@ -149,9 +124,11 @@ class Collapse(NamedTuple):
 def collapse(g: RibbonGraph, Z) -> Collapse:
     """Collapse a nonempty subset Z: G_Z and G/G_Z once, scars paired.
 
-    Z is checked and normalized once.  G_Z is built knowing its edges (Z
-    itself) and G/G_Z knowing its sigma_inf (the first return of the
-    ambient one), so neither works them out again.  From a side of a
+    Z is checked and normalized once, and an empty Z is refused.  G/G_Z is
+    built knowing its sigma_inf (the first return of the ambient one), so
+    it does not work it out again.  The exceptional holes are
+    ``sub.hole_orbits() - g.hole_orbits()`` and the exceptional vertices
+    ``quo.vertex_orbits() - g.vertex_orbits()``.  From a side of a
     truncated hole, walking the ambient rotation until the edge involution
     re-enters the hole sweeps out exactly the sides of the matching
     collapsed vertex; walking boundary links from a collapsed vertex sweeps
@@ -285,16 +262,6 @@ def _subset_valencies(g: RibbonGraph, edges):
     return val
 
 
-def _connected_in_graph(g: RibbonGraph, edges):
-    vertex = g.vertex_orbit_map()
-    links = [(vertex[a], vertex[b]) for a, b in edges]
-    return len(perms.blocks({v for link in links for v in link}, links)) <= 1
-
-
-def _marked_vertex_orbits(targets):
-    return {orb for kind, orb in targets.values() if kind == VERTEX}
-
-
 def _prune_unmarked_tails(g: RibbonGraph, edges, marked_orbits):
     """Drop leaf edges at unmarked univalent vertices until none remain."""
     vertex = g.vertex_orbit_map()
@@ -328,15 +295,20 @@ def classify_subset(g: RibbonGraph, marking, Z) -> SubsetClass:
 
     A tree carrying at most one marked vertex contracts to an ordinary
     point; a homotopy circle with no marked vertex pinches; anything else
-    keeps a nonempty stable core, obtained by pruning unmarked tails.
+    keeps a nonempty stable core, obtained by pruning unmarked tails.  Z is
+    cut by ``collapse``, which checks it, and is connected when G_Z is.
+
+    ``_quotient_piece`` sorts each component of G_Z by the same rule.  The
+    rule reads the marked vertices only, never a hole's label, and each
+    kind leaves the piece's holes inside Z labelled, so one hole-to-label
+    map serves all three kinds there.
     """
-    zz = _normalize_edges(g, Z)
-    if not zz:
-        raise EmptySubset("cannot classify an empty subset")
-    if not _connected_in_graph(g, zz):
+    sub = collapse(g, Z).sub
+    if len(sub.components()) != 1:
         raise DisconnectedSubset("subset is not connected in the graph")
     targets = marking.targets if marking is not None else {}
-    return _classify_edges(g, zz, _marked_vertex_orbits(targets))
+    marked = {orb for kind, orb in targets.values() if kind == VERTEX}
+    return _classify_edges(g, set(sub.edges()), marked)
 
 
 # --- stable ribbon graphs ---------------------------------------------------------
@@ -418,58 +390,73 @@ def _spawn_core(cut: Collapse, core_edges, marked_orbits):
 
 
 def _quotient_piece(piece: _Piece, zr, tokens):
-    """Collapse ``zr`` inside one piece; return (finished quo pieces, spawned)."""
+    """Collapse ``zr`` inside one piece; return (finished quo pieces, spawned).
+
+    The labels are read once.  A vertex label on the zone moves with its
+    component of G_Z: a tree's one goes to the tree's new vertex and a
+    core's go into the spawn, while a circle has none.  So ``left``, the
+    labels carried onto G/G_Z, starts without them.  A hole of G_Z is a
+    scar or a hole of the piece inside the zone, and every hole of the
+    piece carries a label, real or a pairing point.  So one hole-to-label
+    map serves every branch: a circle hands its inner hole's label to its
+    new vertex, and a core hands its inner holes' labels to the spawn.  A
+    hole label inside the zone may stay in ``left``, since ``carry_labels``
+    drops a label that reaches no component of G/G_Z.
+    """
     graph = piece.graph
     cut = collapse(graph, zr)
     vert_of = dict(cut.pairs)
-    scar_of = {x: hole for hole in vert_of for x in hole}
-    marked_orbits = _marked_vertex_orbits(piece.marks)
-    zr_sides = _zone_sides(zr)
-
-    hole_label = {
-        orb: label for label, (kind, orb) in piece.marks.items() if kind == HOLE
-    }
+    hole_label, on_zone, left = {}, {}, {}
+    for label, (kind, orb) in piece.marks.items():
+        if kind == HOLE:
+            hole_label[orb] = label
+        elif not orb.isdisjoint(cut.sub.sigma1):  # keyed by the sides of G_Z
+            on_zone[label] = orb
+            continue
+        left[label] = (kind, orb)
+    marked_orbits = set(on_zone.values())
     sub_edges = cut.sub.edges()
-    sub_holes = [frozenset(h) for h in cut.sub.holes()]
-
-    consumed = set()
-    vertex_label = {}  # exceptional vertex -> its label, or None (ordinary after all)
+    explained = set()
     spawned = []
 
     for comp_sides in cut.sub.components():
         comp_edges = {e for e in sub_edges if e[0] in comp_sides}
-        comp_holes = [h for h in sub_holes if h <= comp_sides]
-        comp_marked = [
-            label
-            for label, (kind, orb) in piece.marks.items()
-            if kind == VERTEX and orb & comp_sides
-        ]
+        scars, inner = [], {}
+        for h in cut.sub.hole_orbits():
+            if not h <= comp_sides:
+                continue
+            if h in vert_of:
+                scars.append(h)
+            elif h in hole_label:
+                inner[h] = hole_label[h]
+            else:
+                raise BrokenInvariant("a hole of the piece carries no label")
+        comp_marked = {l: orb for l, orb in on_zone.items() if orb & comp_sides}
         cls = _classify_edges(graph, comp_edges, marked_orbits)
 
         if cls.kind == CONTRACTIBLE:
             # a tree: its collapse vertex is ordinary, inheriting the one label
-            (hole,) = comp_holes
-            if hole not in vert_of:
+            if inner or len(scars) != 1:
                 raise BrokenInvariant("a proper tree piece must scar its hole")
-            vertex_label[vert_of[hole]] = comp_marked[0] if comp_marked else None
-            consumed.update(comp_marked)
+            vert = vert_of[scars[0]]
+            explained.add(vert)
+            for label in comp_marked:
+                left[label] = (VERTEX, vert)
         elif cls.kind == SEMISTABLE:
             # a circle: pinch; the two boundary walks decide what the ends become
-            if len(comp_holes) != 2:
+            if len(scars) + len(inner) != 2:
                 raise BrokenInvariant("a circle piece must have two holes")
-            new_verts = [vert_of[h] for h in comp_holes if h in vert_of]
-            if len(new_verts) == 2:
+            if len(scars) == 2:
                 # unstable sphere: discard it, pair its two scars directly
                 tok = next(tokens)
-                vertex_label[new_verts[0]] = (tok, 0)
-                vertex_label[new_verts[1]] = (tok, 1)
-            elif len(new_verts) == 1:
+                for end, h in enumerate(scars):
+                    left[(tok, end)] = (VERTEX, vert_of[h])
+                    explained.add(vert_of[h])
+            elif len(scars) == 1:
                 # the inner hole's label, real or a pairing point, moves to the vertex
-                (inner,) = (h for h in comp_holes if h not in vert_of)
-                if inner not in hole_label:
-                    raise BrokenInvariant("a circle's inner hole carries no label")
-                vertex_label[new_verts[0]] = hole_label[inner]
-                consumed.add(hole_label[inner])
+                (label,) = inner.values()
+                left[label] = (VERTEX, vert_of[scars[0]])
+                explained.add(vert_of[scars[0]])
             else:
                 raise BrokenInvariant("a circle collapse piece must scar at least one hole")
         else:
@@ -477,39 +464,33 @@ def _quotient_piece(piece: _Piece, zr, tokens):
             spawn_graph = _spawn_core(cut, cls.zst, marked_orbits)
             spawn_sides = set(spawn_graph.sides)
             marks = {}
-            for label, (kind, orb) in piece.marks.items():
-                if kind == VERTEX and orb & spawn_sides:
-                    marks[label] = (VERTEX, orb & spawn_sides)
-                    consumed.add(label)
-                elif kind == HOLE and orb <= zr_sides and orb & comp_sides:
-                    remnant = orb & spawn_sides
-                    if not remnant:
-                        raise BrokenInvariant(
-                            "marked hole lost every side in the spawn"
-                        )
-                    marks[label] = (HOLE, remnant)
-                    consumed.add(label)
+            for label, orb in comp_marked.items():
+                remnant = orb & spawn_sides
+                if not remnant:
+                    raise BrokenInvariant("a marked vertex of a core kept no side in the spawn")
+                marks[label] = (VERTEX, remnant)
+            labelled = set()
+            for orb, label in inner.items():
+                remnant = orb & spawn_sides
+                if not remnant:
+                    raise BrokenInvariant("marked hole lost every side in the spawn")
+                marks[label] = (HOLE, remnant)
+                labelled.add(remnant)
             # a hole left without a label survives from a scar: pair the two
-            labelled = {orb for kind, orb in marks.values() if kind == HOLE}
-            for h in spawn_graph.holes():
-                hs = frozenset(h)
-                if hs in labelled:
-                    continue
+            scar_of = {x: h for h in scars for x in h}
+            for hs in spawn_graph.hole_orbits() - labelled:
                 scar = scar_of.get(min(hs))
                 if scar is None or not hs <= scar:
                     raise BrokenInvariant("spawned hole is not a remnant of a collapse hole")
                 tok = next(tokens)
                 marks[(tok, 0)] = (HOLE, hs)
-                vertex_label[vert_of[scar]] = (tok, 1)
+                left[(tok, 1)] = (VERTEX, vert_of[scar])
+                explained.add(vert_of[scar])
             spawned.append(_Piece(spawn_graph, marks, piece.order + 1))
 
-    if any(vert not in vertex_label for vert in vert_of.values()):
+    if explained != set(vert_of.values()):
         raise BrokenInvariant("an exceptional vertex was left unexplained")
 
-    left = {l: t for l, t in piece.marks.items() if l not in consumed}
-    for vert, label in vertex_label.items():
-        if label is not None:
-            left[label] = (VERTEX, vert)
     finished = [
         _Piece(comp_graph, marks, piece.order)
         for comp_graph, marks in carry_labels(quotient_parts(cut), left)

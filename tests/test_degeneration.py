@@ -350,8 +350,8 @@ class TestOneCollapse:
     def calls(self, monkeypatch):
         """Count the G_Z and G/G_Z that ``stable`` builds.
 
-        ``collapse`` checks its subset once and calls the builders behind
-        ``subgraph`` and ``quotient`` directly, so those are what is counted.
+        ``collapse`` checks its subset once and builds G_Z with ``_subgraph``
+        and G/G_Z with ``_quotient``, so those are what is counted.
         """
         seen = {"subgraph": 0, "quotient": 0}
         for name in seen:

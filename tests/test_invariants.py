@@ -128,7 +128,8 @@ def test_the_graph_write_check_sees_writes(source, flagged):
 # who may write each RibbonGraph cache slot, or an entry of one: the forms
 # layer keeps its metric-free results on the graph, and every other cache
 # (sigma_inf, orbits, edges, components, the vertex map, the least code) is
-# ribbon's, so a derived graph's known sigma_inf or edges go through ribbon
+# ribbon's, so a derived graph's known sigma_inf, the one cache a caller may
+# hand in, goes through ribbon's constructor
 CACHE_OWNERS = {"_zones": "degeneration", "_pfaffian": "plforms"}
 CACHE_SLOTS = [slot for slot in RibbonGraph.__slots__ if slot.startswith("_")]
 
@@ -180,7 +181,7 @@ def test_each_graph_cache_is_written_by_its_owner(name):
         ("self._vertex_orbit_map = {}", "ribbon", False),
         ("g._zones[o] = e", "degeneration", False),
         ("g._pfaffian = 1", "plforms", False),
-        ("RibbonGraph(s0, s1, xs, edges=e)", "stable", False),
+        ("RibbonGraph(s0, s1, xs, sigma_inf=s)", "stable", False),
         ("edges = g._edges", "stable", False),
         ("class RibbonGraph:\n  def __init__(self):\n    self._zones = None", "ribbon", False),
         ("class RibbonGraph:\n  def fill(self):\n    self._zones = {}", "ribbon", True),
@@ -391,6 +392,122 @@ def test_every_name_has_a_caller():
 )
 def test_the_caller_check_sees_unused_defs(sources, flagged):
     assert uncalled_names({m: ast.parse(src) for m, src in sources.items()}) == flagged
+
+
+def _functions(tree):
+    """(qualified name, the name calls use, node, leading bound parameters) of
+    each top-level function and method; a class is called for ``__init__``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name, node, 0
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in item.decorator_list
+                    )
+                    called = node.name if item.name == "__init__" else item.name
+                    yield f"{node.name}.{item.name}", called, item, 0 if static else 1
+
+
+def _calls(trees):
+    """Each call by the name it calls: (positional count, whether a ``*``
+    argument follows them, keyword names, whether a ``**`` argument is given)."""
+    out = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
+            out.setdefault(name, []).append(
+                (
+                    starred[0] if starred else len(node.args),
+                    bool(starred),
+                    {k.arg for k in node.keywords if k.arg is not None},
+                    any(k.arg is None for k in node.keywords),
+                )
+            )
+    return out
+
+
+def unpassed_defaults(trees):
+    """``module.name(param=)`` of each parameter with a default that no call
+    passes, by keyword or by position; calls are matched by name."""
+    calls = _calls(trees)
+    flagged = []
+    for module, tree in trees.items():
+        for qual, called, node, bound in _functions(tree):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            optional = [
+                (i - bound, a.arg)
+                for i, a in enumerate(positional)
+                if i >= len(positional) - len(args.defaults)
+            ] + [
+                (None, a.arg)
+                for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None
+            ]
+            for index, param in optional:
+                passed = any(
+                    param in keywords
+                    or double_star
+                    or index is not None
+                    and (index < count or starred)
+                    for count, starred, keywords, double_star in calls.get(called, [])
+                )
+                if not passed:
+                    flagged.append(f"{module}.{qual}({param}=)")
+    return sorted(flagged)
+
+
+# parameters with a default that no call in the package passes, each kept
+# for a stated reason
+DEFAULT_KEPT = {
+    "ribbon.canonicalize(marking=)": "pinned by perfbench until the benchmark no longer needs it",
+    "combclasses.one_vertex_relation(label=)": "the relations of the odd-valent cycle volumes use it",
+    "combclasses.delta_class(label=)": "the relations of the odd-valent cycle volumes use it",
+    "checks._nondegeneracy_sweep(metrics=)": "tests set it",
+}
+
+
+def test_every_optional_parameter_is_passed():
+    trees = {
+        pathlib.Path(name).stem: ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        for name in GUARDED
+    }
+    flagged = unpassed_defaults(trees)
+    assert [p for p in flagged if p not in DEFAULT_KEPT] == [], "defaults no call passes"
+    stale = sorted(set(DEFAULT_KEPT) - set(flagged))
+    assert stale == [], f"kept defaults that now have a caller or are gone: {stale}"
+
+
+@pytest.mark.parametrize(
+    "sources,flagged",
+    [
+        ({"m": "def f(x=1):\n    return x\nf()"}, ["m.f(x=)"]),
+        ({"m": "def f(a, x=1):\n    return x\nf(0)"}, ["m.f(x=)"]),
+        ({"m": "def f(x=1):\n    return x\nf(2)"}, []),
+        ({"m": "def f(x=1):\n    return x\nf(x=2)"}, []),
+        ({"m": "def f(x=1):\n    return x\nf(*xs)"}, []),
+        ({"m": "def f(x=1):\n    return x\nf(**kw)"}, []),
+        ({"m": "def f(*, x=1):\n    return x\nf(2)"}, ["m.f(x=)"]),
+        ({"m": "def f(x=1):\n    return x", "n": "from m import f\nf(x=2)"}, []),
+        ({"m": "class C:\n    def __init__(self, x=1):\n        pass\nC(2)"}, []),
+        ({"m": "class C:\n    def __init__(self, x=1):\n        pass\nC()"}, ["m.C.__init__(x=)"]),
+        ({"m": "class C:\n    def go(self, x=1):\n        pass\nC().go()"}, ["m.C.go(x=)"]),
+        ({"m": "class C:\n    def go(self, x=1):\n        pass\nC().go(2)"}, []),
+        (
+            {"m": "class C:\n    @staticmethod\n    def go(a, x=1):\n        pass\nC.go(1)"},
+            ["m.C.go(x=)"],
+        ),
+    ],
+)
+def test_the_default_check_sees_unpassed_parameters(sources, flagged):
+    assert unpassed_defaults({m: ast.parse(src) for m, src in sources.items()}) == flagged
 
 
 @pytest.mark.parametrize("name", GUARDED)

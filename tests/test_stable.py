@@ -39,10 +39,8 @@ from ribboncalc.stable import (
     classify_subset,
     collapse,
     order_is_admissible,
-    quotient,
     quotient_parts,
     stable_to_json,
-    subgraph,
 )
 
 TORUS_CELL = validate([(1, 2, 3), (4, 5, 6)], [(1, 4), (2, 5), (3, 6)])
@@ -69,67 +67,74 @@ def random_graph(data, max_edges=4):
     return g
 
 
+def scars(g, sub):
+    """The holes of G_Z that ``g`` never had, by least side."""
+    return sorted(sub.hole_orbits() - g.hole_orbits(), key=min)
+
+
+def new_vertices(g, quo):
+    """The vertices of G/G_Z that ``g`` never had, by least side."""
+    return sorted(quo.vertex_orbits() - g.vertex_orbits(), key=min)
+
+
 class TestSubgraph:
     def test_theta_single_edge_is_a_segment(self):
-        sub, exc = subgraph(THETA, [(1, 4)])
+        sub = collapse(THETA, [(1, 4)]).sub
         assert sub.n_vertices() == 2
         assert sub.n_edges() == 1
-        assert exc == [frozenset({1, 4})]
+        assert scars(THETA, sub) == [frozenset({1, 4})]
 
     def test_full_subset_is_the_graph_itself(self):
-        sub, exc = subgraph(THETA, THETA.edges())
+        sub = collapse(THETA, THETA.edges()).sub
         assert sub.sigma0 == THETA.sigma0
         assert sub.sigma1 == THETA.sigma1
-        assert exc == []
+        assert scars(THETA, sub) == []
 
     def test_torus_circle_has_two_scars(self):
-        sub, exc = subgraph(TORUS_CELL, [(1, 4), (2, 5)])
+        sub = collapse(TORUS_CELL, [(1, 4), (2, 5)]).sub
         assert sub.n_holes() == 2
-        assert exc == [frozenset({1, 5}), frozenset({2, 4})]
+        assert scars(TORUS_CELL, sub) == [frozenset({1, 5}), frozenset({2, 4})]
 
     def test_empty_subset_rejected(self):
         with pytest.raises(EmptySubset):
-            subgraph(THETA, [])
+            collapse(THETA, [])
 
     def test_unknown_edge_rejected(self):
         with pytest.raises(NoSuchEdge):
-            subgraph(THETA, [(1, 5)])
+            collapse(THETA, [(1, 5)])
 
 
 class TestQuotient:
-    def test_empty_subset_is_the_identity(self):
-        quo, exc = quotient(THETA, [])
-        assert quo is THETA
-        assert exc == []
-
     def test_full_subset_leaves_no_sides(self):
-        quo, exc = quotient(THETA, THETA.edges())
+        quo = collapse(THETA, THETA.edges()).quo
         assert quo.sides == ()
-        assert exc == []
+        assert new_vertices(THETA, quo) == []
 
     def test_theta_by_one_edge_merges_the_vertices(self):
-        quo, exc = quotient(THETA, [(1, 4)])
+        quo = collapse(THETA, [(1, 4)]).quo
         assert quo.n_vertices() == 1
-        assert exc == [frozenset({2, 3, 5, 6})]
+        assert new_vertices(THETA, quo) == [frozenset({2, 3, 5, 6})]
         assert genus(quo) == 0
 
     def test_pinching_a_torus_leaves_a_sphere(self):
-        quo, exc = quotient(TORUS_CELL, [(1, 4), (2, 5)])
+        quo = collapse(TORUS_CELL, [(1, 4), (2, 5)]).quo
         assert genus(quo) == 0
-        assert exc == [frozenset({3}), frozenset({6})]
+        assert new_vertices(TORUS_CELL, quo) == [frozenset({3}), frozenset({6})]
 
     def test_agrees_with_edge_contraction(self):
-        quo, _ = quotient(THETA, [(1, 4)])
+        quo = collapse(THETA, [(1, 4)]).quo
         assert canonical_form(quo) == canonical_form(contract_edge(THETA, (1, 4)))
 
 
 def assert_every_edge_collapses_to_nothing(g):
     """Z = every edge: no quotient sides, no scars, no labelled part."""
-    quo, exc = quotient(g, g.edges())
-    assert (quo.sides, quo.vertices(), quo.components(), exc) == ((), [], [], [])
     cut = collapse(g, g.edges())
+    quo = cut.quo
+    assert (quo.sides, quo.vertices(), quo.components(), new_vertices(g, quo)) == (
+        (), [], [], []
+    )
     assert (cut.sub.sigma0, cut.sub.sigma1) == (g.sigma0, g.sigma1)
-    assert cut.quo.sides == ()
+    assert scars(g, cut.sub) == []
     assert cut.pairs == []
     labels = [f"p{i}" for i in range(g.n_holes())]
     assert carry_labels(quotient_parts(cut), mark_all_holes(g, labels).targets) == []
@@ -159,15 +164,13 @@ class TestExceptionalCorrespondence:
             st.lists(st.sampled_from(edges), min_size=k, max_size=k, unique=True),
             label="subset",
         )
-        sub, exc_holes = subgraph(g, z)
-        quo, exc_verts = quotient(g, z)
-        assert len(sub.sides) + len(quo.sides) == len(g.sides)
         cut = collapse(g, z)
-        assert len(cut.pairs) == len(exc_holes) == len(exc_verts)
-        # the sigma_inf and edges a derived graph was handed are its own
-        for derived in [sub, quo, cut.sub, cut.quo] + [p for _, p in quotient_parts(cut)]:
-            fresh = fresh_copy(derived)
-            assert (derived.sigma_inf, derived.edges()) == (fresh.sigma_inf, fresh.edges())
+        assert len(cut.sub.sides) + len(cut.quo.sides) == len(g.sides)
+        assert [h for h, _ in cut.pairs] == scars(g, cut.sub)
+        assert sorted((v for _, v in cut.pairs), key=min) == new_vertices(g, cut.quo)
+        # the sigma_inf a derived graph was handed is its own
+        for derived in [cut.sub, cut.quo] + [p for _, p in quotient_parts(cut)]:
+            assert derived.sigma_inf == fresh_copy(derived).sigma_inf
 
     @pytest.mark.parametrize("g", [THETA, TORUS_CELL, DUMBBELL, HANDLE])
     def test_every_edge_leaves_no_sides_and_no_pairs(self, g):
@@ -185,7 +188,7 @@ class TestExceptionalCorrespondence:
         non_loops = [e for e in g.edges() if len(g.edges()) > 1 and not _is_loop(g, e)]
         assume(non_loops)
         e = data.draw(st.sampled_from(non_loops), label="edge")
-        quo, _ = quotient(g, [e])
+        quo = collapse(g, [e]).quo
         assert canonical_form(quo) == canonical_form(contract_edge(g, e))
 
 
@@ -389,6 +392,32 @@ class TestBuildStable:
         }
         assert data.iota == {}
 
+    def test_two_circles_hand_each_label_to_its_own_vertex(self):
+        m = mark_all_holes(DUMBBELL, ["a", "b", "c"])
+        data = build_stable(DUMBBELL, m, [DUMBBELL.edges(), [(1, 2), (5, 6)]])
+        assert data.markings == (
+            {
+                "a": (VERTEX, frozenset({3})),
+                "b": (HOLE, frozenset({3, 4})),
+                "c": (VERTEX, frozenset({4})),
+            },
+        )
+
+    def test_a_core_takes_its_marked_vertex_off_the_quotient(self):
+        m = Marking(
+            HANDLE,
+            {
+                "p": (HOLE, frozenset({1, 8, 3, 5})),
+                "q": (HOLE, frozenset({2, 4, 7, 6})),
+                "y": (VERTEX, frozenset({1, 2, 3, 7})),
+            },
+        )
+        data = build_stable(HANDLE, m, [HANDLE.edges(), TORUS_BLOCK])
+        assert data.markings == (
+            {"p": (HOLE, frozenset({8})), "q": (HOLE, frozenset({7}))},
+            {"y": (VERTEX, frozenset({1, 2, 3}))},
+        )
+
     def test_collapse_zone_tail_is_pruned_and_bivalents_smoothed(self):
         g = validate(
             [(1, 2, 3, 7), (4, 5, 6, 8), (9, 10)],
@@ -500,7 +529,7 @@ class TestBuildStable:
             st.lists(st.sampled_from(edges), min_size=k, max_size=k, unique=True),
             label="subset",
         )
-        sub, _ = subgraph(g, z)
+        sub = collapse(g, z).sub
         cores = [
             comp
             for comp in sub.components()
