@@ -18,13 +18,18 @@ the least traversal code (code0, code1) among all roots on vertices of
 valency mu_1.  The generator yields each class once per Aut-orbit of such
 roots, and the roots attaining the least code form one Aut-orbit, since
 two roots with equal codes differ by an automorphism; so exactly one map
-per class passes, and nothing is deduplicated.  A rival root's code is
-built one traversal step at a time and dropped at the first entry that
-differs, and only a kept map gets a full canonical form.  A labelled
-class's code extends the unlabelled one, so each class's least-code roots
-are found once and kept on its graph, their first side of every hole (and
-marked vertex) is read once per call, and every labelling only compares
-mark codes over those roots.
+per class passes, and nothing is deduplicated.  The test runs on the
+generator's own lists, before any graph is built: the root's code and a
+rival's are built in lockstep, one traversal step at a time, and dropped
+at the first entry that differs, so a rejected map costs a few steps per
+rival and nothing more.  A kept map is built as a graph once and gets one
+canonical form, whose sweep of every root finds the class's least-code
+roots; the canonical graph rebuilt from that code is handed those roots,
+renamed into its own sides, and is never swept.  A labelled class's code
+extends the unlabelled one, so every labelling only compares mark codes
+over those roots, each root's first side of every hole (and marked
+vertex) is read once per call, and a labelled class's marking is read off
+a map from least sides to orbits.
 Every labelled class of one unlabelled class is built on that class's
 canonical graph, one shared object, so what the graph determines (its
 orbits, the zone of each hole) is worked out once for all labellings.
@@ -78,12 +83,11 @@ from .ribbon import (
     VERTEX,
     Marking,
     RibbonGraph,
-    _bfs_code,
-    _code_marking,
+    _code_against,
     _first_sides,
+    _hand_least_roots,
     _least_roots,
     _marked_code,
-    _tied_roots,
     canonical_form,
     from_code,
 )
@@ -282,18 +286,26 @@ def _connected_pairings(valencies, n_holes) -> int:
 def _rooted_map_graphs(valencies, n_holes):
     """Yield every rooted map on these valencies with n_holes faces, once each.
 
-    Vertices are unlabelled and the root is side 1, on a vertex of valency
+    Vertices are unlabelled and the root is side 0, on a vertex of valency
     ``valencies[0]``; the module docstring says why each map comes out
-    once.  Sides are 0-based while building.  Opening a vertex fixes sigma0
-    on all its sides, so faces are tracked and pruned as in ``_search``.
+    once.  A map is yielded as the generator's own lists (sigma0, sigma1,
+    rivals): the two permutations of the sides 0 .. n-1, and the sides
+    other than the root on vertices of valency ``valencies[0]``, the rival
+    roots, collected as those vertices open.  The lists are live state that
+    the next step changes, so a caller that keeps a map copies them.
+    Opening a vertex fixes sigma0 on all its sides, so faces are tracked and
+    pruned as in ``_search``, through sigma0 o sigma1 in place of sigma_inf:
+    sigma1 conjugates one to the other's inverse, so a face closes at the
+    same pairing either way.
     """
     n = sum(valencies)
+    first = valencies[0]
     left = Counter(valencies)
-    left[valencies[0]] -= 1
+    left[first] -= 1
     kinds = sorted(left)
-    inv0 = [0] * n
-    _open_vertex(inv0, 0, valencies[0])
+    sigma0 = [*range(1, first), 0] + [0] * (n - first)
     partner = [-1] * n
+    rivals = list(range(1, first))
     fpar = list(range(n))
     fsz = [1] * n
 
@@ -307,26 +319,26 @@ def _rooted_map_graphs(valencies, n_holes):
         for y, v in choices:
             if v:
                 left[v] -= 1
-                _open_vertex(inv0, y, v)
+                sigma0[y:y + v] = [*range(y + 1, y + v), y]
+                if v == first:
+                    rivals.extend(range(y, y + v))
             partner[x], partner[y] = y, x
             undo = []
-            now = closed + _join(fpar, fsz, x, inv0[y], undo)
-            now += _join(fpar, fsz, y, inv0[x], undo)
+            now = closed + _join(fpar, fsz, x, sigma0[y], undo)
+            now += _join(fpar, fsz, y, sigma0[x], undo)
             if k == 1:
                 if now == n_holes:
-                    yield RibbonGraph(
-                        {inv0[i] + 1: i + 1 for i in range(n)},
-                        {i + 1: partner[i] + 1 for i in range(n)},
-                        range(1, n + 1),
-                    )
+                    yield sigma0, partner, rivals
             elif now < n_holes <= now + 2 * k - 2:
                 yield from go(x + 1, k - 1, opened + v, now)
             _unjoin(fpar, fsz, undo)
             partner[x] = partner[y] = -1
             if v:
                 left[v] += 1
+                if v == first:
+                    del rivals[-v:]
 
-    yield from go(0, n // 2, valencies[0], 0)
+    yield from go(0, n // 2, first, 0)
 
 
 # --- class enumeration ----------------------------------------------------------
@@ -342,13 +354,17 @@ class CellClass(NamedTuple):
 def _unlabeled_classes(valencies, n_holes) -> tuple:
     """Canonical representatives (sorted by code) of unlabeled classes.
 
-    A rooted map is kept only if its root, side 1, attains the least code
-    among the roots on vertices of valency ``valencies[0]``; the module
-    docstring says why exactly one map per class passes.  Rival roots are
-    compared lazily, and only a kept map gets ``canonical_form``.  The
-    classes depend on nothing but (valencies, n_holes), so they are built
-    once per process (``_unlabeled_sorted``) and every later call returns
-    the same tuple of the same graphs.
+    A rooted map is kept only if its root, side 0, attains the least code
+    among the rival roots on vertices of valency ``valencies[0]``; the
+    module docstring says why exactly one map per class passes.  The test
+    runs on the generator's lists, comparing root 0 with each rival in
+    lockstep (``_code_against``), so a rejected map is never built as a
+    graph.  A kept map is built once and gets one ``canonical_form``, and
+    the canonical graph ``from_code`` rebuilds is handed the least roots
+    that call found (``_hand_least_roots``).  The classes depend on nothing
+    but (valencies, n_holes), so they are built once per process
+    (``_unlabeled_sorted``) and every later call returns the same tuple of
+    the same graphs.
     """
     return _unlabeled_sorted(tuple(valencies), n_holes)
 
@@ -356,12 +372,12 @@ def _unlabeled_classes(valencies, n_holes) -> tuple:
 @cache
 def _unlabeled_sorted(valencies, n_holes):
     reps = {}
-    for graph in _rooted_map_graphs(valencies, n_holes):
-        rooted, _ = _bfs_code(graph, 1)
-        rivals = [x for v in graph.vertices() if len(v) == valencies[0] for x in v if x != 1]
-        if _tied_roots(graph, rooted, rivals) is not None:
+    for sigma0, sigma1, rivals in _rooted_map_graphs(valencies, n_holes):
+        if all(_code_against(sigma0, sigma1, root, 0)[0] >= 0 for root in rivals):
+            sides = range(len(sigma0))
+            graph = RibbonGraph(dict(zip(sides, sigma0)), dict(zip(sides, sigma1)), sides)
             code, _ = canonical_form(graph)
-            reps[code] = from_code(code)[0]
+            reps[code] = _hand_least_roots(graph, from_code(code)[0])
     return tuple(reps[c] for c in sorted(reps))
 
 
@@ -378,27 +394,29 @@ def _marked_classes(valencies, hole_labels, vertex_marks):
 
     ``g`` is canonical, so ``from_code`` of any of its labelled codes would
     rebuild ``g`` itself; they all share it.  Its least code and least roots
-    (``_least_roots``) are found once and kept on the graph, so a later call
-    on the same cached class traverses nothing, and each least root's first
-    side of every hole (and vertex, when vertices are marked) is read once
-    per class and call.
+    were handed to it when it was built (``_least_roots`` reads them), and
+    each least root's first side of every hole (and vertex, when vertices
+    are marked) is read once per class and call.  A least root's relabeling
+    is an automorphism of ``g``, so each side in a mark code is the least
+    side of a hole or vertex of ``g``, and the marking is read from a map
+    of least sides to orbits.
     """
     out = {}
     for g in _unlabeled_classes(valencies, len(hole_labels)):
         best, relabels = _least_roots(g)
         holes = [(HOLE, frozenset(h)) for h in g.holes()]
         vertices = g.vertices()
-        orbits = [orb for _, orb in holes]
-        if vertex_marks:
-            orbits += [frozenset(v) for v in vertices]
-        firsts = _first_sides(relabels, orbits)
+        targets = holes + [(VERTEX, frozenset(v)) for v in vertices] if vertex_marks else holes
+        firsts = _first_sides(relabels, [orb for _, orb in targets])
+        by_least = {(kind, min(orb)): (kind, orb) for kind, orb in targets}
         extras = list(_vertex_assignments(vertex_marks, vertices))
         for assigned_holes in _perm_iter(holes):
             base = dict(zip(hole_labels, assigned_holes))
             for extra in extras:
                 code, aut = _marked_code(best, firsts, base | extra)
                 if code not in out:
-                    out[code] = CellClass(g, _code_marking(g, code[2]), aut)
+                    marks = {label: by_least[kind, side] for label, kind, side in code[2]}
+                    out[code] = CellClass(g, Marking(g, marks), aut)
     return [out[c] for c in sorted(out)]
 
 

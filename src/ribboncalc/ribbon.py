@@ -14,9 +14,11 @@ the sets of its vertex and hole orbits, the vertex orbit of each side, its
 components and its least traversal code on first use and keeps them;
 ``vertices()``, ``edges()``, ``holes()`` and ``components()`` still return a
 fresh list per call.  A graph derived from another may be handed its
-sigma_inf when it is already known (``stable``'s G/G_Z, built from it);
-no other cache is handed in, and only this module writes the caches of the
-orbits, the edges and the components.
+sigma_inf when it is already known (``stable``'s G/G_Z, built from it),
+and a canonical graph ``from_code`` built may be handed the least roots of
+the graph whose code built it (``_hand_least_roots``); no other cache is
+handed in, and only this module writes the caches of the orbits, the
+edges, the components and the least roots.
 
 Worked example (two trivalent vertices, three parallel edges)::
 
@@ -78,7 +80,10 @@ class RibbonGraph:
     already knows sigma_inf passes it to the constructor, which keeps it; it
     must be what the graph would work out itself.  sigma_inf is the only
     cache a caller may hand in.  ``_least`` is the least unmarked code with
-    the relabelings of the roots attaining it (``_least_roots``).  The others
+    the relabelings of the roots attaining it: ``_least_roots`` writes it
+    after a sweep of the graph's roots, and ``_hand_least_roots`` writes it
+    on a ``from_code`` graph from the sweep of the graph whose code built
+    it, so a class graph built that way is never swept.  The others
     hold what the forms layer works out from the graph alone, never from a
     metric or a labelling: ``_zones`` maps a hole orbit to its zone entry
     (``degeneration``: the topology, and after a shrink the quotient's
@@ -431,68 +436,79 @@ def _bfs_code(g: RibbonGraph, root):
     return (code0, code1), relabel
 
 
-def _code_against(g: RibbonGraph, root, best):
-    """Compare the code rooted at ``root`` with ``best``, building it lazily.
+def _code_against(sigma0, sigma1, root, rival):
+    """Compare the traversal codes rooted at ``root`` and at ``rival``.
 
-    Returns (sign, relabel): sign is negative, zero or positive as the code
-    is below, equal to or above ``best``.  Each BFS step fixes one more
-    code0 entry, so a rival root is dropped at the first entry that
-    differs; code1 is compared only when code0 ties.  The relabeling is
-    returned on a tie only, else None.
+    ``sigma0`` and ``sigma1`` are anything indexable by side: a graph's
+    dicts, or the rooted-map generator's lists.  Both codes are built in
+    lockstep, one BFS step at a time; each step fixes one more code0 entry
+    of each, so the comparison stops at the first entry that differs, and
+    code1 is compared only when code0 ties.  Returns (sign, relabel): sign
+    is negative, zero or positive as root's code is below, equal to or above
+    rival's, and relabel, root's side relabeling, is returned on a tie
+    only, else None.
     """
-    code0, code1 = best
-    sigma0, sigma1 = g.sigma0, g.sigma1
-    relabel = {root: 1}
-    order = [root]
-    for i, x in enumerate(order):  # appending while iterating = BFS
-        y, z = sigma0[x], sigma1[x]
-        if y not in relabel:
-            relabel[y] = len(order) + 1
+    mine, theirs = {root: 1}, {rival: 1}
+    order, other = [root], [rival]
+    for x, w in zip(order, other):  # appending while iterating = BFS
+        y, v = sigma0[x], sigma0[w]
+        if y not in mine:
             order.append(y)
-        if z not in relabel:
-            relabel[z] = len(order) + 1
-            order.append(z)
-        sign = relabel[y] - code0[i]
+            mine[y] = len(order)
+        if v not in theirs:
+            other.append(v)
+            theirs[v] = len(other)
+        sign = mine[y] - theirs[v]
         if sign:
             return sign, None
-    for i, x in enumerate(order):
-        sign = relabel[sigma1[x]] - code1[i]
+        y, v = sigma1[x], sigma1[w]
+        if y not in mine:
+            order.append(y)
+            mine[y] = len(order)
+        if v not in theirs:
+            other.append(v)
+            theirs[v] = len(other)
+    for x, w in zip(order, other):
+        sign = mine[sigma1[x]] - theirs[sigma1[w]]
         if sign:
             return sign, None
-    return 0, relabel
-
-
-def _tied_roots(g: RibbonGraph, best, roots):
-    """Relabelings of the roots whose code equals ``best``; None if one is below."""
-    tied = []
-    for root in roots:
-        sign, relabel = _code_against(g, root, best)
-        if sign < 0:
-            return None
-        if sign == 0:
-            tied.append(relabel)
-    return tied
+    return 0, mine
 
 
 def _least_roots(g: RibbonGraph):
     """The least unmarked code and the relabelings of the roots attaining it.
 
-    Only the first root, and a root whose code falls below the least so
-    far, is traversed in full; every other root is compared lazily
-    (``_code_against``).  The answer depends on the graph alone, so it is
-    kept on the graph (``_least``) and later calls read it.
+    Each root is compared with the least root so far (``_code_against``),
+    and only the least root is traversed in full, once, at the end.  The
+    answer depends on the graph alone, so it is kept on the graph
+    (``_least``) and later calls read it.
     """
     if g._least is None:
-        best, relabels = None, []
-        for root in g.sides:
-            sign, relabel = (-1, None) if best is None else _code_against(g, root, best)
+        least, tied = g.sides[0], []
+        for root in g.sides[1:]:
+            sign, relabel = _code_against(g.sigma0, g.sigma1, root, least)
             if sign < 0:
-                best, relabel = _bfs_code(g, root)
-                relabels = [relabel]
+                least, tied = root, []
             elif sign == 0:
-                relabels.append(relabel)
-        g._least = best, relabels
+                tied.append(relabel)
+        best, relabel = _bfs_code(g, least)
+        g._least = best, [relabel, *tied]
     return g._least
+
+
+def _hand_least_roots(g: RibbonGraph, canonical: RibbonGraph) -> RibbonGraph:
+    """``canonical``, handed the least roots of ``g``; returns it.
+
+    ``canonical`` is the graph ``from_code`` built from g's least code, and
+    g's least roots are known (``canonical_form(g)`` found them).  The first
+    least relabeling carries g onto ``canonical``, so each least relabeling
+    of g, read through it, is one of ``canonical``'s: that graph needs no
+    sweep of its own.
+    """
+    best, relabels = g._least
+    carry = relabels[0]
+    canonical._least = best, [{carry[x]: relabel[x] for x in g.sides} for relabel in relabels]
+    return canonical
 
 
 def _first_sides(relabels, orbits):
@@ -550,17 +566,14 @@ def from_code(code):
     code0, code1, mark_code = code
     sides = range(1, len(code0) + 1)
     g = RibbonGraph(dict(zip(sides, code0)), dict(zip(sides, code1)), sides)
-    return g, _code_marking(g, mark_code) if mark_code else None
-
-
-def _code_marking(g: RibbonGraph, mark_code) -> Marking:
-    """The marking a mark code puts on ``g``, a graph ``from_code`` built."""
+    if not mark_code:
+        return g, None
     perm = {HOLE: g.sigma_inf, VERTEX: g.sigma0}
     targets = {
         label: (kind, frozenset(perms.orbit_of(perm[kind], side)))
         for label, kind, side in mark_code
     }
-    return Marking(g, targets)
+    return g, Marking(g, targets)
 
 
 def canonicalize(g: RibbonGraph, marking: Marking | None = None):

@@ -1,8 +1,11 @@
+import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from conftest import fresh_copy
 
 from ribboncalc import enumeration as en
 from ribboncalc import ribbon
@@ -111,6 +114,20 @@ def classes_by_pairing_search(valencies, wanted):
     }
 
 
+def rooted_map_graphs(valencies, n_holes):
+    """The generator's rooted maps, each built as a graph on sides 0 .. n-1.
+
+    The generator yields its own lists; the rival roots it names must be
+    the sides other than the root on vertices of valency ``valencies[0]``.
+    """
+    for sigma0, sigma1, rivals in en._rooted_map_graphs(valencies, n_holes):
+        sides = range(len(sigma0))
+        graph = RibbonGraph(dict(zip(sides, sigma0)), dict(zip(sides, sigma1)), sides)
+        on_first = [x for v in graph.vertices() if len(v) == valencies[0] for x in v]
+        assert rivals == [x for x in on_first if x != 0]
+        yield graph
+
+
 def unlabeled_classes_by_canonical_form(valencies, n_holes):
     """The dedupe canonical augmentation replaced, as sorted (code, |Aut|).
 
@@ -118,7 +135,7 @@ def unlabeled_classes_by_canonical_form(valencies, n_holes):
     its class, and the number of roots attaining it is |Aut|.
     """
     reps = {}
-    for graph in en._rooted_map_graphs(valencies, n_holes):
+    for graph in rooted_map_graphs(valencies, n_holes):
         codes = [_bfs_code(graph, root)[0] for root in graph.sides]
         best = min(codes)
         reps.setdefault(best, codes.count(best))
@@ -321,6 +338,47 @@ class TestSharedClassGraph:
         assert len(classes) > len(self.check(classes))
 
 
+def digest_classes():
+    """Every cell of six (g, n), then one marked profile, in output order."""
+    for g, n in [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1), (1, 3)]:
+        for classes in en.enumerate_all_cells(g, [f"p{i}" for i in range(1, n + 1)]).values():
+            yield from classes
+    yield from en.enumerate(2, ["p", "q"], [3, 1], vertex_marks={"q": 5})
+
+
+class TestEnumerationDigest:
+    """The ``enumerate`` line form of every class, pinned byte for byte."""
+
+    # captured before class generation compared rival roots on the
+    # generator's own arrays; that change must not move a byte
+    LINES = 4776
+    DIGEST = "0f17f13a27c4ba6fa3ba295df6289ed4bc2e021e63a987f554aaeeb1afea3f53"
+
+    def test_digest(self):
+        lines = [
+            json.dumps(graph_to_json(c.graph, c.marking) | {"aut": c.aut}, sort_keys=True)
+            for c in digest_classes()
+        ]
+        assert len(lines) == self.LINES
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST
+
+
+    def test_each_class_graph_holds_its_own_least_roots(self):
+        # a class graph is handed the least roots of the rooted map it came
+        # from; a sweep of a fresh copy must find the same code and roots
+        graphs = {id(c.graph): c.graph for c in digest_classes()}
+        assert len(graphs) == 955  # the marked profile reuses (2, 1)'s graphs
+        for g in graphs.values():
+            assert g._least is not None
+            best, relabels = ribbon._least_roots(g)
+            fresh_best, fresh_relabels = ribbon._least_roots(fresh_copy(g))
+            assert best == fresh_best
+            assert len(relabels) == len(fresh_relabels)
+            assert {tuple(sorted(r.items())) for r in relabels} == {
+                tuple(sorted(r.items())) for r in fresh_relabels
+            }
+
+
 class TestAllCells:
     def test_torus_one_hole_cells(self):
         cells = en.enumerate_all_cells(1, ["p1"])
@@ -493,7 +551,11 @@ class TestRootedMapGenerator:
             if sides > 12 and sum(totals.values()) > 10_000:
                 continue
             for faces, want in totals.items():
-                got = sum(1 for _ in en._rooted_map_graphs(list(vals), faces))
+                got = 0
+                for graph in rooted_map_graphs(list(vals), faces):
+                    assert graph.is_connected() and graph.n_holes() == faces
+                    assert sorted(graph.valencies()) == sorted(vals)
+                    got += 1
                 assert got == want, (vals, faces)
             checked += 1
         assert checked
@@ -536,10 +598,21 @@ class TestCanonicalAugmentation:
     def test_cluster_census(self, rho, count):
         assert count_admissible(list(rho)) == count
 
-    @pytest.mark.parametrize("faces,classes", [(2, 368), (4, 669), (6, 191)])
-    def test_orbit_stabilizer_on_eight_trivalent_vertices(self, faces, classes):
+    # eight trivalent vertices, the 1,726 one-face classes of (3, 1) on ten,
+    # and every valency list of (1, 3): 745 classes with mixed valencies
+    @pytest.mark.parametrize(
+        "vals,faces,classes",
+        [([3] * 8, 2, 368), ([3] * 8, 4, 669), ([3] * 8, 6, 191), ([3] * 10, 1, 1726)]
+        + [
+            (list(vals), 3, classes)
+            for vals, classes in zip(
+                en.valency_lists(1, 3), [11, 30, 27, 67, 15, 108, 102, 23, 154, 162, 46]
+            )
+        ],
+        ids=lambda x: "-".join(map(str, x)) if isinstance(x, list) else str(x),
+    )
+    def test_orbit_stabilizer_sums_one_over_aut_per_class(self, vals, faces, classes):
         # sum over classes of 1/|Aut| = (#valid pairings) / |Z(sigma0)|
-        vals = [3] * 8
         reps = en._unlabeled_classes(vals, faces)
         assert len(reps) == classes
         assert sum(Fraction(1, canonical_form(g)[1]) for g in reps) == Fraction(
@@ -552,24 +625,33 @@ class TestCanonicalAugmentation:
     )
     def test_one_canonical_form_per_class(self, monkeypatch, vals, labels, marks):
         holes = [l for l in labels if l not in marks]
-        calls = {"canonical_form": 0, "_least_roots": 0}
+        built, canonical, full, swept = [], [], [], []
 
-        def counting(name, original):
-            def counted(*args):
-                calls[name] += 1
-                return original(*args)
+        def recording(calls, original, result=False):
+            def recorded(*args):
+                out = original(*args)
+                calls.append(out if result else args[0])
+                return out
 
-            return counted
+            return recorded
 
-        monkeypatch.setattr(en, "canonical_form", counting("canonical_form", en.canonical_form))
-        monkeypatch.setattr(ribbon, "_least_roots", counting("_least_roots", ribbon._least_roots))
-        assert en._marked_classes(vals, holes, marks)
-        # canonical_form, with its _least_roots, runs once per class, never per labelling
-        unlabelled = len(en._unlabeled_classes(vals, len(holes)))
-        assert calls == {"canonical_form": unlabelled, "_least_roots": unlabelled}
-        # the classes are cached, so labelling them again makes no canonical form
-        assert en._marked_classes(vals, holes, marks)
-        assert calls == {"canonical_form": unlabelled, "_least_roots": unlabelled}
+        monkeypatch.setattr(en, "RibbonGraph", recording(built, en.RibbonGraph, result=True))
+        monkeypatch.setattr(en, "canonical_form", recording(canonical, en.canonical_form))
+        monkeypatch.setattr(ribbon, "_bfs_code", recording(full, ribbon._bfs_code))
+        monkeypatch.setattr(ribbon, "_code_against", recording(swept, ribbon._code_against))
+        classes = en._marked_classes(vals, holes, marks)
+        graphs = en._unlabeled_classes(vals, len(holes))
+        assert {id(c.graph) for c in classes} == {id(g) for g in graphs}
+        # a rejected map is never built as a graph; each kept map is built
+        # once, gets one canonical_form and one full traversal, and its
+        # canonical graph, handed the least roots, is never swept
+        assert len(built) == len(graphs)
+        assert [id(g) for g in canonical] == [id(g) for g in full] == [id(g) for g in built]
+        assert not {id(g.sigma0) for g in graphs} & {id(sigma0) for sigma0 in swept}
+        # the classes are cached, so labelling them again builds nothing
+        built.clear(), canonical.clear(), full.clear(), swept.clear()
+        assert en._marked_classes(vals, holes, marks) == classes
+        assert built == canonical == full == swept == []
 
 
 class TestRootedMaps:

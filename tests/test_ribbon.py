@@ -341,41 +341,55 @@ class TestSingleRootLoop:
             assert canonical_form(rebuilt, rebuilt_marking) == (code, aut)
 
     def test_one_traversal_per_root_per_graph(self, monkeypatch):
-        # each rooted map's root is traversed in full once, each kept map
-        # once more by its canonical form, and each unlabelled class's graph
-        # once from root 1 and lazily from each other root; a hole labelling
-        # traverses nothing, and neither does a second call, which reads
-        # the least roots the class graphs keep.  The maps rooted on a
-        # trivalent vertex number C_0(3, 3) * 3 * 2 / |Z(sigma0)|
+        # a rooted map is compared with its rival roots on the generator's
+        # lists, in lockstep; a rejected map is never built as a graph nor
+        # traversed in full.  Each kept map is built once and swept once by
+        # its canonical form: each other root compared lazily, the least
+        # root traversed in full.  Its canonical graph is handed the least
+        # roots and never swept; a hole labelling traverses nothing, and
+        # neither does a second call.  The maps rooted on a trivalent
+        # vertex number C_0(3, 3) * 3 * 2 / |Z(sigma0)|
         valencies, holes = [3, 3], 3
         rooted = Fraction(
             enumeration._connected_pairings(valencies, holes) * 3 * 2,
             enumeration._centralizer_size(valencies),
         )
         assert rooted == 4
-        full, lazy = [], []
+        built, full, lazy, against_rivals = [], [], [], []
 
-        def counting(calls, original):
-            def counted(*args):
-                calls.append(args)
-                return original(*args)
+        def recording(calls, original, result=False):
+            def recorded(*args):
+                out = original(*args)
+                calls.append(out if result else args)
+                return out
 
-            return counted
+            return recorded
 
-        counted_bfs = counting(full, ribbon._bfs_code)
-        monkeypatch.setattr(enumeration, "_bfs_code", counted_bfs)
-        monkeypatch.setattr(ribbon, "_bfs_code", counted_bfs)
-        monkeypatch.setattr(ribbon, "_code_against", counting(lazy, ribbon._code_against))
+        monkeypatch.setattr(
+            enumeration, "RibbonGraph", recording(built, enumeration.RibbonGraph, result=True)
+        )
+        monkeypatch.setattr(ribbon, "_bfs_code", recording(full, ribbon._bfs_code))
+        monkeypatch.setattr(ribbon, "_code_against", recording(lazy, ribbon._code_against))
+        monkeypatch.setattr(
+            enumeration, "_code_against", recording(against_rivals, enumeration._code_against)
+        )
         classes = enumeration.enumerate(0, ["p", "q", "r"], [2])
         assert len(classes) == 4
         unlabelled = len(enumeration._unlabeled_classes(valencies, holes))
         assert unlabelled == 2
-        assert len(full) == rooted + 2 * unlabelled == 8
+        # each rooted map meets one to five rivals on the generator's one live
+        # sigma0 list, compared with root 0; a rejected map gets nothing more
+        assert len({id(args[0]) for args in against_rivals}) == 1
+        assert all(isinstance(args[0], list) and args[3] == 0 for args in against_rivals)
+        assert rooted <= len(against_rivals) <= rooted * 5
+        assert len(built) == unlabelled
+        assert [g for g, _ in full] == built
+        assert sorted((id(s0), root) for s0, _, root, _ in lazy) == sorted(
+            (id(g.sigma0), root) for g in built for root in range(1, 6)
+        )
         graphs = {id(cell.graph): cell.graph for cell in classes}
         assert len(graphs) == unlabelled
-        assert [root for g, root in full if id(g) in graphs] == [1, 1]
-        on_classes = sorted((id(g), root) for g, root, _ in lazy if id(g) in graphs)
-        assert on_classes == sorted((key, root) for key in graphs for root in range(2, 7))
+        assert all(g._least is not None for g in graphs.values())
         full.clear()
         lazy.clear()
         again = enumeration.enumerate(0, ["p", "q", "r"], [2])
