@@ -362,7 +362,6 @@ class TestEnumerationDigest:
         assert len(lines) == self.LINES
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST
 
-
     def test_each_class_graph_holds_its_own_least_roots(self):
         # a class graph is handed the least roots of the rooted map it came
         # from; a sweep of a fresh copy must find the same code and roots
@@ -649,7 +648,8 @@ class TestCanonicalAugmentation:
         assert [id(g) for g in canonical] == [id(g) for g in full] == [id(g) for g in built]
         assert not {id(g.sigma0) for g in graphs} & {id(sigma0) for sigma0 in swept}
         # the classes are cached, so labelling them again builds nothing
-        built.clear(), canonical.clear(), full.clear(), swept.clear()
+        for calls in (built, canonical, full, swept):
+            calls.clear()
         assert en._marked_classes(vals, holes, marks) == classes
         assert built == canonical == full == swept == []
 
