@@ -148,9 +148,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_euler(args):
-    value = enumeration.orbifold_euler(
-        args.genus, args.n, jobs=args.jobs, max_sides=args.max_sides
-    )
+    value = enumeration.orbifold_euler(args.genus, args.n, max_sides=args.max_sides)
     if args.json:
         payload = {"genus": args.genus, "n": args.n, "euler": rational_str(value)}
         return json.dumps(payload, sort_keys=True)
@@ -381,12 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("euler", parents=[common], help="orbifold Euler characteristic")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="accepted for compatibility and ignored; the count runs in one process",
-    )
     p.add_argument("--max-sides", type=int)
     p.set_defaults(func=_cmd_euler)
 

@@ -36,7 +36,6 @@ from .errors import (
     DomainMismatch,
     InconsistentLabels,
     VertexMark,
-    ZeroPerimeter,
 )
 from .ribbon import (
     HOLE,
@@ -111,24 +110,27 @@ class HoleTopology:
     """What the thickened zone of a hole (or cluster) looks like.
 
     kind is disk, cylinder, or surface; genus and the sorted boundary
-    valency tuple qualify the surface case.  closed_complement flags a
-    zone that already swallows the whole surface.
+    valency tuple qualify the surface case.
     """
 
-    __slots__ = ("kind", "genus", "boundary", "closed_complement")
+    __slots__ = ("kind", "genus", "boundary")
 
-    def __init__(self, kind, genus=0, boundary=(), closed_complement=False):
+    def __init__(self, kind, genus=0, boundary=()):
         if kind not in (DISK, CYLINDER, SURFACE):
             raise DomainMismatch(f"unknown zone kind {kind!r}")
         self.kind = kind
         self.genus = int(genus)
         self.boundary = tuple(boundary)
-        self.closed_complement = bool(closed_complement)
+
+    @property
+    def closed_complement(self):
+        """A surface zone with no other boundary swallows the whole surface."""
+        return self.kind == SURFACE and not self.boundary
 
     def __eq__(self, other):
         return isinstance(other, HoleTopology) and (
-            (self.kind, self.genus, self.boundary, self.closed_complement)
-            == (other.kind, other.genus, other.boundary, other.closed_complement)
+            (self.kind, self.genus, self.boundary)
+            == (other.kind, other.genus, other.boundary)
         )
 
     def __repr__(self):
@@ -265,7 +267,7 @@ def _hole_zone_topology(graph, orbit, zone, cut):
         v1, v2 = _cylinder_split(graph, orbit, doubled[0])
         if v1 >= 0 and v2 >= 0:
             return HoleTopology(CYLINDER, 0, tuple(sorted((v1, v2))))
-    topo = HoleTopology(SURFACE, h, tuple(sorted(boundary)), closed_complement=not boundary)
+    topo = HoleTopology(SURFACE, h, tuple(sorted(boundary)))
     _check_surface_count(graph, zone, topo)
     return topo
 
@@ -339,11 +341,7 @@ def shrink(g: MarkedMetricGraph, q) -> ShrinkResult:
     if not isinstance(g, MarkedMetricGraph):
         raise DomainMismatch("shrink needs a marked metric graph")
     marking = g.marking
-    if q not in marking.targets:
-        raise DomainMismatch(f"no marking named {q!r}")
-    if marking.kind(q) == VERTEX:
-        raise ZeroPerimeter(f"{q!r} already marks a vertex")
-    orbit = marking.orbit(q)
+    orbit = _hole_orbit(marking, q)
     d = lcm(*(v.denominator for v in g.lengths.values()))
     side_length = {}
     for (a, b), v in g.lengths.items():

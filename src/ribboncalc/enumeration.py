@@ -141,9 +141,6 @@ class Profile:
             out.extend([2 * i + 3] * self.m[i])
         return out
 
-    def n_vertices(self) -> int:
-        return sum(self.m)
-
     def n_sides(self) -> int:
         return sum(self.valencies())
 
@@ -525,8 +522,8 @@ def orbifold_euler(g, n, jobs=1, max_sides=None) -> Fraction:
     Computed per valency list from pairing counts via the centralizer
     identity in the module docstring; the counts come from the root-edge
     recursion, so neither pairings nor isomorphism classes are built.
-    ``jobs`` is accepted for compatibility and ignored: the count runs in
-    one process.
+    ``jobs`` is ignored, since the count runs in one process; the
+    benchmark's workloads still pass it.
     """
     if n < 1 or 2 * g - 2 + n <= 0:
         raise InconsistentProfile(f"(g, n) = ({g}, {n}) has no cells")

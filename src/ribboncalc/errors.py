@@ -64,10 +64,6 @@ class EvenInput(RibbonError):
 
 # --- piecewise-linear forms --------------------------------------------------
 
-class ZeroPerimeter(RibbonError):
-    """Hole has perimeter zero."""
-
-
 class VertexMark(RibbonError):
     """Label marks a vertex where a hole was required."""
 
@@ -98,10 +94,6 @@ class InconsistentLabels(RibbonError):
 
 class EmptySubset(RibbonError):
     """Subgraph of an empty edge subset requested."""
-
-
-class DisconnectedSubset(RibbonError):
-    """Edge subset must span a connected subgraph."""
 
 
 class NotPermissible(RibbonError):

@@ -118,7 +118,8 @@ def pfaffian(matrix) -> Fraction:
     so the division is exact and every intermediate is an integer, as in
     Bareiss's fraction-free determinant (Math. Comp. 22, 1968).  The last
     pivot is the Pfaffian of the whole cleared matrix.  A row k with no
-    nonzero entry right of the diagonal makes the Pfaffian 0.  Each step
+    nonzero entry right of the diagonal makes the Pfaffian 0; an odd matrix
+    always ends at one, its last 1x1 block.  Each step
     works on the trailing block only, a new list, so the input is not
     modified.
     """
@@ -130,8 +131,6 @@ def pfaffian(matrix) -> Fraction:
         for j in range(i, n):
             if a[i][j] != -a[j][i]:
                 raise DomainMismatch("matrix is not antisymmetric")
-    if n % 2 == 1:
-        return Fraction(0)
 
     d = lcm(*(x.denominator for row in a for x in row))
     a = [[x.numerator * (d // x.denominator) for x in row] for row in a]

@@ -22,7 +22,7 @@ from math import factorial, prod
 
 from . import exact_linalg
 from . import permutations as perms
-from .degeneration import cylinder_configurations
+from .degeneration import _hole_orbit, cylinder_configurations
 from .enumeration import DEFAULT_MAX_SIDES
 from .errors import (
     DomainMismatch,
@@ -30,9 +30,8 @@ from .errors import (
     OddDimension,
     ParityMismatch,
     TooLarge,
-    VertexMark,
 )
-from .ribbon import MarkedMetricGraph, VERTEX
+from .ribbon import MarkedMetricGraph
 
 
 class CellForm:
@@ -90,12 +89,7 @@ def omega_on_cell(g: MarkedMetricGraph, p) -> CellForm:
     """
     if not isinstance(g, MarkedMetricGraph):
         raise DomainMismatch("omega_on_cell needs a marked metric graph")
-    marking = g.marking
-    if p not in marking.targets:
-        raise DomainMismatch(f"no marking named {p!r}")
-    kind, orbit = marking.targets[p]
-    if kind == VERTEX:
-        raise VertexMark(f"{p!r} marks a vertex, not a hole")
+    orbit = _hole_orbit(g.marking, p)
     perimeter = g.circumference(p)
     edges = sorted(g.graph.edges())
     index = {e: i for i, e in enumerate(edges)}

@@ -186,10 +186,6 @@ class RibbonGraph:
     def vertex_of(self, side):
         return min(self.vertex_orbit_map()[side])
 
-    def valencies(self):
-        """Sorted list of vertex valencies."""
-        return sorted(len(v) for v in self.vertices())
-
     # -- connectivity ----------------------------------------------------------
 
     def components(self):
@@ -361,15 +357,6 @@ class Marking:
             f"{l}->{k}{sorted(o)}" for l, (k, o) in sorted(self.targets.items())
         )
         return f"Marking({parts})"
-
-
-def mark_all_holes(graph: RibbonGraph, labels) -> Marking:
-    """Convenience: assign ``labels`` to the holes in min-side order."""
-    holes = graph.holes()
-    labels = list(labels)
-    if len(labels) != len(holes):
-        raise DomainMismatch(f"need {len(holes)} labels, got {len(labels)}")
-    return Marking(graph, {l: (HOLE, frozenset(h)) for l, h in zip(labels, holes)})
 
 
 # --- metric -------------------------------------------------------------------
@@ -574,17 +561,6 @@ def from_code(code):
         for label, kind, side in mark_code
     }
     return g, Marking(g, targets)
-
-
-def canonicalize(g: RibbonGraph, marking: Marking | None = None):
-    """Rebuild the graph (and marking) in canonical side labels 1..|X|.
-
-    Returns (graph, marking, aut): the graph and marking are the ones the
-    canonical code determines (``from_code``), so isomorphic inputs give
-    equal outputs.
-    """
-    code, aut = canonical_form(g, marking)
-    return (*from_code(code), aut)
 
 
 # --- rationals and JSON ---------------------------------------------------------

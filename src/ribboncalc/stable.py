@@ -20,7 +20,7 @@ Tree-like collapse pieces just donate an ordinary vertex, circle-like ones
 either hand their surrounded hole's label to the new vertex or vanish as
 unstable spheres (their two boundary points get paired directly), and only
 the stable cores spawn deeper components.  Each piece is sorted into these
-three kinds by the rule ``classify_subset`` applies.
+three kinds by the rule ``_classify_edges`` applies.
 
 iota's pairing points ride as labels.  A hole or vertex that awaits its
 partner carries a (token, end) label beside the real (string) labels, so
@@ -37,8 +37,6 @@ from typing import NamedTuple
 from . import permutations as perms
 from .errors import (
     BrokenInvariant,
-    DisconnectedSubset,
-    DomainMismatch,
     EmptySubset,
     NoSuchEdge,
     NotPermissible,
@@ -220,37 +218,6 @@ def carry_labels(parts, marks):
 # --- subset classification --------------------------------------------------------
 
 
-class SubsetClass:
-    """Collapse type of a connected edge subset: what shrinking it leaves behind."""
-
-    __slots__ = ("kind", "zst")
-
-    def __init__(self, kind, zst=None):
-        if kind == STABLE_BEARING:
-            if not zst:
-                raise DomainMismatch("a stable-bearing subset carries a nonempty core")
-            zst = frozenset(tuple(sorted(e)) for e in zst)
-        elif kind in (CONTRACTIBLE, SEMISTABLE):
-            if zst is not None:
-                raise DomainMismatch(f"{kind} subsets carry no core")
-        else:
-            raise DomainMismatch(f"unknown subset kind {kind!r}")
-        self.kind = kind
-        self.zst = zst
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SubsetClass)
-            and self.kind == other.kind
-            and self.zst == other.zst
-        )
-
-    def __repr__(self):
-        if self.kind == STABLE_BEARING:
-            return f"SubsetClass({self.kind}, {sorted(self.zst)})"
-        return f"SubsetClass({self.kind})"
-
-
 def _subset_valencies(g: RibbonGraph, edges):
     """Incidence count of each touched vertex orbit; loops count twice."""
     vertex = g.vertex_orbit_map()
@@ -276,39 +243,28 @@ def _prune_unmarked_tails(g: RibbonGraph, edges, marked_orbits):
                 keep.discard(e)
 
 
-def _classify_edges(g: RibbonGraph, edges, marked_orbits) -> SubsetClass:
+def _classify_edges(g: RibbonGraph, edges, marked_orbits):
+    """(kind, core) of a connected edge subset: what shrinking it leaves behind.
+
+    A tree carrying at most one marked vertex contracts to an ordinary
+    point; a homotopy circle with no marked vertex pinches; anything else
+    keeps a nonempty stable core, obtained by pruning unmarked tails.  The
+    core is None for the first two kinds.  The rule reads the marked
+    vertices only, never a hole's label, and each kind leaves the piece's
+    holes inside the subset labelled, so one hole-to-label map serves all
+    three kinds in ``_quotient_piece``.
+    """
     val = _subset_valencies(g, edges)
     n_marked = sum(1 for v in val if v in marked_orbits)
     n_vertices, n_edges = len(val), len(edges)
     if n_edges == n_vertices - 1 and n_marked <= 1:
-        return SubsetClass(CONTRACTIBLE)
+        return CONTRACTIBLE, None
     if n_edges == n_vertices and n_marked == 0:
-        return SubsetClass(SEMISTABLE)
+        return SEMISTABLE, None
     core = _prune_unmarked_tails(g, edges, marked_orbits)
     if not core:
         raise BrokenInvariant("pruning emptied a stable-bearing subset")
-    return SubsetClass(STABLE_BEARING, core)
-
-
-def classify_subset(g: RibbonGraph, marking, Z) -> SubsetClass:
-    """Collapse type of the connected subset Z: tree, circle, or stable-bearing.
-
-    A tree carrying at most one marked vertex contracts to an ordinary
-    point; a homotopy circle with no marked vertex pinches; anything else
-    keeps a nonempty stable core, obtained by pruning unmarked tails.  Z is
-    cut by ``collapse``, which checks it, and is connected when G_Z is.
-
-    ``_quotient_piece`` sorts each component of G_Z by the same rule.  The
-    rule reads the marked vertices only, never a hole's label, and each
-    kind leaves the piece's holes inside Z labelled, so one hole-to-label
-    map serves all three kinds there.
-    """
-    sub = collapse(g, Z).sub
-    if len(sub.components()) != 1:
-        raise DisconnectedSubset("subset is not connected in the graph")
-    targets = marking.targets if marking is not None else {}
-    marked = {orb for kind, orb in targets.values() if kind == VERTEX}
-    return _classify_edges(g, set(sub.edges()), marked)
+    return STABLE_BEARING, core
 
 
 # --- stable ribbon graphs ---------------------------------------------------------
@@ -323,18 +279,24 @@ class StableGraphData:
     vertices, as (component, kind, orbit) points, pairing each degenerate
     hole with the vertex it collapsed onto (or two vertices across a
     discarded sphere).  ``order[i]`` is the stage at which component i
-    was spawned.  ``lengths[i]`` is the uniform stable metric, 1/E on each
-    of the component's E edges.
+    was spawned.
     """
 
-    __slots__ = ("components", "markings", "order", "iota", "lengths")
+    __slots__ = ("components", "markings", "order", "iota")
 
-    def __init__(self, components, markings, order, iota, lengths):
+    def __init__(self, components, markings, order, iota):
         self.components = tuple(components)
         self.markings = tuple(dict(m) for m in markings)
         self.order = tuple(order)
         self.iota = dict(iota)
-        self.lengths = tuple(dict(ls) for ls in lengths)
+
+    @property
+    def lengths(self):
+        """The uniform stable metric of each component: 1/E on each of its E edges."""
+        return tuple(
+            dict.fromkeys(edges, Fraction(1, len(edges)))
+            for edges in (graph.edges() for graph in self.components)
+        )
 
     def __repr__(self):
         sizes = ", ".join(
@@ -432,9 +394,9 @@ def _quotient_piece(piece: _Piece, zr, tokens):
             else:
                 raise BrokenInvariant("a hole of the piece carries no label")
         comp_marked = {l: orb for l, orb in on_zone.items() if orb & comp_sides}
-        cls = _classify_edges(graph, comp_edges, marked_orbits)
+        kind, core = _classify_edges(graph, comp_edges, marked_orbits)
 
-        if cls.kind == CONTRACTIBLE:
+        if kind == CONTRACTIBLE:
             # a tree: its collapse vertex is ordinary, inheriting the one label
             if inner or len(scars) != 1:
                 raise BrokenInvariant("a proper tree piece must scar its hole")
@@ -442,7 +404,7 @@ def _quotient_piece(piece: _Piece, zr, tokens):
             explained.add(vert)
             for label in comp_marked:
                 left[label] = (VERTEX, vert)
-        elif cls.kind == SEMISTABLE:
+        elif kind == SEMISTABLE:
             # a circle: pinch; the two boundary walks decide what the ends become
             if len(scars) + len(inner) != 2:
                 raise BrokenInvariant("a circle piece must have two holes")
@@ -461,7 +423,7 @@ def _quotient_piece(piece: _Piece, zr, tokens):
                 raise BrokenInvariant("a circle collapse piece must scar at least one hole")
         else:
             # a stable core: spawn the next-stage component
-            spawn_graph = _spawn_core(cut, cls.zst, marked_orbits)
+            spawn_graph = _spawn_core(cut, core, marked_orbits)
             spawn_sides = set(spawn_graph.sides)
             marks = {}
             for label, orb in comp_marked.items():
@@ -569,11 +531,7 @@ def build_stable(g: RibbonGraph, marking: Marking, zseq) -> StableGraphData:
         iota[a] = b
         iota[b] = a
 
-    lengths = [
-        dict.fromkeys(edges, Fraction(1, len(edges)))
-        for edges in (graph.edges() for graph in components)
-    ]
-    data = StableGraphData(components, markings, order, iota, lengths)
+    data = StableGraphData(components, markings, order, iota)
     if not order_is_admissible(data):
         raise BrokenInvariant("constructed order fails admissibility")
     return data
@@ -627,8 +585,8 @@ def stable_to_json(data: StableGraphData) -> dict:
         return {"component": p[0], "kind": p[1], "orbit": orbit(p[0], p[2])}
 
     comps = []
-    for i, graph in enumerate(data.components):
-        blob = graph_to_json(graph, lengths=data.lengths[i])
+    for i, (graph, lengths) in enumerate(zip(data.components, data.lengths)):
+        blob = graph_to_json(graph, lengths=lengths)
         blob["marking"] = {
             label: {"kind": kind, "orbit": orbit(i, orb)}
             for label, (kind, orb) in data.markings[i].items()

@@ -4,7 +4,7 @@ import pkgutil
 import pytest
 
 import ribboncalc
-from ribboncalc.ribbon import RibbonGraph
+from ribboncalc.ribbon import HOLE, Marking, RibbonGraph
 
 
 def _process_caches():
@@ -42,3 +42,9 @@ def fresh_copy(graph):
     graph no earlier test has touched.
     """
     return RibbonGraph(dict(graph.sigma0), dict(graph.sigma1), graph.sides)
+
+
+def mark_all_holes(graph, labels):
+    """The marking that gives ``labels`` to the holes in min-side order."""
+    holes = graph.holes()
+    return Marking(graph, {l: (HOLE, frozenset(h)) for l, h in zip(labels, holes, strict=True)})

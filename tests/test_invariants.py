@@ -7,11 +7,11 @@ from collections import Counter
 
 import pytest
 
-from conftest import PROCESS_CACHES
+from conftest import PROCESS_CACHES, mark_all_holes
 import ribboncalc
 from ribboncalc import combclasses, errors, stable
 from ribboncalc.errors import BrokenInvariant, RibbonError
-from ribboncalc.ribbon import RibbonGraph, mark_all_holes, validate
+from ribboncalc.ribbon import RibbonGraph, validate
 
 PACKAGE = pathlib.Path(ribboncalc.__file__).parent
 GUARDED = sorted(path.name for path in PACKAGE.glob("*.py"))
@@ -352,12 +352,9 @@ def uncalled_names(trees):
 
 # names with no caller in the package, each kept for a stated reason
 NO_CALLER_KEPT = {
-    "enumeration._search": "pinned by perfbench until the benchmark no longer needs it",
-    "ribbon.canonicalize": "pinned by perfbench until the benchmark no longer needs it",
+    "enumeration._search": "perfbench/tests/test_perfbench.py calls it as the one-face oracle",
     "combclasses.one_vertex_relation": "the relations of the odd-valent cycle volumes use it",
     "combclasses.delta_class": "the relations of the odd-valent cycle volumes use it",
-    "ribbon.mark_all_holes": "a test helper kept on purpose",
-    "stable.classify_subset": "a test helper kept on purpose: the direct tests of its rule",
     "tautring.TautPoly.parse": "the ring API: text round trips",
     "tautring.TautPoly.from_json": "the ring API: JSON round trips",
     "tautring.TautPoly.is_zero": "the ring API",
@@ -392,6 +389,81 @@ def test_every_name_has_a_caller():
 )
 def test_the_caller_check_sees_unused_defs(sources, flagged):
     assert uncalled_names({m: ast.parse(src) for m, src in sources.items()}) == flagged
+
+
+def shared_names(trees):
+    """{name: [``module.name`` of each definition]} of each function or method
+    name defined more than once; the caller check counts a name, not a
+    definition, so one caller hides every other definition of its name."""
+    found = {}
+    for module, tree in trees.items():
+        for qual, node in _definitions(tree):
+            if not isinstance(node, ast.ClassDef):
+                found.setdefault(node.name, []).append(f"{module}.{qual}")
+    return {name: sorted(quals) for name, quals in found.items() if len(quals) > 1}
+
+
+# function and method names defined more than once, with the caller of each
+# definition
+SHARED_NAMES = {
+    "kind": {
+        "ribbon.Marking.kind": "Marking.hole_labels and Marking.vertex_labels",
+        "degeneration.ShrinkResult.kind": "cli._cmd_shrink and degeneration.shrink_to_json",
+    },
+    "to_json": {
+        "cli.RunManifest.to_json": "cli.run writes the manifest",
+        "tautring.TautPoly.to_json": "cli._cmd_fpoly, _cmd_relation and _cmd_check",
+    },
+    "_rational": {
+        "cli._rational": "cli._cmd_fiber reads --eps",
+        "exact_linalg._rational": "restrict_form, kernel_basis and pfaffian read their entries",
+    },
+}
+
+
+def test_every_shared_name_has_a_caller_per_definition():
+    trees = {
+        pathlib.Path(name).stem: ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        for name in GUARDED
+    }
+    shared = shared_names(trees)
+    unlisted = {
+        name: quals
+        for name, quals in shared.items()
+        if sorted(SHARED_NAMES.get(name, ())) != quals
+    }
+    assert unlisted == {}, "names defined more than once with no caller named for each"
+    stale = sorted(set(SHARED_NAMES) - set(shared))
+    assert stale == [], f"shared names that are now defined once or not at all: {stale}"
+
+
+@pytest.mark.parametrize(
+    "sources,flagged",
+    [
+        ({"m": "def f():\n    return 1"}, {}),
+        ({"m": "def f():\n    return 1", "n": "def f():\n    return 2"}, {"f": ["m.f", "n.f"]}),
+        (
+            {"m": "class C:\n    def go(self):\n        return 1\ndef go():\n    return 2"},
+            {"go": ["m.C.go", "m.go"]},
+        ),
+        (
+            {"m": "class C:\n    def go(self):\n        return 1",
+             "n": "class D:\n    def go(self):\n        return 2"},
+            {"go": ["m.C.go", "n.D.go"]},
+        ),
+        (
+            {"m": "class C:\n    def __eq__(self, o):\n        return 1\n"
+                  "class D:\n    def __eq__(self, o):\n        return 1"},
+            {},
+        ),
+        (
+            {"m": "def f():\n    def g():\n        return 1\n    return g\ndef g():\n    return 2"},
+            {},
+        ),
+    ],
+)
+def test_the_shared_name_check_sees_them(sources, flagged):
+    assert shared_names({m: ast.parse(src) for m, src in sources.items()}) == flagged
 
 
 def _functions(tree):
@@ -467,7 +539,7 @@ def unpassed_defaults(trees):
 # parameters with a default that no call in the package passes, each kept
 # for a stated reason
 DEFAULT_KEPT = {
-    "ribbon.canonicalize(marking=)": "pinned by perfbench until the benchmark no longer needs it",
+    "enumeration.orbifold_euler(jobs=)": "perfbench/workloads.py passes jobs=1",
     "combclasses.one_vertex_relation(label=)": "the relations of the odd-valent cycle volumes use it",
     "combclasses.delta_class(label=)": "the relations of the odd-valent cycle volumes use it",
     "checks._nondegeneracy_sweep(metrics=)": "tests set it",

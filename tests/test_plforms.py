@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fresh_copy
+from conftest import fresh_copy, mark_all_holes
 from ribboncalc import enumeration, exact_linalg
 from ribboncalc.errors import (
     DomainMismatch,
@@ -28,7 +28,6 @@ from ribboncalc.ribbon import (
     VERTEX,
     Marking,
     MarkedMetricGraph,
-    mark_all_holes,
     validate,
 )
 

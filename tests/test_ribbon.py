@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import mark_all_holes
 from ribboncalc import enumeration
 from ribboncalc import permutations as perms
 from ribboncalc import ribbon
@@ -24,14 +25,12 @@ from ribboncalc.ribbon import (
     MarkedMetricGraph,
     RibbonGraph,
     canonical_form,
-    canonicalize,
     contract_edge,
     dual,
     from_code,
     genus,
     graph_from_json,
     graph_to_json,
-    mark_all_holes,
     validate,
 )
 
@@ -178,7 +177,7 @@ class TestContract:
         assert h.n_edges() == 2
         assert h.n_holes() == 1
         assert genus(h) == 1
-        assert h.valencies() == [4]
+        assert list(map(len, h.vertices())) == [4]
 
     def test_theta_contraction(self):
         h = contract_edge(THETA, (1, 4))
@@ -249,8 +248,9 @@ class TestCanonical:
 
     def test_canonicalize_round_trip(self):
         m = mark_all_holes(THETA, ["a", "b", "c"])
-        cg, cm, aut = canonicalize(THETA, m)
-        assert canonical_form(cg, cm) == canonical_form(THETA, m)
+        code, aut = canonical_form(THETA, m)
+        cg, cm = from_code(code)
+        assert canonical_form(cg, cm) == (code, aut)
         assert aut >= 1
 
 
@@ -324,7 +324,8 @@ class TestSingleRootLoop:
     def test_matches_the_relabeling_oracle(self, marked_cells):
         assert len(marked_cells) == 3 * (327 + 43)
         for graph, marking in marked_cells:
-            cg, cm, aut = canonicalize(graph, marking)
+            code, aut = canonical_form(graph, marking)
+            cg, cm = from_code(code)
             og, om, oaut = relabel_canonicalize(graph, marking)
             assert cg.sides == og.sides
             assert (cg.sigma0, cg.sigma1, aut) == (og.sigma0, og.sigma1, oaut)

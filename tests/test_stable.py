@@ -6,13 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fresh_copy
+from conftest import fresh_copy, mark_all_holes
 from ribboncalc import enumeration
 from ribboncalc import permutations as perms
 from ribboncalc.errors import (
     BrokenInvariant,
-    DisconnectedSubset,
-    DomainMismatch,
     EmptySubset,
     NoSuchEdge,
     NotPermissible,
@@ -25,7 +23,6 @@ from ribboncalc.ribbon import (
     contract_edge,
     genus,
     graph_from_json,
-    mark_all_holes,
     validate,
 )
 from ribboncalc.stable import (
@@ -33,10 +30,9 @@ from ribboncalc.stable import (
     SEMISTABLE,
     STABLE_BEARING,
     StableGraphData,
-    SubsetClass,
+    _classify_edges,
     build_stable,
     carry_labels,
-    classify_subset,
     collapse,
     order_is_admissible,
     quotient_parts,
@@ -238,21 +234,31 @@ def _is_loop(g, e):
     return b in perms.orbit_of(g.sigma0, a)
 
 
+def classify_subset(g, marking, Z):
+    """(kind, core) of a connected subset Z, as ``_quotient_piece`` sorts
+    each component of G_Z: collapse Z, require one component, apply the rule."""
+    sub = collapse(g, Z).sub
+    assert len(sub.components()) == 1, "the rule sorts connected subsets only"
+    targets = marking.targets if marking is not None else {}
+    marked = {orb for kind, orb in targets.values() if kind == VERTEX}
+    return _classify_edges(g, set(sub.edges()), marked)
+
+
 class TestClassifySubset:
     def test_single_edge_is_contractible(self):
-        assert classify_subset(THETA, None, [(1, 4)]) == SubsetClass(CONTRACTIBLE)
+        assert classify_subset(THETA, None, [(1, 4)]) == (CONTRACTIBLE, None)
 
     def test_two_parallel_edges_make_a_circle(self):
         got = classify_subset(TORUS_CELL, None, [(1, 4), (2, 5)])
-        assert got == SubsetClass(SEMISTABLE)
+        assert got == (SEMISTABLE, None)
 
     def test_loop_plus_bridge_is_still_a_circle(self):
         got = classify_subset(DUMBBELL, None, [(1, 2), (3, 4)])
-        assert got == SubsetClass(SEMISTABLE)
+        assert got == (SEMISTABLE, None)
 
     def test_torus_block_keeps_itself_as_core(self):
         got = classify_subset(HANDLE, None, TORUS_BLOCK)
-        assert got == SubsetClass(STABLE_BEARING, TORUS_BLOCK)
+        assert got == (STABLE_BEARING, TORUS_BLOCK)
 
     def test_stable_core_drops_unmarked_tails(self):
         g = validate(
@@ -260,7 +266,7 @@ class TestClassifySubset:
             [(1, 4), (2, 5), (3, 6), (7, 8), (9, 10)],
         )
         got = classify_subset(g, None, [(1, 4), (2, 5), (3, 6), (9, 10)])
-        assert got == SubsetClass(STABLE_BEARING, TORUS_BLOCK)
+        assert got == (STABLE_BEARING, TORUS_BLOCK)
 
     def test_marked_vertex_upgrades_a_tree(self):
         marks = Marking(
@@ -273,7 +279,7 @@ class TestClassifySubset:
             },
         )
         got = classify_subset(HANDLE, marks, [(7, 8)])
-        assert got == SubsetClass(STABLE_BEARING, frozenset({(7, 8)}))
+        assert got == (STABLE_BEARING, frozenset({(7, 8)}))
 
     def test_one_marked_vertex_keeps_a_tree_contractible(self):
         marks = Marking(
@@ -284,17 +290,7 @@ class TestClassifySubset:
                 "z": (VERTEX, frozenset({4, 5, 6, 8})),
             },
         )
-        assert classify_subset(HANDLE, marks, [(7, 8)]) == SubsetClass(CONTRACTIBLE)
-
-    def test_disconnected_subset_rejected(self):
-        with pytest.raises(DisconnectedSubset):
-            classify_subset(DUMBBELL, None, [(1, 2), (5, 6)])
-
-    def test_core_carrying_kinds_reject_mismatched_payloads(self):
-        with pytest.raises(DomainMismatch):
-            SubsetClass(CONTRACTIBLE, frozenset({(1, 4)}))
-        with pytest.raises(DomainMismatch):
-            SubsetClass(STABLE_BEARING)
+        assert classify_subset(HANDLE, marks, [(7, 8)]) == (CONTRACTIBLE, None)
 
 
 def _glue_component_count(data):
@@ -533,7 +529,7 @@ class TestBuildStable:
         cores = [
             comp
             for comp in sub.components()
-            if classify_subset(g, m, [e for e in sub.edges() if e[0] in comp]).kind
+            if classify_subset(g, m, [e for e in sub.edges() if e[0] in comp])[0]
             == STABLE_BEARING
         ]
         stable = build_stable(g, m, [edges, z])
@@ -602,7 +598,7 @@ class TestBuildStableDigest:
 
 
 def _with_order(data, order):
-    return StableGraphData(data.components, data.markings, order, data.iota, data.lengths)
+    return StableGraphData(data.components, data.markings, order, data.iota)
 
 
 class TestOrderAdmissibility:
